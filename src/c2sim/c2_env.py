@@ -14,7 +14,7 @@ connections from hosts compromised before it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
@@ -146,10 +146,19 @@ class ScenarioConfig:
             raise ScenarioError("decay_factor must be in (0, 1)")
         if self.max_steps < 1:
             raise ScenarioError("max_steps must be >= 1")
+        for name, seconds in vars(self.action_times).items():
+            if seconds < 0:
+                raise ScenarioError(f"action_times.{name} must be >= 0")
+        for rate in ("fast", "slow"):
+            if not self.upload_rates.get(rate, 0) > 0:
+                raise ScenarioError(f"upload_rates.{rate} must be positive")
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
-        doc = yaml.safe_load(text)
+        doc = yaml.safe_load(text) or {}
+        for key in ("initial_foothold", "sensitive_hosts"):
+            if key not in doc:
+                raise ScenarioError(f"scenario is missing {key!r}")
         rewards = RewardTable(**doc.get("rewards", {}))
         times = ActionTimes(**doc.get("action_times", {}))
         rates = {k: float(v) for k, v in doc.get(
@@ -168,33 +177,13 @@ class ScenarioConfig:
         )
 
     def to_yaml(self) -> str:
-        doc = {
-            "schema_version": 1,
-            "initial_foothold": list(self.initial_foothold),
-            "sensitive_hosts": [list(a) for a in self.sensitive_hosts],
-            "payload_size_mb": self.payload_size_mb,
-            "max_steps": self.max_steps,
-            "decay_factor": self.decay_factor,
-            "rewards": {
-                "discovery": self.rewards.discovery,
-                "infection": self.rewards.infection,
-                "connection": self.rewards.connection,
-                "upload_per_mb": self.rewards.upload_per_mb,
-                "upload_bonus": self.rewards.upload_bonus,
-            },
-            "action_times": {
-                "subnet_scan": self.action_times.subnet_scan,
-                "exploit": self.action_times.exploit,
-                "connect": self.action_times.connect,
-                "upload": self.action_times.upload,
-                "sleep": self.action_times.sleep,
-                "erroneous": self.action_times.erroneous,
-            },
-            "upload_rates": dict(self.upload_rates),
-            "cvss_scaled_exploits": self.cvss_scaled_exploits,
-        }
-        if self.topology_ref:
-            doc["topology"] = self.topology_ref
+        fields = asdict(self)
+        fields["initial_foothold"] = list(self.initial_foothold)
+        fields["sensitive_hosts"] = [list(a) for a in self.sensitive_hosts]
+        topology = fields.pop("topology_ref")
+        doc = {"schema_version": 1, **fields}
+        if topology:
+            doc["topology"] = topology
         return yaml.safe_dump(doc, sort_keys=False)
 
 
@@ -407,9 +396,6 @@ class C2Env:
     def done(self) -> bool:
         return self._done
 
-    def action_at(self, index: int) -> Action:
-        return self.actions[index]
-
     def step(self, action: int | Action):
         """Apply one action. Returns (observation, reward, done, info)."""
         if self.state is None or self._done:
@@ -498,12 +484,11 @@ class C2Env:
 
     def _decay_all(self, elapsed: float) -> None:
         d = self.scenario.decay_factor
-        factor = d ** elapsed
         for addr in self._sensitive:
             hs = self.state.hosts[addr]
-            hs.cum_connect_attempts *= factor
-            hs.cum_upload_time *= factor
-            hs.cum_upload_volume *= factor
+            hs.cum_connect_attempts = apply_decay(hs.cum_connect_attempts, elapsed, d)
+            hs.cum_upload_time = apply_decay(hs.cum_upload_time, elapsed, d)
+            hs.cum_upload_volume = apply_decay(hs.cum_upload_volume, elapsed, d)
 
     def _scheduled_updates(self) -> None:
         clock = self.state.clock

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class ShapeMismatchError(Exception):
@@ -23,45 +23,58 @@ class CheckpointError(Exception):
     pass
 
 
+def param_count(dims: tuple[int, ...]) -> int:
+    """Length of the flat parameter vector for layer widths ``dims``."""
+    return sum(a * b + b for a, b in zip(dims, dims[1:]))
+
+
+def layer_views(flat: np.ndarray, dims: tuple[int, ...]):
+    """Per-layer (weights, biases) views into a flat parameter-layout vector.
+
+    Layer i occupies its row-major (dims[i], dims[i+1]) weight matrix followed
+    by its bias; writing through a view writes into ``flat``.
+    """
+    weights, biases = [], []
+    start = 0
+    for a, b in zip(dims, dims[1:]):
+        weights.append(flat[start:start + a * b].reshape(a, b))
+        start += a * b
+        biases.append(flat[start:start + b])
+        start += b
+    return weights, biases
+
+
 @dataclass
 class MlpParams:
-    """Weights and biases of a feed-forward net with a linear output head."""
+    """A feed-forward net with a linear output head, stored as one float64
+    vector ``theta``; ``weights[i]`` and ``biases[i]`` are views into it."""
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    dims: tuple[int, ...]  # layer widths, input first
+    theta: np.ndarray
     activation: str = "tanh"  # hidden-layer nonlinearity: tanh | linear
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases):
-            raise ShapeMismatchError("weights/biases length mismatch")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[1] != b.shape[0]:
-                raise ShapeMismatchError(f"layer {i}: bad shapes {w.shape}, {b.shape}")
-            if i > 0 and self.weights[i - 1].shape[1] != w.shape[0]:
-                raise ShapeMismatchError(f"layer {i}: input dim mismatch")
+        self.dims = tuple(int(d) for d in self.dims)
+        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
+        if len(self.dims) < 2 or min(self.dims) < 1:
+            raise ShapeMismatchError(f"bad layer dims {self.dims}")
+        if self.theta.shape != (param_count(self.dims),):
+            raise ShapeMismatchError(
+                f"theta shape {self.theta.shape} does not match dims {self.dims}"
+            )
         if self.activation not in ("tanh", "linear"):
             raise ValueError(f"unsupported activation {self.activation!r}")
+        self.weights, self.biases = layer_views(self.theta, self.dims)
 
     @property
     def in_dim(self) -> int:
-        return self.weights[0].shape[0]
+        return self.dims[0]
 
     @property
     def out_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            activation=self.activation,
-        )
-
-
-@dataclass
-class MlpGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+        return self.dims[-1]
 
 
 def orthogonal(rng: np.random.Generator, shape: tuple[int, int],
@@ -81,13 +94,12 @@ def init_mlp(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...],
              activation: str = "tanh") -> MlpParams:
     """Orthogonal initialization: gain sqrt(2) for hidden layers, a caller
     supplied gain for the output head (small for actors, 1 for critics)."""
-    dims = [in_dim, *hidden, out_dim]
-    weights, biases = [], []
-    for i in range(len(dims) - 1):
-        gain = out_gain if i == len(dims) - 2 else np.sqrt(2.0)
-        weights.append(orthogonal(rng, (dims[i], dims[i + 1]), gain))
-        biases.append(np.zeros(dims[i + 1]))
-    return MlpParams(weights=weights, biases=biases, activation=activation)
+    dims = (in_dim, *hidden, out_dim)
+    p = MlpParams(dims, np.zeros(param_count(dims)), activation)
+    last = len(p.weights) - 1
+    for i, w in enumerate(p.weights):
+        w[...] = orthogonal(rng, w.shape, out_gain if i == last else np.sqrt(2.0))
+    return p
 
 
 def _activate(p: MlpParams, z: np.ndarray) -> np.ndarray:
@@ -118,8 +130,8 @@ def forward_cached(p: MlpParams, x: np.ndarray):
     return (h[0] if single else h), acts
 
 
-def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> MlpGrads:
-    """Analytic parameter gradients given dLoss/dOutput.
+def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Analytic dLoss/dtheta given dLoss/dOutput, laid out like ``p.theta``.
 
     The upstream gradient must match the forward output shape for ``x``.
     """
@@ -131,18 +143,16 @@ def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> MlpGrads:
         raise ShapeMismatchError(
             f"upstream shape {g.shape} does not match output {acts[-1].shape}"
         )
-    n_layers = len(p.weights)
-    w_grads: list[np.ndarray] = [None] * n_layers
-    b_grads: list[np.ndarray] = [None] * n_layers
-    for i in range(n_layers - 1, -1, -1):
-        a_in = acts[i]
-        w_grads[i] = a_in.T @ g
-        b_grads[i] = g.sum(axis=0)
+    grad = np.empty_like(p.theta)
+    w_grads, b_grads = layer_views(grad, p.dims)
+    for i in range(len(p.weights) - 1, -1, -1):
+        w_grads[i][...] = acts[i].T @ g
+        b_grads[i][...] = g.sum(axis=0)
         if i > 0:
             g = g @ p.weights[i].T
             if p.activation == "tanh":
                 g = g * (1.0 - acts[i] ** 2)
-    return MlpGrads(weights=w_grads, biases=b_grads)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -151,49 +161,36 @@ def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> MlpGrads:
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators, one pair per parameter tensor."""
+    """Adaptive-moment accumulators, laid out like the parameter vector."""
 
     lr: float
+    m: np.ndarray
+    v: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
 
 
 def adam_init(p: MlpParams, lr: float) -> OptimizerState:
-    return OptimizerState(
-        lr=lr,
-        m_weights=[np.zeros_like(w) for w in p.weights],
-        v_weights=[np.zeros_like(w) for w in p.weights],
-        m_biases=[np.zeros_like(b) for b in p.biases],
-        v_biases=[np.zeros_like(b) for b in p.biases],
-    )
+    return OptimizerState(lr=lr, m=np.zeros_like(p.theta), v=np.zeros_like(p.theta))
 
 
-def adam_step(state: OptimizerState, p: MlpParams, grads: MlpGrads):
+def adam_step(state: OptimizerState, p: MlpParams, grad: np.ndarray):
     """One bias-corrected moment update. Mutates and returns (state, p)."""
+    if grad.shape != p.theta.shape:
+        raise ShapeMismatchError(
+            f"gradient shape {grad.shape} vs parameter {p.theta.shape}"
+        )
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     scale = state.lr * np.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
-    for ms, vs, params, gs in (
-        (state.m_weights, state.v_weights, p.weights, grads.weights),
-        (state.m_biases, state.v_biases, p.biases, grads.biases),
-    ):
-        for m, v, theta, g in zip(ms, vs, params, gs):
-            if g.shape != theta.shape:
-                raise ShapeMismatchError(
-                    f"gradient shape {g.shape} vs parameter {theta.shape}"
-                )
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            theta -= scale * m / (np.sqrt(v) + state.eps)
+    state.m *= b1
+    state.m += (1.0 - b1) * grad
+    state.v *= b2
+    state.v += (1.0 - b2) * grad * grad
+    p.theta -= scale * state.m / (np.sqrt(state.v) + state.eps)
     return state, p
 
 
@@ -237,26 +234,20 @@ def categorical_sample(scores: np.ndarray, rng: np.random.Generator):
 
 def save_checkpoint(path, nets: dict[str, MlpParams],
                     opts: dict[str, OptimizerState], meta: dict) -> None:
-    """Write all tensors plus optimizer state as a versioned npz archive."""
+    """Write every parameter vector plus optimizer state as a versioned npz
+    archive; the manifest records each net's layer dims."""
     arrays: dict[str, np.ndarray] = {}
     manifest: dict = {"version": CHECKPOINT_VERSION, "meta": meta, "nets": {}, "opts": {}}
     for name, p in nets.items():
-        manifest["nets"][name] = {
-            "layers": len(p.weights), "activation": p.activation,
-        }
-        for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-            arrays[f"{name}_w{i}"] = w
-            arrays[f"{name}_b{i}"] = b
+        manifest["nets"][name] = {"dims": list(p.dims), "activation": p.activation}
+        arrays[f"{name}_theta"] = p.theta
     for name, s in opts.items():
         manifest["opts"][name] = {
             "lr": s.lr, "beta1": s.beta1, "beta2": s.beta2,
-            "eps": s.eps, "step": s.step, "layers": len(s.m_weights),
+            "eps": s.eps, "step": s.step,
         }
-        for i in range(len(s.m_weights)):
-            arrays[f"{name}_mw{i}"] = s.m_weights[i]
-            arrays[f"{name}_vw{i}"] = s.v_weights[i]
-            arrays[f"{name}_mb{i}"] = s.m_biases[i]
-            arrays[f"{name}_vb{i}"] = s.v_biases[i]
+        arrays[f"{name}_m"] = s.m
+        arrays[f"{name}_v"] = s.v
     arrays["manifest"] = np.frombuffer(
         json.dumps(manifest, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
@@ -278,28 +269,30 @@ def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
             raise CheckpointError(
                 f"unsupported checkpoint version {manifest.get('version')}"
             )
-        nets: dict[str, MlpParams] = {}
-        for name, spec in manifest["nets"].items():
-            try:
-                weights = [data[f"{name}_w{i}"] for i in range(spec["layers"])]
-                biases = [data[f"{name}_b{i}"] for i in range(spec["layers"])]
-            except KeyError as exc:
-                raise CheckpointError(f"missing tensor for net {name}: {exc}") from exc
-            try:
-                nets[name] = MlpParams(
-                    weights=weights, biases=biases, activation=spec["activation"]
+        try:
+            nets = {
+                name: MlpParams(spec["dims"], data[f"{name}_theta"],
+                                spec["activation"])
+                for name, spec in manifest["nets"].items()
+            }
+            opts = {
+                name: OptimizerState(
+                    lr=spec["lr"], m=data[f"{name}_m"], v=data[f"{name}_v"],
+                    beta1=spec["beta1"], beta2=spec["beta2"],
+                    eps=spec["eps"], step=spec["step"],
                 )
-            except ShapeMismatchError as exc:
-                raise CheckpointError(f"net {name}: {exc}") from exc
-        opts: dict[str, OptimizerState] = {}
-        for name, spec in manifest["opts"].items():
-            opts[name] = OptimizerState(
-                lr=spec["lr"], beta1=spec["beta1"], beta2=spec["beta2"],
-                eps=spec["eps"], step=spec["step"],
-                m_weights=[data[f"{name}_mw{i}"] for i in range(spec["layers"])],
-                v_weights=[data[f"{name}_vw{i}"] for i in range(spec["layers"])],
-                m_biases=[data[f"{name}_mb{i}"] for i in range(spec["layers"])],
-                v_biases=[data[f"{name}_vb{i}"] for i in range(spec["layers"])],
+                for name, spec in manifest["opts"].items()
+            }
+        except KeyError as exc:
+            raise CheckpointError(f"missing tensor: {exc}") from exc
+        except ShapeMismatchError as exc:
+            raise CheckpointError(str(exc)) from exc
+    for name, s in opts.items():
+        want = nets[name].theta.shape if name in nets else None
+        if s.m.shape != want or s.v.shape != want:
+            raise CheckpointError(
+                f"optimizer state {name!r} has shapes {s.m.shape}/{s.v.shape}, "
+                f"expected {want} from its net"
             )
     if expect:
         for name, (in_dim, out_dim) in expect.items():

@@ -9,7 +9,7 @@ sequentially-stepped environment instances with independent seed streams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +68,10 @@ class PpoConfig:
     @classmethod
     def from_yaml(cls, text: str) -> "PpoConfig":
         doc = yaml.safe_load(text) or {}
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(doc) - known)
+        if unknown:
+            raise ValueError(f"unknown PPO config key(s): {', '.join(unknown)}")
         if "hidden" in doc:
             doc["hidden"] = tuple(doc["hidden"])
         return cls(**doc)
@@ -83,9 +87,6 @@ class PolicyParams:
     critic_opt: OptimizerState
     obs_dim: int
     n_actions: int
-
-    def copy_networks(self) -> tuple[MlpParams, MlpParams]:
-        return self.actor.copy(), self.critic.copy()
 
 
 def init_policy(rng: np.random.Generator, obs_dim: int, n_actions: int,
@@ -273,39 +274,16 @@ def prepare_batch(batch: RolloutBatch, cfg: PpoConfig) -> None:
 # Loss and update
 
 
-def ppo_loss(batch: RolloutBatch, actor: MlpParams, critic: MlpParams,
-             cfg: PpoConfig) -> tuple[float, float, float]:
-    """(policy loss, value loss, entropy) over a prepared rollout batch."""
-    if batch.advantages is None or batch.returns is None:
-        raise ValueError("batch not prepared: advantages/returns missing")
-    n = batch.size
-    return surrogate_loss(
-        batch.obs.reshape(n, -1), batch.actions.reshape(n),
-        batch.log_probs.reshape(n), batch.advantages.reshape(n),
-        batch.returns.reshape(n), actor, critic, cfg)
+def ppo_loss(actor: MlpParams, critic: MlpParams, obs: np.ndarray,
+             actions: np.ndarray, logp_old: np.ndarray, advantages: np.ndarray,
+             returns: np.ndarray, cfg: PpoConfig):
+    """Loss pieces and parameter gradients on one set of prepared samples.
 
-
-def surrogate_loss(obs: np.ndarray, actions: np.ndarray, logp_old: np.ndarray,
-                   advantages: np.ndarray, returns: np.ndarray,
-                   actor: MlpParams, critic: MlpParams,
-                   cfg: PpoConfig) -> tuple[float, float, float]:
-    """(policy loss, value loss, entropy) of prepared sample arrays."""
-    logits = neural.forward(actor, obs)
-    logp_all = neural.log_softmax(logits)
-    logp = logp_all[np.arange(len(actions)), actions]
-    ratio = np.exp(logp - logp_old)
-    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
-    objective = np.minimum(ratio * advantages, clipped * advantages)
-    policy_loss = -objective.mean()
-    ent = neural.entropy(logits).mean()
-    v = neural.forward(critic, obs)[:, 0]
-    value_loss = np.mean((v - returns) ** 2)
-    return float(policy_loss), float(value_loss), float(ent)
-
-
-def _actor_gradients(actor: MlpParams, obs, actions, logp_old, advantages,
-                     cfg: PpoConfig):
-    """Loss pieces and dLoss/dParams for the actor on one minibatch."""
+    Returns (policy loss, value loss, entropy, actor gradient, critic
+    gradient). The actor gradient is that of policy loss - entropy_coef *
+    entropy, the critic gradient that of the value loss; both are laid out
+    like the networks' ``theta``.
+    """
     logits = neural.forward(actor, obs)
     logp_all = neural.log_softmax(logits)
     probs = np.exp(logp_all)
@@ -330,30 +308,26 @@ def _actor_gradients(actor: MlpParams, obs, actions, logp_old, advantages,
     dlogits = coeff[:, None] * (one_hot - probs)
     # entropy bonus: loss includes -beta * H
     dlogits += cfg.entropy_coef * probs * (logp_all + row_entropy[:, None]) / n
-    grads = neural.backward(actor, obs, dlogits)
-    return policy_loss, ent, grads
 
-
-def _critic_gradients(critic: MlpParams, obs, returns):
     v = neural.forward(critic, obs)[:, 0]
     value_loss = np.mean((v - returns) ** 2)
     dv = (2.0 * (v - returns) / len(returns))[:, None]
-    grads = neural.backward(critic, obs, dv)
-    return value_loss, grads
+    return (float(policy_loss), float(value_loss), float(ent),
+            neural.backward(actor, obs, dlogits), neural.backward(critic, obs, dv))
 
 
-def _clip_grads(grads: neural.MlpGrads, max_norm: float) -> None:
-    total = math.sqrt(sum(float(np.sum(g * g))
-                          for g in grads.weights + grads.biases))
+def _clip_grads(grad: np.ndarray, max_norm: float) -> None:
+    """Scale ``grad`` in place so its norm is at most ``max_norm``."""
+    total = np.linalg.norm(grad)
     if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for g in grads.weights + grads.biases:
-            g *= scale
+        grad *= max_norm / (total + 1e-12)
 
 
 def ppo_update(params: PolicyParams, batch: RolloutBatch, cfg: PpoConfig,
                shuffle_rng: np.random.Generator) -> dict:
     """K epochs of minibatch updates over one prepared rollout batch."""
+    if batch.advantages is None or batch.returns is None:
+        raise ValueError("batch not prepared: advantages/returns missing")
     n = batch.size
     obs = batch.obs.reshape(n, -1)
     actions = batch.actions.reshape(n)
@@ -366,10 +340,9 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, cfg: PpoConfig,
         perm = shuffle_rng.permutation(n)
         for start in range(0, n, cfg.minibatch):
             idx = perm[start:start + cfg.minibatch]
-            p_loss, ent, a_grads = _actor_gradients(
-                params.actor, obs[idx], actions[idx], logp_old[idx],
-                advantages[idx], cfg)
-            v_loss, c_grads = _critic_gradients(params.critic, obs[idx], returns[idx])
+            p_loss, v_loss, ent, a_grads, c_grads = ppo_loss(
+                params.actor, params.critic, obs[idx], actions[idx],
+                logp_old[idx], advantages[idx], returns[idx], cfg)
             if not (np.isfinite(p_loss) and np.isfinite(v_loss) and np.isfinite(ent)):
                 raise TrainingDiverged(
                     f"non-finite loss: policy={p_loss} value={v_loss} entropy={ent}"

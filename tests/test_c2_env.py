@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from c2sim.c2_env import (
+    ActionTimes,
     C2Env,
     Connect,
     EpisodeDoneError,
@@ -547,6 +548,22 @@ class TestScenarioConfig:
         with pytest.raises(ScenarioError):
             ScenarioConfig(initial_foothold=(1, 0), sensitive_hosts=((1, 0),),
                            decay_factor=1.0)
+
+    def test_negative_action_time_rejected(self):
+        with pytest.raises(ScenarioError, match="action_times.sleep"):
+            ScenarioConfig(initial_foothold=(1, 0), sensitive_hosts=((1, 0),),
+                           action_times=ActionTimes(sleep=-60.0))
+
+    @pytest.mark.parametrize("rates, missing", [
+        ({"slow": 10.0}, "fast"),
+        ({"fast": 1000.0}, "slow"),
+        ({"fast": 0.0, "slow": 10.0}, "fast"),
+        ({"fast": 1000.0, "slow": -1.0}, "slow"),
+    ])
+    def test_upload_rates_need_positive_fast_and_slow(self, rates, missing):
+        with pytest.raises(ScenarioError, match=f"upload_rates.{missing}"):
+            ScenarioConfig(initial_foothold=(1, 0), sensitive_hosts=((1, 0),),
+                           upload_rates=rates)
 
     def test_cvss_scaled_exploits_flag(self, chain3):
         topology, scenario = chain3

@@ -163,6 +163,27 @@ class TestTrainEvalPipeline:
         assert rc == cli.EXIT_INVALID
 
 
+class TestConfigErrors:
+    def test_unknown_ppo_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "ppo.yaml"
+        cfg.write_text(PPO_SMALL + "learning_rate: 0.1\n")
+        rc = run(["train", "--scenario", "tiny", "--config", str(cfg),
+                  "--out-dir", str(tmp_path / "out")])
+        assert rc == cli.EXIT_INVALID
+        assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["initial_foothold", "sensitive_hosts"])
+    def test_scenario_missing_required_key(self, tmp_path, capsys, key):
+        doc = {"initial_foothold": "[1, 0]", "sensitive_hosts": "[[1, 0]]"}
+        del doc[key]
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text("".join(f"{k}: {v}\n" for k, v in doc.items()))
+        rc = run(["train", "--scenario", str(scenario),
+                  "--out-dir", str(tmp_path / "out")])
+        assert rc == cli.EXIT_INVALID
+        assert key in capsys.readouterr().err
+
+
 class TestAnalyze:
     def test_analyze_with_prune_and_timing(self, tmp_path, tiny_inputs):
         # build a complete trace by scripting the optimal route

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from c2sim import neural
 from c2sim.neural import (
     CheckpointError,
-    MlpGrads,
     MlpParams,
     ShapeMismatchError,
     adam_init,
@@ -16,6 +17,7 @@ from c2sim.neural import (
     entropy,
     forward,
     init_mlp,
+    layer_views,
     load_checkpoint,
     log_softmax,
     orthogonal,
@@ -39,18 +41,13 @@ def reference_forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
 
 class TestForward:
     def test_zero_network_outputs_zero(self):
-        p = MlpParams(
-            weights=[np.zeros((3, 4)), np.zeros((4, 2))],
-            biases=[np.zeros(4), np.zeros(2)],
-        )
+        p = MlpParams((3, 4, 2), np.zeros(3 * 4 + 4 + 4 * 2 + 2))
         assert np.array_equal(forward(p, np.ones(3)), np.zeros(2))
 
     def test_tiny_network_hand_computation(self):
         w, b = 0.5, 0.25
-        p = MlpParams(
-            weights=[np.array([[w]]), np.array([[1.0]])],
-            biases=[np.array([b]), np.array([0.0])],
-        )
+        # layout W0, b0, W1, b1
+        p = MlpParams((1, 1, 1), np.array([w, b, 1.0, 0.0]))
         out = forward(p, np.array([2.0]))
         assert out[0] == pytest.approx(np.tanh(2.0 * w + b), abs=1e-12)
 
@@ -76,34 +73,44 @@ class TestForward:
             forward(p, np.zeros(5))
 
 
+class TestFlatLayout:
+    def test_layer_views_write_through_to_theta(self):
+        p = init_mlp(np.random.default_rng(0), 3, (4,), 2)
+        p.weights[1][2, 1] = 7.0
+        p.biases[0][3] = -5.0
+        # layout W0 (3x4), b0 (4), W1 (4x2), b1 (2)
+        assert p.theta[12 + 4 + 2 * 2 + 1] == 7.0
+        assert p.theta[12 + 3] == -5.0
+        x = np.ones(3)
+        assert forward(p, x) == pytest.approx(reference_forward(p, x), abs=1e-12)
+
+    def test_theta_length_must_match_dims(self):
+        with pytest.raises(ShapeMismatchError):
+            MlpParams((3, 4, 2), np.zeros(25))
+
+
 def finite_difference_grads(p: MlpParams, x, upstream, h=1e-5):
-    """Central differences of loss = sum(out * upstream)."""
+    """Central differences of loss = sum(out * upstream), one per entry of
+    ``p.theta``."""
     def loss():
         return float(np.sum(forward(p, x) * upstream))
 
-    w_grads, b_grads = [], []
-    for arr_list, grads in ((p.weights, w_grads), (p.biases, b_grads)):
-        for arr in arr_list:
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                up = loss()
-                arr[idx] = orig - h
-                down = loss()
-                arr[idx] = orig
-                g[idx] = (up - down) / (2 * h)
-                it.iternext()
-            grads.append(g)
-    return MlpGrads(weights=w_grads, biases=b_grads)
+    g = np.zeros_like(p.theta)
+    for k in range(p.theta.size):
+        orig = p.theta[k]
+        p.theta[k] = orig + h
+        up = loss()
+        p.theta[k] = orig - h
+        down = loss()
+        p.theta[k] = orig
+        g[k] = (up - down) / (2 * h)
+    return g
 
 
-def assert_grads_close(got: MlpGrads, want: MlpGrads, rtol=1e-4):
-    for g, w in zip(got.weights + got.biases, want.weights + want.biases):
-        denom = np.maximum(np.abs(w), 1e-8)
-        assert np.max(np.abs(g - w) / denom) < rtol
+def assert_grads_close(got: np.ndarray, want: np.ndarray, rtol=1e-4):
+    assert got.shape == want.shape
+    denom = np.maximum(np.abs(want), 1e-8)
+    assert np.max(np.abs(got - want) / denom) < rtol
 
 
 class TestBackward:
@@ -121,21 +128,20 @@ class TestBackward:
         rng = np.random.default_rng(1)
         p = init_mlp(rng, 5, (6,), 3)
         grads = backward(p, rng.standard_normal(5), np.zeros(3))
-        for g in grads.weights + grads.biases:
-            assert np.all(g == 0.0)
+        assert np.all(grads == 0.0)
 
     def test_linear_network_closed_form(self):
         rng = np.random.default_rng(4)
         p = init_mlp(rng, 3, (4,), 2, activation="linear")
         x = rng.standard_normal((6, 3))
         upstream = rng.standard_normal((6, 2))
-        grads = backward(p, x, upstream)
+        gw, gb = layer_views(backward(p, x, upstream), p.dims)
         # linear net: dW2 = h.T @ g with h = x W1 + b1; dW1 = x.T @ (g W2.T)
         h = x @ p.weights[0] + p.biases[0]
-        assert grads.weights[1] == pytest.approx(h.T @ upstream, abs=1e-10)
-        assert grads.weights[0] == pytest.approx(
+        assert gw[1] == pytest.approx(h.T @ upstream, abs=1e-10)
+        assert gw[0] == pytest.approx(
             x.T @ (upstream @ p.weights[1].T), abs=1e-10)
-        assert grads.biases[1] == pytest.approx(upstream.sum(0), abs=1e-12)
+        assert gb[1] == pytest.approx(upstream.sum(0), abs=1e-12)
 
     def test_upstream_shape_mismatch(self):
         p = init_mlp(np.random.default_rng(0), 3, (4,), 2)
@@ -147,26 +153,23 @@ class TestAdam:
     def test_zero_gradient_fixed_point(self):
         rng = np.random.default_rng(0)
         p = init_mlp(rng, 3, (4,), 2)
-        snapshot = p.copy()
+        snapshot = p.theta.copy()
         state = adam_init(p, lr=0.01)
-        grads = MlpGrads(weights=[np.zeros_like(w) for w in p.weights],
-                         biases=[np.zeros_like(b) for b in p.biases])
-        adam_step(state, p, grads)
-        for w, w0 in zip(p.weights + p.biases, snapshot.weights + snapshot.biases):
-            assert np.array_equal(w, w0)
+        adam_step(state, p, np.zeros_like(p.theta))
+        assert np.array_equal(p.theta, snapshot)
 
     def test_scalar_first_step_magnitude(self):
-        p = MlpParams(weights=[np.array([[0.0]])], biases=[np.array([0.0])])
+        p = MlpParams((1, 1), np.zeros(2))
         state = adam_init(p, lr=1e-3)
-        grads = MlpGrads(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
+        grads = np.array([1.0, 0.0])  # dW, db
         adam_step(state, p, grads)
         # bias-corrected m-hat = 1, v-hat = 1 -> step of lr/(1+eps)
         assert p.weights[0][0, 0] == pytest.approx(-1e-3, rel=1e-6)
 
     def test_repeated_identical_gradients_move_monotonically(self):
-        p = MlpParams(weights=[np.array([[0.0]])], biases=[np.array([0.0])])
+        p = MlpParams((1, 1), np.zeros(2))
         state = adam_init(p, lr=1e-3)
-        grads = MlpGrads(weights=[np.array([[2.5]])], biases=[np.array([0.0])])
+        grads = np.array([2.5, 0.0])  # dW, db
         prev = 0.0
         for _ in range(20):
             adam_step(state, p, grads)
@@ -177,8 +180,7 @@ class TestAdam:
     def test_gradient_shape_mismatch(self):
         p = init_mlp(np.random.default_rng(0), 3, (4,), 2)
         state = adam_init(p, lr=1e-3)
-        bad = MlpGrads(weights=[np.zeros((3, 5)), np.zeros((4, 2))],
-                       biases=[np.zeros(4), np.zeros(2)])
+        bad = np.zeros(p.theta.size + 3)
         with pytest.raises(ShapeMismatchError):
             adam_step(state, p, bad)
 
@@ -255,6 +257,29 @@ class TestCheckpoints:
         for name in nets:
             for w1, w2 in zip(nets[name].weights, nets2[name].weights):
                 assert np.array_equal(w1, w2)
+            assert np.array_equal(nets[name].theta, nets2[name].theta)
+            assert np.array_equal(opts[name].m, opts2[name].m)
+            assert np.array_equal(opts[name].v, opts2[name].v)
+
+    def test_adam_step_on_loaded_checkpoint_changes_forward(self, tmp_path):
+        rng = np.random.default_rng(5)
+        nets, opts = self._nets_and_opts(rng)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, nets, opts, meta={})
+        nets2, opts2, _ = load_checkpoint(path)
+        actor = nets2["actor"]
+        x = rng.standard_normal((4, 6))
+        before = forward(actor, x)
+        grad = backward(actor, x, np.ones((4, 3)))
+        adam_step(opts2["actor"], actor, grad)
+        assert not np.allclose(forward(actor, x), before, rtol=0, atol=1e-6)
+
+    def test_version_1_rejected(self, tmp_path):
+        manifest = json.dumps({"version": 1, "meta": {}, "nets": {}, "opts": {}})
+        path = tmp_path / "old.npz"
+        np.savez(path, manifest=np.frombuffer(manifest.encode(), dtype=np.uint8))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
 
     def test_expected_shape_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -263,6 +288,15 @@ class TestCheckpoints:
         save_checkpoint(path, nets, opts, meta={})
         with pytest.raises(CheckpointError, match="shape"):
             load_checkpoint(path, expect={"actor": (6, 4), "critic": (6, 1)})
+
+    def test_truncated_optimizer_state_rejected(self, tmp_path):
+        rng = np.random.default_rng(5)
+        nets, opts = self._nets_and_opts(rng)
+        opts["actor"].m = opts["actor"].m[:-1]
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, nets, opts, meta={})
+        with pytest.raises(CheckpointError, match="optimizer state 'actor'"):
+            load_checkpoint(path)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"

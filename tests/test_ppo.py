@@ -55,6 +55,10 @@ class TestConfig:
         cfg = PpoConfig.from_yaml("horizon: 1024\nnum_envs: 8\nseed: 3\n")
         assert cfg.horizon == 1024 and cfg.seed == 3
 
+    def test_from_yaml_unknown_key_named(self):
+        with pytest.raises(ValueError, match="horizn"):
+            PpoConfig.from_yaml("horizn: 1024\n")
+
 
 class TestGae:
     def test_single_step(self):
@@ -118,8 +122,8 @@ class TestPpoLoss:
         logp_old = neural.log_softmax(neural.forward(actor, obs))[
             np.arange(len(actions)), actions]
         advantages = np.random.default_rng(1).standard_normal(len(actions))
-        p_loss, _, _ = ppo.surrogate_loss(obs, actions, logp_old, advantages,
-                                          returns, actor, critic, cfg)
+        p_loss, _, _, _, _ = ppo_loss(actor, critic, obs, actions, logp_old,
+                                      advantages, returns, cfg)
         assert p_loss == pytest.approx(-advantages.mean(), abs=1e-9)
 
     def test_scalar_clip_hand_trace(self):
@@ -138,9 +142,9 @@ class TestPpoLoss:
         cfg = small_cfg()
         logp_old = neural.log_softmax(neural.forward(actor, obs))[
             np.arange(len(actions)), actions]
-        p_loss, v_loss, ent = ppo.surrogate_loss(obs, actions, logp_old,
-                                                 np.zeros(len(actions)),
-                                                 returns, actor, critic, cfg)
+        p_loss, v_loss, ent, _, _ = ppo_loss(actor, critic, obs, actions,
+                                             logp_old, np.zeros(len(actions)),
+                                             returns, cfg)
         assert p_loss == pytest.approx(0.0, abs=1e-12)
         assert v_loss > 0 and ent > 0
 
@@ -163,6 +167,7 @@ class TestPpoLoss:
         cfg = small_cfg()
         actor = neural.init_mlp(rng, 4, (6,), n_actions, out_gain=0.5)
         old_actor = neural.init_mlp(rng, 4, (6,), n_actions, out_gain=0.5)
+        critic = neural.init_mlp(rng, 4, (6,), 1)
         obs = rng.standard_normal((n, 4))
         actions = rng.integers(0, n_actions, n)
         adv = rng.standard_normal(n)
@@ -179,10 +184,12 @@ class TestPpoLoss:
             ent = neural.entropy(logits).mean()
             return -objective.mean() - cfg.entropy_coef * ent
 
-        _, _, grads = ppo._actor_gradients(actor, obs, actions, logp_old, adv, cfg)
+        _, _, _, grads, _ = ppo_loss(actor, critic, obs, actions, logp_old, adv,
+                                     np.zeros(n), cfg)
+        g_weights, g_biases = neural.layer_views(grads, actor.dims)
         h = 1e-6
-        for arr, g in ((actor.weights[0], grads.weights[0]),
-                       (actor.biases[1], grads.biases[1])):
+        for arr, g in ((actor.weights[0], g_weights[0]),
+                       (actor.biases[1], g_biases[1])):
             it = np.nditer(arr, flags=["multi_index"])
             checked = 0
             while not it.finished and checked < 12:
@@ -197,6 +204,21 @@ class TestPpoLoss:
                 assert g[idx] == pytest.approx(num, rel=1e-4, abs=1e-8)
                 checked += 1
                 it.iternext()
+
+
+class TestGradClip:
+    def test_large_gradient_scaled_to_max_norm(self):
+        grad = np.random.default_rng(0).standard_normal(50) * 10
+        before = grad.copy()
+        ppo._clip_grads(grad, 1.0)
+        assert np.linalg.norm(grad) <= 1.0
+        assert grad / np.linalg.norm(grad) == pytest.approx(
+            before / np.linalg.norm(before), abs=1e-12)
+
+    def test_small_gradient_untouched(self):
+        grad = np.array([0.3, -0.4])
+        ppo._clip_grads(grad, 1.0)
+        assert grad.tolist() == [0.3, -0.4]
 
 
 class _ThreeStepEnv:
@@ -310,7 +332,10 @@ class TestUpdate:
                                 np.random.default_rng(3))
         prepare_batch(batch, cfg)
         assert batch.advantages.shape == (32, 2)
-        losses = ppo_loss(batch, params.actor, params.critic, cfg)
+        losses = ppo_loss(
+            params.actor, params.critic, batch.obs.reshape(64, -1),
+            batch.actions.reshape(64), batch.log_probs.reshape(64),
+            batch.advantages.reshape(64), batch.returns.reshape(64), cfg)[:3]
         assert all(np.isfinite(v) for v in losses)
         stats = ppo_update(params, batch, cfg, np.random.default_rng(4))
         for key in ("policy_loss", "value_loss", "entropy"):
@@ -329,7 +354,7 @@ class TestUpdate:
         batch = collect_rollout(runners, params.actor, params.critic, 8,
                                 np.random.default_rng(3))
         with pytest.raises(ValueError, match="not prepared"):
-            ppo_loss(batch, params.actor, params.critic, cfg)
+            ppo_update(params, batch, cfg, np.random.default_rng(4))
 
     def test_advantage_normalization(self):
         batch = RolloutBatch(
