@@ -20,6 +20,10 @@ class PruneDivergenceError(Exception):
     """A pruned trace no longer reproduces the original terminal statuses."""
 
 
+class TraceFormatError(ValueError):
+    """A traces file line that is not a record of the JSON-lines format."""
+
+
 @dataclass
 class TraceStep:
     step: int
@@ -340,31 +344,42 @@ def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
 
 
 def read_traces_jsonl(fh) -> list[AttackTrace]:
+    """Parse traces written by ``write_traces_jsonl``; raises
+    TraceFormatError naming the first line that is not a valid record."""
     traces: dict[int, AttackTrace] = {}
-    for line in fh:
+    for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
             continue
         row = json.loads(line)
-        if row["record"] == "trace":
-            status = {
-                tuple(int(x) for x in key.split(",")): value
-                for key, value in row["terminal_status"].items()
-            }
-            traces[row["trace"]] = AttackTrace(
-                seed=row["seed"], terminal_status=status,
-                emergencies=row.get("emergencies", 0),
-            )
-        elif row["record"] == "step":
-            traces[row["trace"]].steps.append(TraceStep(
-                step=row["step"],
-                clock=row["clock"],
-                action=row["action"],
-                target=tuple(row["target"]) if row["target"] else None,
-                reward=row["reward"],
-                outcome=row["outcome"],
-                vulnerability=row.get("vulnerability"),
-                rate=row.get("rate"),
-                n_discovered=row.get("n_discovered"),
-            ))
+        if not isinstance(row, dict):
+            raise TraceFormatError(f"line {lineno}: not a JSON object")
+        try:
+            if row["record"] == "trace":
+                status = {
+                    tuple(int(x) for x in key.split(",")): value
+                    for key, value in row["terminal_status"].items()
+                }
+                traces[row["trace"]] = AttackTrace(
+                    seed=row["seed"], terminal_status=status,
+                    emergencies=row.get("emergencies", 0),
+                )
+            elif row["record"] == "step":
+                if row["trace"] not in traces:
+                    raise TraceFormatError(
+                        f"line {lineno}: step of trace {row['trace']} comes "
+                        f"before its trace record")
+                traces[row["trace"]].steps.append(TraceStep(
+                    step=row["step"],
+                    clock=row["clock"],
+                    action=row["action"],
+                    target=tuple(row["target"]) if row["target"] else None,
+                    reward=row["reward"],
+                    outcome=row["outcome"],
+                    vulnerability=row.get("vulnerability"),
+                    rate=row.get("rate"),
+                    n_discovered=row.get("n_discovered"),
+                ))
+        except KeyError as exc:
+            raise TraceFormatError(f"line {lineno}: missing key {exc}") from None
     return [traces[k] for k in sorted(traces)]

@@ -14,7 +14,7 @@ connections from hosts compromised before it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -124,6 +124,17 @@ class ActionTimes:
         return getattr(self, action.kind)
 
 
+def _table(cls, doc: dict, key: str):
+    """A RewardTable or ActionTimes from the scenario's ``key`` mapping."""
+    raw = doc.get(key) or {}
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{key} must be a mapping")
+    unknown = sorted(str(k) for k in set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ScenarioError(f"unknown {key} key(s): {', '.join(unknown)}")
+    return cls(**raw)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     initial_foothold: Address
@@ -159,8 +170,8 @@ class ScenarioConfig:
         for key in ("initial_foothold", "sensitive_hosts"):
             if key not in doc:
                 raise ScenarioError(f"scenario is missing {key!r}")
-        rewards = RewardTable(**doc.get("rewards", {}))
-        times = ActionTimes(**doc.get("action_times", {}))
+        rewards = _table(RewardTable, doc, "rewards")
+        times = _table(ActionTimes, doc, "action_times")
         rates = {k: float(v) for k, v in doc.get(
             "upload_rates", {"fast": 1000.0, "slow": 10.0}).items()}
         return cls(
@@ -191,39 +202,32 @@ class ScenarioConfig:
 # Runtime state
 
 
-@dataclass
-class UploadEvent:
-    time: float
-    mb: float
-    duration: float
+@dataclass(slots=True)
+class TargetState:
+    """Channel, payload and traffic counters of one sensitive host."""
 
-
-@dataclass
-class HostRuntimeState:
-    discovered: bool = False
-    infected: bool = False
-    infection_time: float = 0.0
+    payload_remaining: float
     connection_status: str = NOT_CONNECTED
-    payload_remaining: float = 0.0
     cum_connect_attempts: float = 0.0
     cum_upload_time: float = 0.0
     cum_upload_volume: float = 0.0
-    upload_events: list[UploadEvent] = field(default_factory=list)
-
-
-@dataclass
-class FirewallRuntimeState:
-    last_update_time: float
-    next_scheduled_update: float
+    uploads: list[tuple[float, float]] = field(default_factory=list)  # (time, mb)
 
 
 @dataclass
 class EnvState:
+    """One episode. Host arrays are indexed by ``C2Env.host_index``; the
+    firewall update times follow ``topology.firewalls``."""
+
+    discovered: np.ndarray
+    infected: np.ndarray
+    infection_time: np.ndarray
+    accumulated_reward: np.ndarray
+    targets: dict[Address, TargetState]
+    fw_last_update: list[float]
+    fw_next_update: list[float]
     clock: float = 0.0
     step_count: int = 0
-    hosts: dict[Address, HostRuntimeState] = field(default_factory=dict)
-    firewalls: dict[str, FirewallRuntimeState] = field(default_factory=dict)
-    accumulated_reward: dict[Address, float] = field(default_factory=dict)
 
 
 def apply_decay(c: float, elapsed: float, d: float) -> float:
@@ -269,7 +273,8 @@ class C2Env:
     """Episodic environment over a fixed topology and scenario.
 
     One instance is single-threaded; run several instances with separate
-    seeds for parallel rollouts. The topology is never mutated.
+    seeds for parallel rollouts. The topology is never mutated; everything
+    a step needs from it is tabulated once, in ``__init__``.
     """
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
@@ -279,15 +284,15 @@ class C2Env:
 
         self.actions = build_action_space(topology, scenario)
         self.n_actions = len(self.actions)
-        self._hosts = {h.address: h for h in topology.hosts()}
-        self._host_order = [h.address for h in topology.hosts()]
+        hosts = topology.hosts()
+        self._hosts = {h.address: h for h in hosts}
+        self._addresses = [h.address for h in hosts]
+        self.host_index = {addr: i for i, addr in enumerate(self._addresses)}
+        self._discovery_values = np.array(
+            [h.discovery_value for h in hosts], dtype=np.float64)
         self._sensitive = sorted(scenario.sensitive_hosts)
 
-        self._paths = {
-            s.id: firewall_path(topology, s.id) for s in topology.subnets
-        }
-        self._fw_by_id = {fw.id: fw for fw in topology.firewalls}
-
+        self._build_tables()
         self._build_obs_layout()
         self.state: EnvState | None = None
         self._done = True
@@ -297,10 +302,9 @@ class C2Env:
 
     def _validate_scenario(self) -> None:
         try:
-            foothold = self.topology.host(self.scenario.initial_foothold)
+            self.topology.host(self.scenario.initial_foothold)
         except KeyError as exc:
             raise ScenarioError(f"initial foothold not in topology: {exc}") from exc
-        del foothold
         if not self.scenario.sensitive_hosts:
             raise ScenarioError("scenario names no sensitive hosts")
         if len(set(self.scenario.sensitive_hosts)) != len(
@@ -319,36 +323,70 @@ class C2Env:
                     f"on its own os/services"
                 )
 
+    def _build_tables(self) -> None:
+        t = self.topology
+        # Hosts a scan from each subnet reveals, in discovery order: the
+        # subnet's own hosts, then each neighbor's hosts with a service on a
+        # port the allow rules open (any service under an all-ports rule).
+        self._scan_reveals: dict[int, np.ndarray] = {}
+        for s in t.subnets:
+            order = [h.address for h in s.hosts]
+            for nb in t.neighbors(s.id):
+                allowed = t.allowed_ports(s.id, nb)
+                order += [h.address for h in t.subnet(nb).hosts if h.services and (
+                    allowed is None or any(b.port in allowed for b in h.services))]
+            self._scan_reveals[s.id] = np.array(
+                [self.host_index[a] for a in dict.fromkeys(order)], dtype=np.intp)
+
+        # Per target: path firewall indices, the (attempts, volume, time)
+        # thresholds and the probability of a connect crossing every firewall.
+        self._fw_periods = [fw.params.update_period_seconds for fw in t.firewalls]
+        fw_index = {fw.id: j for j, fw in enumerate(t.firewalls)}
+        self._target_paths: dict[Address, list[int]] = {}
+        self._thresholds: dict[Address, tuple[float, float, float]] = {}
+        self._connect_p: dict[Address, float] = {}
+        for addr in self._sensitive:
+            path = [fw_index[f] for f in firewall_path(t, addr[0])]
+            params = [t.firewalls[j].params for j in path]
+            self._target_paths[addr] = path
+            self._thresholds[addr] = (
+                min(p.max_connect_attempts for p in params),
+                min(p.max_upload_volume for p in params),
+                min(p.max_upload_time_seconds for p in params),
+            )
+            self._connect_p[addr] = math.prod(p.connect_probability for p in params)
+
     def _build_obs_layout(self) -> None:
         subnet_ids = self.topology.subnet_ids
-        self._subnet_index = {sid: i for i, sid in enumerate(subnet_ids)}
-        self._local_index = {}
+        subnet_index = {sid: i for i, sid in enumerate(subnet_ids)}
+        local_index = {}
         max_local = 0
         for s in self.topology.subnets:
             ordered = sorted(h.local_id for h in s.hosts)
             for i, lid in enumerate(ordered):
-                self._local_index[(s.id, lid)] = i
+                local_index[(s.id, lid)] = i
             max_local = max(max_local, len(ordered))
-        self._service_vocab = sorted({
-            b.service_name for h in self.topology.hosts() for b in h.services
+        service_vocab = sorted({
+            b.service_name for h in self._hosts.values() for b in h.services
         })
-        svc_index = {name: i for i, name in enumerate(self._service_vocab)}
+        svc_index = {name: i for i, name in enumerate(service_vocab)}
 
         n_sub = len(subnet_ids)
-        n_svc = len(self._service_vocab)
+        n_svc = len(service_vocab)
         self.host_block_len = n_sub + max_local + 2 + n_svc + 4
         self.sensitive_block_len = 3 + 5
-        self.obs_len = (len(self._host_order) * self.host_block_len
+        self.obs_len = (len(self._addresses) * self.host_block_len
                         + len(self._sensitive) * self.sensitive_block_len)
 
         template = np.zeros(self.obs_len, dtype=np.float64)
-        self._host_offsets = {}
+        # offset of each host's (value, discovered, value, infected) slots
+        self._host_offsets = np.zeros(len(self._addresses), dtype=np.intp)
         off = 0
-        for addr in self._host_order:
+        for i, addr in enumerate(self._addresses):
             h = self._hosts[addr]
-            template[off + self._subnet_index[h.subnet_id]] = 1.0
+            template[off + subnet_index[h.subnet_id]] = 1.0
             base = off + n_sub
-            template[base + self._local_index[addr]] = 1.0
+            template[base + local_index[addr]] = 1.0
             base += max_local
             template[base + (0 if h.os == "windows" else 1)] = 1.0
             base += 2
@@ -357,38 +395,31 @@ class C2Env:
             base += n_svc
             template[base + 0] = h.discovery_value * VALUE_SCALE
             template[base + 2] = h.infection_value * VALUE_SCALE
-            # base+1 and base+3 are the discovered / infected status bits
-            self._host_offsets[addr] = base
+            self._host_offsets[i] = base
             off += self.host_block_len
-        self._sensitive_offsets = {}
-        for addr in self._sensitive:
-            self._sensitive_offsets[addr] = off
-            off += self.sensitive_block_len
+        self._discovered_slots = self._host_offsets + 1
+        self._infected_slots = self._host_offsets + 3
+        self._sensitive_offsets = {addr: off + k * self.sensitive_block_len
+                                   for k, addr in enumerate(self._sensitive)}
         self._obs_template = template
 
     # -- episode control ---------------------------------------------------
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         self._rng = np.random.default_rng(seed)
-        hosts = {addr: HostRuntimeState() for addr in self._host_order}
-        for addr in self._sensitive:
-            hosts[addr].payload_remaining = self.scenario.payload_size_mb
-        foothold = hosts[self.scenario.initial_foothold]
-        foothold.discovered = True
-        foothold.infected = True
-        foothold.infection_time = 0.0
-
-        firewalls = {}
-        for fw in self.topology.firewalls:
-            firewalls[fw.id] = FirewallRuntimeState(
-                last_update_time=0.0,
-                next_scheduled_update=fw.params.update_period_seconds,
-            )
+        n = len(self._addresses)
         self.state = EnvState(
-            hosts=hosts,
-            firewalls=firewalls,
-            accumulated_reward={addr: 0.0 for addr in self._host_order},
+            discovered=np.zeros(n, dtype=bool),
+            infected=np.zeros(n, dtype=bool),
+            infection_time=np.zeros(n),
+            accumulated_reward=np.zeros(n),
+            targets={addr: TargetState(self.scenario.payload_size_mb)
+                     for addr in self._sensitive},
+            fw_last_update=[0.0] * len(self._fw_periods),
+            fw_next_update=list(self._fw_periods),
         )
+        foothold = self.host_index[self.scenario.initial_foothold]
+        self.state.discovered[foothold] = self.state.infected[foothold] = True
         self._done = False
         return self.encode_observation()
 
@@ -408,7 +439,11 @@ class C2Env:
         elapsed = (self.scenario.action_times.of(action) if valid
                    else self.scenario.action_times.erroneous)
         st.clock += elapsed
-        self._decay_all(elapsed)
+        decay = apply_decay(1.0, elapsed, self.scenario.decay_factor)
+        for ts in st.targets.values():
+            ts.cum_connect_attempts *= decay
+            ts.cum_upload_time *= decay
+            ts.cum_upload_volume *= decay
         self._scheduled_updates()
 
         target = getattr(action, "host", None)
@@ -468,70 +503,40 @@ class C2Env:
         st = self.state
         if isinstance(action, Sleep):
             return True
-        hs = st.hosts[action.host]
+        i = self.host_index[action.host]
         if isinstance(action, SubnetScan):
-            return hs.infected
+            return bool(st.infected[i])
         if isinstance(action, Exploit):
-            return hs.discovered
+            return bool(st.discovered[i])
+        ts = st.targets.get(action.host)
         if isinstance(action, Connect):
-            return (action.host in self._sensitive and hs.infected
-                    and hs.connection_status != ISOLATED)
+            return (ts is not None and bool(st.infected[i])
+                    and ts.connection_status != ISOLATED)
         if isinstance(action, Upload):
-            return (action.host in self._sensitive
-                    and hs.connection_status == CONNECTED
-                    and hs.payload_remaining > 0)
+            return (ts is not None and ts.connection_status == CONNECTED
+                    and ts.payload_remaining > 0)
         raise TypeError(f"unknown action {action!r}")
-
-    def _decay_all(self, elapsed: float) -> None:
-        d = self.scenario.decay_factor
-        for addr in self._sensitive:
-            hs = self.state.hosts[addr]
-            hs.cum_connect_attempts = apply_decay(hs.cum_connect_attempts, elapsed, d)
-            hs.cum_upload_time = apply_decay(hs.cum_upload_time, elapsed, d)
-            hs.cum_upload_volume = apply_decay(hs.cum_upload_volume, elapsed, d)
 
     def _scheduled_updates(self) -> None:
         clock = self.state.clock
-        for fw in self.topology.firewalls:
-            fws = self.state.firewalls[fw.id]
-            period = fw.params.update_period_seconds
-            while fws.next_scheduled_update <= clock:
-                fws.last_update_time = fws.next_scheduled_update
-                fws.next_scheduled_update += period
-
-    def _credit(self, addr: Address, amount: float) -> None:
-        self.state.accumulated_reward[addr] += amount
+        last, nxt = self.state.fw_last_update, self.state.fw_next_update
+        for j, period in enumerate(self._fw_periods):
+            while nxt[j] <= clock:
+                last[j] = nxt[j]
+                nxt[j] += period
 
     def _do_subnet_scan(self, origin: Address) -> tuple[list[Address], float]:
         """Discover same-subnet hosts plus allow-rule-visible neighbors."""
         st = self.state
-        sid = origin[0]
-        newly: list[Address] = []
-
-        def discover(host: Host) -> None:
-            hs = st.hosts[host.address]
-            if not hs.discovered:
-                hs.discovered = True
-                newly.append(host.address)
-
-        for h in self.topology.subnet(sid).hosts:
-            discover(h)
-        for nb in self.topology.neighbors(sid):
-            allowed = self.topology.allowed_ports(sid, nb)
-            if allowed is not None and not allowed:
-                continue
-            for h in self.topology.subnet(nb).hosts:
-                if not h.services:
-                    continue
-                if allowed is None or any(b.port in allowed for b in h.services):
-                    discover(h)
-
+        reveal = self._scan_reveals[origin[0]]
+        newly = reveal[~st.discovered[reveal]]
+        st.discovered[newly] = True
+        values = self._discovery_values[newly]
+        st.accumulated_reward[newly] += values
         gained = 0.0
-        for addr in newly:
-            value = self._hosts[addr].discovery_value
+        for value in values.tolist():  # in discovery order, not numpy's pairwise sum
             gained += value
-            self._credit(addr, value)
-        return sorted(newly), gained
+        return sorted(self._addresses[i] for i in newly.tolist()), gained
 
     def _vuln_applies(self, host: Host, vuln) -> bool:
         if vuln.required_service and vuln.required_service not in host.service_names:
@@ -541,8 +546,8 @@ class C2Env:
         return True
 
     def _do_exploit(self, target: Address, cve_id: str) -> tuple[bool, float]:
+        st = self.state
         host = self._hosts[target]
-        hs = self.state.hosts[target]
         matching = [v for v in host.vulnerabilities() if v.cve_id == cve_id]
         applicable = [v for v in matching if self._vuln_applies(host, v)]
         success = bool(applicable)
@@ -551,15 +556,13 @@ class C2Env:
             success = self._rng.random() < best / 10.0
         if not success:
             return False, 0.0
-        if hs.infected:
+        i = self.host_index[target]
+        if st.infected[i]:
             return True, 0.0
-        hs.infected = True
-        hs.infection_time = self.state.clock
-        self._credit(target, host.infection_value)
+        st.infected[i] = True
+        st.infection_time[i] = st.clock
+        st.accumulated_reward[i] += host.infection_value
         return True, host.infection_value
-
-    def _path_firewalls(self, addr: Address):
-        return [self._fw_by_id[fid] for fid in self._paths[addr[0]]]
 
     def _do_connect(self, target: Address) -> tuple[str, str, float, float]:
         """Returns (outcome, attempt result, reward gained, penalty).
@@ -568,25 +571,23 @@ class C2Env:
         the threshold check afterwards escalates the outcome to an emergency.
         """
         st = self.state
-        hs = st.hosts[target]
-        hs.cum_connect_attempts += 1.0
+        ts = st.targets[target]
+        ts.cum_connect_attempts += 1.0
+        i = self.host_index[target]
 
-        path = self._path_firewalls(target)
         gained = 0.0
-        if hs.connection_status == CONNECTED:
+        if ts.connection_status == CONNECTED:
             result = OUTCOME_ALREADY
-        elif any(st.firewalls[fw.id].last_update_time > hs.infection_time
-                 for fw in path):
+        elif any(st.fw_last_update[j] > st.infection_time[i]
+                 for j in self._target_paths[target]):
             result = OUTCOME_BLOCKED
+        elif self._rng.random() < self._connect_p[target]:
+            ts.connection_status = CONNECTED
+            gained = self.scenario.rewards.connection
+            st.accumulated_reward[i] += gained
+            result = OUTCOME_CONNECTED
         else:
-            p_all = math.prod(fw.params.connect_probability for fw in path)
-            if self._rng.random() < p_all:
-                hs.connection_status = CONNECTED
-                gained = self.scenario.rewards.connection
-                self._credit(target, gained)
-                result = OUTCOME_CONNECTED
-            else:
-                result = OUTCOME_FAILED
+            result = OUTCOME_FAILED
 
         penalty = 0.0
         outcome = result
@@ -598,18 +599,17 @@ class C2Env:
     def _do_upload(self, target: Address, rate: str) -> tuple[float, float, float, bool]:
         """Returns (mb uploaded, reward gained, emergency penalty, emergency)."""
         st = self.state
-        hs = st.hosts[target]
-        mb = min(self.scenario.upload_rates[rate], hs.payload_remaining)
-        duration = self.scenario.action_times.upload
-        hs.payload_remaining -= mb
-        hs.upload_events.append(UploadEvent(time=st.clock, mb=mb, duration=duration))
-        hs.cum_upload_volume += mb
-        hs.cum_upload_time += duration
+        ts = st.targets[target]
+        mb = min(self.scenario.upload_rates[rate], ts.payload_remaining)
+        ts.payload_remaining -= mb
+        ts.uploads.append((st.clock, mb))
+        ts.cum_upload_volume += mb
+        ts.cum_upload_time += self.scenario.action_times.upload
 
         gained = self.scenario.rewards.upload_per_mb * mb
-        self._credit(target, gained)
-        if hs.payload_remaining <= 0.0:
-            hs.payload_remaining = 0.0
+        st.accumulated_reward[self.host_index[target]] += gained
+        if ts.payload_remaining <= 0.0:
+            ts.payload_remaining = 0.0
             # Completion bonus is never part of the per-host accumulation,
             # so a later detection cannot revoke it.
             gained += self.scenario.rewards.upload_bonus
@@ -623,27 +623,23 @@ class C2Env:
     def window_totals(self, target: Address) -> tuple[float, float]:
         """Upload volume (MB) and time (s) inside the trailing window.
 
-        An event counts iff its timestamp lies in (clock - 300, clock].
+        An upload counts iff its timestamp lies in (clock - 300, clock];
+        each one took ``action_times.upload`` seconds.
         """
-        st = self.state
-        lo = st.clock - WINDOW_SECONDS
-        vol = 0.0
-        tim = 0.0
-        for ev in reversed(st.hosts[target].upload_events):
-            if ev.time <= lo:
+        lo = self.state.clock - WINDOW_SECONDS
+        duration = self.scenario.action_times.upload
+        vol = tim = 0.0
+        for time, mb in reversed(self.state.targets[target].uploads):
+            if time <= lo:
                 break
-            vol += ev.mb
-            tim += ev.duration
+            vol += mb
+            tim += duration
         return vol, tim
 
     def check_emergency(self, target: Address) -> bool:
         """True when the host's traffic exceeds a path firewall threshold."""
-        hs = self.state.hosts[target]
-        path = self._path_firewalls(target)
-        max_attempts = min(fw.params.max_connect_attempts for fw in path)
-        max_volume = min(fw.params.max_upload_volume for fw in path)
-        max_time = min(fw.params.max_upload_time_seconds for fw in path)
-        if hs.cum_connect_attempts > max_attempts:
+        max_attempts, max_volume, max_time = self._thresholds[target]
+        if self.state.targets[target].cum_connect_attempts > max_attempts:
             return True
         vol, tim = self.window_totals(target)
         return vol > max_volume or tim > max_time
@@ -651,24 +647,20 @@ class C2Env:
     def _trigger_emergency(self, target: Address) -> float:
         """Update the path firewalls, isolate the host, forfeit its rewards."""
         st = self.state
-        for fw in self._path_firewalls(target):
-            fws = st.firewalls[fw.id]
-            fws.last_update_time = st.clock
-            fws.next_scheduled_update = st.clock + fw.params.update_period_seconds
-        hs = st.hosts[target]
-        hs.connection_status = ISOLATED
-        penalty = st.accumulated_reward[target]
-        st.accumulated_reward[target] = 0.0
+        for j in self._target_paths[target]:
+            st.fw_last_update[j] = st.clock
+            st.fw_next_update[j] = st.clock + self._fw_periods[j]
+        st.targets[target].connection_status = ISOLATED
+        i = self.host_index[target]
+        penalty = float(st.accumulated_reward[i])
+        st.accumulated_reward[i] = 0.0
         return penalty
 
     # -- termination & encoding ---------------------------------------------
 
     def _all_targets_settled(self) -> bool:
-        for addr in self._sensitive:
-            hs = self.state.hosts[addr]
-            if hs.payload_remaining > 0 and hs.connection_status != ISOLATED:
-                return False
-        return True
+        return all(ts.payload_remaining <= 0 or ts.connection_status == ISOLATED
+                   for ts in self.state.targets.values())
 
     def _check_done(self) -> bool:
         return (self._all_targets_settled()
@@ -676,29 +668,27 @@ class C2Env:
 
     def terminal_status(self, addr: Address) -> str:
         """completed | isolated | incomplete for a sensitive host."""
-        hs = self.state.hosts[addr]
-        if hs.payload_remaining <= 0.0:
+        ts = self.state.targets[addr]
+        if ts.payload_remaining <= 0.0:
             return "completed"
-        if hs.connection_status == ISOLATED:
+        if ts.connection_status == ISOLATED:
             return "isolated"
         return "incomplete"
 
     def encode_observation(self) -> np.ndarray:
         st = self.state
         obs = self._obs_template.copy()
-        for addr in self._host_order:
-            hs = st.hosts[addr]
-            base = self._host_offsets[addr]
-            obs[base + 1] = 1.0 if hs.discovered else 0.0
-            obs[base + 3] = 1.0 if hs.infected else 0.0
-        for addr in self._sensitive:
-            hs = st.hosts[addr]
+        # put casts the bool arrays faster than a fancy-index assignment
+        obs.put(self._discovered_slots, st.discovered)
+        obs.put(self._infected_slots, st.infected)
+        for addr, ts in st.targets.items():
+            i = self.host_index[addr]
             off = self._sensitive_offsets[addr]
-            obs[off + CONNECTION_STATUSES.index(hs.connection_status)] = 1.0
-            since = st.clock - hs.infection_time if hs.infected else 0.0
+            obs[off + CONNECTION_STATUSES.index(ts.connection_status)] = 1.0
+            since = st.clock - st.infection_time[i] if st.infected[i] else 0.0
             obs[off + 3] = since * INFECTION_TIME_SCALE
-            obs[off + 4] = hs.payload_remaining / self.scenario.payload_size_mb
-            obs[off + 5] = hs.cum_connect_attempts
-            obs[off + 6] = hs.cum_upload_time * UPLOAD_TIME_SCALE
-            obs[off + 7] = hs.cum_upload_volume * UPLOAD_VOLUME_SCALE
+            obs[off + 4] = ts.payload_remaining / self.scenario.payload_size_mb
+            obs[off + 5] = ts.cum_connect_attempts
+            obs[off + 6] = ts.cum_upload_time * UPLOAD_TIME_SCALE
+            obs[off + 7] = ts.cum_upload_volume * UPLOAD_VOLUME_SCALE
         return obs

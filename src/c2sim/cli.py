@@ -150,6 +150,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.prune and args.scenario is None:
+        raise ScenarioError("--prune replays traces and needs --scenario")
     with open(args.traces) as fh:
         traces = analysis.read_traces_jsonl(fh)
     if not traces:

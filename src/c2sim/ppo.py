@@ -64,6 +64,10 @@ class PpoConfig:
             raise ValueError("total_steps must be >= 0")
         if self.horizon % self.num_envs != 0:
             raise ValueError("horizon must be divisible by num_envs")
+        if not isinstance(self.hidden, tuple) or not all(
+                type(w) is int and w > 0 for w in self.hidden):
+            raise ValueError(
+                f"hidden must be a list of positive layer widths, got {self.hidden!r}")
 
     @classmethod
     def from_yaml(cls, text: str) -> "PpoConfig":
@@ -72,7 +76,7 @@ class PpoConfig:
         unknown = sorted(set(doc) - known)
         if unknown:
             raise ValueError(f"unknown PPO config key(s): {', '.join(unknown)}")
-        if "hidden" in doc:
+        if isinstance(doc.get("hidden"), list):
             doc["hidden"] = tuple(doc["hidden"])
         return cls(**doc)
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from c2sim.net_model import firewall_path
+
 WINDOW = 300.0
 
 
@@ -63,9 +65,10 @@ def run_checked_episode(env, action_rng, env_seed, max_actions=None):
     sensitive = sorted(scenario.sensitive_hosts)
     attempts = {a: [] for a in sensitive}
     events = {a: [] for a in sensitive}
+    fw_by_id = {fw.id: fw for fw in env.topology.firewalls}
     thresholds = {}
     for addr in sensitive:
-        fws = env._path_firewalls(addr)
+        fws = [fw_by_id[f] for f in firewall_path(env.topology, addr[0])]
         thresholds[addr] = (
             min(f.params.max_connect_attempts for f in fws),
             min(f.params.max_upload_volume for f in fws),
@@ -87,7 +90,7 @@ def run_checked_episode(env, action_rng, env_seed, max_actions=None):
                 events[target].append((now, info["mb"], scenario.action_times.upload))
         # incremental decayed counters vs closed form
         for addr in sensitive:
-            got = env.state.hosts[addr].cum_connect_attempts
+            got = env.state.targets[addr].cum_connect_attempts
             want = closed_form_attempts(attempts[addr], env.state.clock, d)
             assert abs(got - want) <= 1e-9, (addr, got, want)
         # emergency flag vs brute-force window oracle

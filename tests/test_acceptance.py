@@ -323,9 +323,9 @@ def test_criterion_4_connection_monte_carlo():
     rng = np.random.default_rng(4096)
     for _ in range(trials):
         env.reset(seed=int(rng.integers(2**63)))
-        hs = env.state.hosts[(4, 0)]
-        hs.discovered = hs.infected = True
-        hs.infection_time = 0.0
+        i = env.host_index[(4, 0)]
+        env.state.discovered[i] = env.state.infected[i] = True
+        env.state.infection_time[i] = 0.0
         _, _, _, info = env.step(Connect((4, 0)))
         hits += info["outcome"] == "connected"
     freq = hits / trials

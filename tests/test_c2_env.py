@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from c2sim.net_model import (
     FirewallParams,
     NetworkTopology,
     Subnet,
+    firewall_path,
 )
 
 from conftest import chain_topology, make_host, vuln
@@ -61,22 +64,38 @@ def env_of(pair) -> C2Env:
     return C2Env(pair[0], pair[1])
 
 
+def infect(env, addr, at=0.0):
+    """Mark a host discovered and infected at time ``at``."""
+    i = env.host_index[addr]
+    env.state.discovered[i] = env.state.infected[i] = True
+    env.state.infection_time[i] = at
+
+
+def infection_time(env, addr):
+    return env.state.infection_time[env.host_index[addr]]
+
+
+def fw_slot(env, fw_id):
+    """Position of a firewall in the env's update-time lists."""
+    return [fw.id for fw in env.topology.firewalls].index(fw_id)
+
+
 class TestReset:
     def test_initial_condition(self, chain3):
         env = env_of(chain3)
         env.reset(seed=0)
+        st = env.state
         for h in env.topology.hosts():
-            hs = env.state.hosts[h.address]
+            i = env.host_index[h.address]
             if h.address == (1, 0):
-                assert hs.discovered and hs.infected
-                assert hs.infection_time == 0.0
+                assert st.discovered[i] and st.infected[i]
+                assert st.infection_time[i] == 0.0
             else:
-                assert not hs.discovered and not hs.infected
+                assert not st.discovered[i] and not st.infected[i]
         assert env.state.clock == 0.0
-        for fw in env.topology.firewalls:
-            fws = env.state.firewalls[fw.id]
-            assert fws.last_update_time == 0.0
-            assert fws.next_scheduled_update == fw.params.update_period_seconds
+        for j, fw in enumerate(env.topology.firewalls):
+            assert st.fw_last_update[j] == 0.0
+            assert st.fw_next_update[j] == fw.params.update_period_seconds
 
     def test_reset_deterministic(self, chain3):
         env = env_of(chain3)
@@ -113,7 +132,7 @@ class TestReset:
         assert env.obs_len == expected
         obs = env.reset(seed=0)
         assert obs.shape == (expected,)
-        foothold_base = env._host_offsets[scenario.initial_foothold]
+        foothold_base = env._host_offsets[env.host_index[scenario.initial_foothold]]
         assert obs[foothold_base + 1] == 1.0 and obs[foothold_base + 3] == 1.0
 
     def test_scenario_mismatch_rejected(self, chain3):
@@ -156,21 +175,22 @@ class TestStepSemantics:
         assert info["outcome"] == "erroneous"
         assert env.state.clock == 1.0
         assert reward == -action_cost(SubnetScan((2, 0)), env.topology.host((2, 0)))
-        assert not env.state.hosts[(2, 1)].discovered
+        assert not env.state.discovered[env.host_index[(2, 1)]]
 
     def test_sleep_only_advances_clock_and_decay(self, chain3):
         env = env_of(chain3)
         env.reset(seed=0)
-        before = {a: dataclasses.replace(h) for a, h in env.state.hosts.items()}
+        discovered = env.state.discovered.copy()
+        infected = env.state.infected.copy()
+        statuses = {a: t.connection_status for a, t in env.state.targets.items()}
         _, reward, _, info = env.step(Sleep())
         assert info["outcome"] == "slept"
         assert env.state.clock == 60.0
         assert reward == -1.0
-        for addr, prev in before.items():
-            cur = env.state.hosts[addr]
-            assert cur.discovered == prev.discovered
-            assert cur.infected == prev.infected
-            assert cur.connection_status == prev.connection_status
+        assert np.array_equal(env.state.discovered, discovered)
+        assert np.array_equal(env.state.infected, infected)
+        for addr, status in statuses.items():
+            assert env.state.targets[addr].connection_status == status
 
     def test_clock_advances_per_action_table(self, chain3):
         env = env_of(chain3)
@@ -209,7 +229,7 @@ class TestSubnetScan:
         env.reset(seed=0)
         env.step(SubnetScan((1, 0)))
         # (2, 1) listens on 8443 but the 1<->2 rule only opens 443
-        assert not env.state.hosts[(2, 1)].discovered
+        assert not env.state.discovered[env.host_index[(2, 1)]]
         # enumerate the allow rules directly as the oracle
         topology = env.topology
         allowed = topology.allowed_ports(1, 2)
@@ -251,8 +271,8 @@ class TestExploit:
         env.step(SubnetScan((1, 0)))
         _, reward, _, info = env.step(Exploit((24, 3), "CVE-2020-1259"))
         assert info["outcome"] == "exploited"
-        hs = env.state.hosts[(24, 3)]
-        assert hs.infected and hs.infection_time == env.state.clock
+        i = env.host_index[(24, 3)]
+        assert env.state.infected[i] and env.state.infection_time[i] == env.state.clock
         assert reward == 1000.0 - action_cost(
             Exploit((24, 3), "CVE-2020-1259"), env.topology.host((24, 3)))
 
@@ -262,7 +282,7 @@ class TestExploit:
         env.step(SubnetScan((1, 0)))
         _, reward, _, info = env.step(Exploit((44, 5), "CVE-2020-1259"))
         assert info["outcome"] == "exploit_failed"
-        assert not env.state.hosts[(44, 5)].infected
+        assert not env.state.infected[env.host_index[(44, 5)]]
         assert reward < 0
 
     def test_reexploit_succeeds_without_additional_reward(self):
@@ -270,12 +290,12 @@ class TestExploit:
         env.reset(seed=0)
         env.step(SubnetScan((1, 0)))
         env.step(Exploit((24, 3), "CVE-2020-1259"))
-        credited = env.state.accumulated_reward[(24, 3)]
+        credited = env.state.accumulated_reward[env.host_index[(24, 3)]]
         _, reward, _, info = env.step(Exploit((24, 3), "CVE-2020-1259"))
         assert info["outcome"] == "exploited"
         assert reward == -action_cost(
             Exploit((24, 3), "CVE-2020-1259"), env.topology.host((24, 3)))
-        assert env.state.accumulated_reward[(24, 3)] == credited
+        assert env.state.accumulated_reward[env.host_index[(24, 3)]] == credited
 
     def test_exploit_on_undiscovered_host_is_erroneous(self):
         env = self._exhibit()
@@ -310,25 +330,25 @@ class TestConnect:
         prepare_connected(env, connect=False)
         env.step(Connect((3, 0)))
         # one decay-free increment at the attempt instant
-        assert env.state.hosts[(3, 0)].cum_connect_attempts == 1.0
+        assert env.state.targets[(3, 0)].cum_connect_attempts == 1.0
 
     def test_blocked_after_firewall_update(self, chain3):
         env = env_of(chain3)
         prepare_connected(env, connect=False)
-        infected_at = env.state.hosts[(3, 0)].infection_time
-        env.state.firewalls["fw-1-2"].last_update_time = infected_at + 1.0
+        infected_at = infection_time(env, (3, 0))
+        env.state.fw_last_update[fw_slot(env, "fw-1-2")] = infected_at + 1.0
         _, _, _, info = env.step(Connect((3, 0)))
         assert info["outcome"] == OUTCOME_BLOCKED
 
     def test_connect_on_connected_host_is_valid_noop(self, chain3):
         env = env_of(chain3)
         prepare_connected(env)
-        before = env.state.hosts[(3, 0)].cum_connect_attempts
+        before = env.state.targets[(3, 0)].cum_connect_attempts
         clock = env.state.clock
         _, reward, _, info = env.step(Connect((3, 0)))
         assert info["outcome"] == OUTCOME_ALREADY
         assert env.state.clock == clock + 1.0
-        assert env.state.hosts[(3, 0)].cum_connect_attempts > before * 0.999
+        assert env.state.targets[(3, 0)].cum_connect_attempts > before * 0.999
         assert reward == -action_cost(Connect((3, 0)), env.topology.host((3, 0)))
 
     def test_connect_success_probability_composes_over_path(self):
@@ -341,10 +361,7 @@ class TestConnect:
         rng = np.random.default_rng(5)
         for i in range(trials):
             env.reset(seed=int(rng.integers(2**63)))
-            hs = env.state.hosts[(4, 0)]
-            hs.discovered = True
-            hs.infected = True
-            hs.infection_time = 0.0
+            infect(env, (4, 0))
             _, _, _, info = env.step(Connect((4, 0)))
             hits += info["outcome"] == OUTCOME_CONNECTED
         assert hits / trials == pytest.approx(0.8 ** 4, abs=0.02)
@@ -353,15 +370,15 @@ class TestConnect:
         env = env_of(chain3)
         prepare_connected(env, connect=False)
         # force deterministic blocking so attempts accumulate
-        infected_at = env.state.hosts[(3, 0)].infection_time
-        env.state.firewalls["fw-internet-1"].last_update_time = infected_at + 0.5
+        infected_at = infection_time(env, (3, 0))
+        env.state.fw_last_update[fw_slot(env, "fw-internet-1")] = infected_at + 0.5
         outcomes = []
         for _ in range(4):
             _, _, _, info = env.step(Connect((3, 0)))
             outcomes.append(info["outcome"])
         assert outcomes[:3] == [OUTCOME_BLOCKED] * 3
         assert outcomes[3] == OUTCOME_EMERGENCY
-        assert env.state.hosts[(3, 0)].connection_status == ISOLATED
+        assert env.state.targets[(3, 0)].connection_status == ISOLATED
 
 
 class TestUpload:
@@ -370,7 +387,7 @@ class TestUpload:
         env = C2Env(topology, dataclasses.replace(scenario, payload_size_mb=10_000.0))
         prepare_connected(env)
         _, reward, _, info = env.step(Upload((3, 0), "fast"))
-        hs = env.state.hosts[(3, 0)]
+        hs = env.state.targets[(3, 0)]
         assert info["mb"] == 1000.0
         assert hs.payload_remaining == 9000.0
         assert reward == 100.0 - action_cost(
@@ -390,7 +407,7 @@ class TestUpload:
         prepare_connected(env)
         _, reward, done, info = env.step(Upload((3, 0), "fast"))
         assert info["mb"] == 500.0
-        assert env.state.hosts[(3, 0)].payload_remaining == 0.0
+        assert env.state.targets[(3, 0)].payload_remaining == 0.0
         assert reward == 50.0 + 10_000.0 - action_cost(
             Upload((3, 0), "fast"), topology.host((3, 0)))
         assert done  # single sensitive host completed
@@ -401,7 +418,7 @@ class TestUpload:
         prepare_connected(env, connect=False)
         _, _, _, info = env.step(Upload((3, 0), "fast"))
         assert info["outcome"] == "erroneous"
-        assert env.state.hosts[(3, 0)].payload_remaining == 3000.0
+        assert env.state.targets[(3, 0)].payload_remaining == 3000.0
 
 
 class TestEmergencyWindows:
@@ -410,11 +427,8 @@ class TestEmergencyWindows:
         scenario = scenario_for(t, payload=payload)
         env = C2Env(t, scenario)
         env.reset(seed=1)
-        hs = env.state.hosts[(2, 0)]
-        hs.discovered = True
-        hs.infected = True
-        hs.infection_time = 0.0
-        hs.connection_status = CONNECTED
+        infect(env, (2, 0))
+        env.state.targets[(2, 0)].connection_status = CONNECTED
         return env
 
     def test_six_consecutive_fast_uploads_trigger_volume(self):
@@ -424,7 +438,7 @@ class TestEmergencyWindows:
             _, _, _, info = env.step(Upload((2, 0), "fast"))
             outcomes.append(info["emergency"])
         assert outcomes == [False] * 5 + [True]
-        assert env.state.hosts[(2, 0)].connection_status == ISOLATED
+        assert env.state.targets[(2, 0)].connection_status == ISOLATED
 
     def test_five_spread_uploads_stay_quiet(self):
         env = self._uploader()
@@ -447,7 +461,7 @@ class TestEmergencyWindows:
         env = C2Env(topology,
                     dataclasses.replace(scenario, payload_size_mb=20_000.0))
         prepare_connected(env)
-        accumulated = env.state.accumulated_reward[(3, 0)]
+        accumulated = env.state.accumulated_reward[env.host_index[(3, 0)]]
         assert accumulated == pytest.approx(3000.0)  # found+infected+connected
         uploaded = 0.0
         while True:
@@ -457,7 +471,7 @@ class TestEmergencyWindows:
                 expected_penalty = accumulated + uploaded + expected_gain
                 cost = action_cost(Upload((3, 0), "fast"),
                                    env.topology.host((3, 0)))
-                bonus = 10_000.0 if env.state.hosts[(3, 0)].payload_remaining == 0 else 0.0
+                bonus = 10_000.0 if env.state.targets[(3, 0)].payload_remaining == 0 else 0.0
                 assert reward == pytest.approx(
                     expected_gain + bonus - expected_penalty - cost)
                 break
@@ -471,16 +485,13 @@ class TestEmergencyWindows:
         env = C2Env(topology, scenario)
         prepare_connected(env, connect=False)
         # infect the neighbor as well
-        ns = env.state.hosts[(3, 1)]
-        ns.discovered = True
-        ns.infected = True
-        ns.infection_time = env.state.clock
+        infect(env, (3, 1), at=env.state.clock)
         # exhaust attempts on (3, 0) to force an emergency
-        env.state.firewalls["fw-internet-1"].last_update_time = (
-            env.state.hosts[(3, 0)].infection_time + 0.5)
+        env.state.fw_last_update[fw_slot(env, "fw-internet-1")] = (
+            infection_time(env, (3, 0)) + 0.5)
         for _ in range(4):
             env.step(Connect((3, 0)))
-        assert env.state.hosts[(3, 0)].connection_status == ISOLATED
+        assert env.state.targets[(3, 0)].connection_status == ISOLATED
         # neighbor infected before the update is now blocked deterministically
         _, _, _, info = env.step(Connect((3, 1)))
         assert info["outcome"] == OUTCOME_BLOCKED
@@ -573,8 +584,7 @@ class TestScenarioConfig:
         trials = 2000
         for i in range(trials):
             env.reset(seed=i)
-            hs = env.state.hosts[(2, 0)]
-            hs.discovered = True
+            env.state.discovered[env.host_index[(2, 0)]] = True
             _, _, _, info = env.step(Exploit((2, 0), "CVE-2000-0001"))
             hits += info["outcome"] == "exploited"
         # conftest vulnerability carries cvss_score 7.5 -> p = 0.75
@@ -587,27 +597,25 @@ class TestScheduledUpdates:
         env.reset(seed=0)
         env.state.clock = 86_399.0
         env.step(Sleep())  # 86,459 crosses the 86,400 boundary
-        for fw in env.topology.firewalls:
-            fws = env.state.firewalls[fw.id]
-            assert fws.last_update_time == 86_400.0
-            assert fws.next_scheduled_update == 2 * 86_400.0
+        for j, fw in enumerate(env.topology.firewalls):
+            assert env.state.fw_last_update[j] == 86_400.0
+            assert env.state.fw_next_update[j] == 2 * 86_400.0
 
     def test_no_update_just_before_boundary(self, chain3):
         env = env_of(chain3)
         env.reset(seed=0)
         env.state.clock = 86_338.0
         env.step(Sleep())  # 86,398 < 86,400
-        assert all(f.last_update_time == 0.0
-                   for f in env.state.firewalls.values())
+        assert all(t == 0.0 for t in env.state.fw_last_update)
 
     def test_two_periods_in_one_jump(self, chain3):
         env = env_of(chain3)
         env.reset(seed=0)
         env.state.clock = 2 * 86_400.0 + 10.0
         env.step(Sleep())
-        for fws in env.state.firewalls.values():
-            assert fws.last_update_time == 2 * 86_400.0
-            assert fws.next_scheduled_update == 3 * 86_400.0
+        for last, nxt in zip(env.state.fw_last_update, env.state.fw_next_update):
+            assert last == 2 * 86_400.0
+            assert nxt == 3 * 86_400.0
 
 
 class TestObservation:
@@ -615,8 +623,7 @@ class TestObservation:
         env = C2Env(*tiny_inputs)
         obs = env.reset(seed=0)
         bits = 0
-        for addr in env._host_order:
-            base = env._host_offsets[addr]
+        for base in env._host_offsets:
             bits += obs[base + 1] + obs[base + 3]
         assert bits == 2.0
 
@@ -625,8 +632,8 @@ class TestObservation:
         before = env.reset(seed=0)
         after, _, _, info = env.step(SubnetScan((1, 0)))
         newly = set(info["newly_discovered"])
-        for addr in env._host_order:
-            base = env._host_offsets[addr]
+        for addr, i in env.host_index.items():
+            base = env._host_offsets[i]
             block_before = before[base:base + 4]
             block_after = after[base:base + 4]
             if addr in newly:
@@ -638,11 +645,11 @@ class TestObservation:
     def test_isolated_one_hot_position(self, chain3):
         env = env_of(chain3)
         prepare_connected(env, connect=False)
-        env.state.hosts[(3, 0)].connection_status = ISOLATED
+        env.state.targets[(3, 0)].connection_status = ISOLATED
         obs = env.encode_observation()
         off = env._sensitive_offsets[(3, 0)]
         assert obs[off:off + 3].tolist() == [0.0, 0.0, 1.0]
-        env.state.hosts[(3, 0)].connection_status = NOT_CONNECTED
+        env.state.targets[(3, 0)].connection_status = NOT_CONNECTED
         obs = env.encode_observation()
         assert obs[off:off + 3].tolist() == [1.0, 0.0, 0.0]
 
@@ -681,8 +688,7 @@ class TestInvariantsAndOracles:
                 target = info["target"]
                 if info["outcome"] == "exploited":
                     # infection value credited only on the first success
-                    host_state = env.state.hosts[target]
-                    if host_state.infection_time == info["clock"]:
+                    if infection_time(env, target) == info["clock"]:
                         credited[target] += topology.host(target).infection_value
                 if info.get("connect_result") == OUTCOME_CONNECTED:
                     credited[target] += scenario.rewards.connection
@@ -693,25 +699,26 @@ class TestInvariantsAndOracles:
                     credited[target] = 0.0
                     checked_emergencies += 1
                 for addr, want in credited.items():
-                    assert env.state.accumulated_reward[addr] == pytest.approx(want)
+                    got = env.state.accumulated_reward[env.host_index[addr]]
+                    assert got == pytest.approx(want)
         assert checked_emergencies > 0
 
     def test_isolation_is_absorbing(self, chain3):
         env = env_of(chain3)
         prepare_connected(env, connect=False)
-        env.state.firewalls["fw-internet-1"].last_update_time = (
-            env.state.hosts[(3, 0)].infection_time + 0.5)
+        env.state.fw_last_update[fw_slot(env, "fw-internet-1")] = (
+            infection_time(env, (3, 0)) + 0.5)
         for _ in range(4):
             env.step(Connect((3, 0)))
-        assert env.state.hosts[(3, 0)].connection_status == ISOLATED
-        accumulated = env.state.accumulated_reward[(3, 0)]
+        assert env.state.targets[(3, 0)].connection_status == ISOLATED
+        accumulated = env.state.accumulated_reward[env.host_index[(3, 0)]]
         rng = np.random.default_rng(0)
         for _ in range(100):
             if env.done:
                 break
             env.step(int(rng.integers(env.n_actions)))
-            assert env.state.hosts[(3, 0)].connection_status == ISOLATED
-            assert env.state.accumulated_reward[(3, 0)] <= accumulated
+            assert env.state.targets[(3, 0)].connection_status == ISOLATED
+            assert env.state.accumulated_reward[env.host_index[(3, 0)]] <= accumulated
 
     def test_done_iff_targets_settled_or_step_cap(self, chain3):
         topology, scenario = chain3
@@ -728,14 +735,72 @@ class TestInvariantsAndOracles:
         # connect blocked iff some path firewall updated after infection
         topology, scenario = chain3
         env = C2Env(topology, scenario)
-        path = env._paths[3]
+        path = firewall_path(topology, 3)
         for stale_fw in [None, *path]:
             prepare_connected(env, connect=False)
             if stale_fw is not None:
-                env.state.firewalls[stale_fw].last_update_time = (
-                    env.state.hosts[(3, 0)].infection_time + 0.5)
+                env.state.fw_last_update[fw_slot(env, stale_fw)] = (
+                    infection_time(env, (3, 0)) + 0.5)
             _, _, _, info = env.step(Connect((3, 0)))
             if stale_fw is None:
                 assert info["outcome"] != OUTCOME_BLOCKED
             else:
                 assert info["outcome"] == OUTCOME_BLOCKED
+
+
+def scan_walk(topology, sid):
+    """Every host a scan from subnet ``sid`` can discover, in discovery
+    order, found by walking the topology as the scan step once did."""
+    newly = []
+
+    def discover(host):
+        if host.address not in newly:
+            newly.append(host.address)
+
+    for h in topology.subnet(sid).hosts:
+        discover(h)
+    for nb in topology.neighbors(sid):
+        allowed = topology.allowed_ports(sid, nb)
+        if allowed is not None and not allowed:
+            continue
+        for h in topology.subnet(nb).hosts:
+            if not h.services:
+                continue
+            if allowed is None or any(b.port in allowed for b in h.services):
+                discover(h)
+    return newly
+
+
+class TestPrecomputedTables:
+    @pytest.mark.parametrize("network", ["chain3", "tiny", "enterprise101"])
+    def test_scan_reveals_match_topology_walk(self, network, request):
+        from c2sim import scenarios
+
+        if network == "enterprise101":
+            pair = scenarios.enterprise101(request.getfixturevalue("refs"))
+        else:
+            pair = request.getfixturevalue(
+                "tiny_inputs" if network == "tiny" else network)
+        env = C2Env(*pair)
+        topology = env.topology
+        for s in topology.subnets:
+            reveals = [env._addresses[i] for i in env._scan_reveals[s.id]]
+            assert reveals == scan_walk(topology, s.id), s.id
+
+    def test_golden_digest_of_random_episodes_on_tiny(self, tiny_inputs):
+        # sha256 over every observation, reward, done flag and info dict of
+        # 300 seeded random-action episodes, recorded before the episode
+        # state moved to host arrays; the env does no BLAS work, so the
+        # value holds on any platform
+        env = C2Env(*tiny_inputs)
+        rng = np.random.default_rng(2024)
+        digest = hashlib.sha256()
+        for ep in range(300):
+            digest.update(env.reset(seed=ep).tobytes())
+            done = False
+            while not done:
+                obs, reward, done, info = env.step(int(rng.integers(env.n_actions)))
+                digest.update(obs.tobytes())
+                digest.update(json.dumps([reward, done, info], sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "1aafb8f9d38aa070063e71836f1e817520954616b0c371656ea2aadf6020ff7e")

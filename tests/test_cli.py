@@ -33,6 +33,15 @@ def run(argv):
     return cli.main(argv)
 
 
+def assert_invalid(rc, capsys, *words):
+    """EXIT_INVALID with a one-line ``error:`` message naming ``words``."""
+    assert rc == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for word in words:
+        assert word in err
+
+
 class TestValidate:
     def test_valid_manifest(self, tmp_path, tiny_inputs):
         path = tmp_path / "net.yaml"
@@ -184,6 +193,26 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("hidden", ["5", "[0]", "[64, -1]", "[true]"])
+    def test_bad_hidden_layer_widths(self, tmp_path, capsys, hidden):
+        cfg = tmp_path / "ppo.yaml"
+        cfg.write_text(PPO_SMALL + f"hidden: {hidden}\n")
+        rc = run(["train", "--scenario", "tiny", "--config", str(cfg),
+                  "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, "hidden")
+
+    @pytest.mark.parametrize("table, key", [("rewards", "bonus"),
+                                            ("action_times", "scan")])
+    def test_unknown_scenario_table_key(self, tmp_path, capsys, table, key):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text("initial_foothold: [1, 0]\n"
+                            "sensitive_hosts: [[1, 0]]\n"
+                            f"{table}: {{{key}: 5}}\n")
+        rc = run(["train", "--scenario", str(scenario),
+                  "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, table, key)
+
+
 class TestAnalyze:
     def test_analyze_with_prune_and_timing(self, tmp_path, tiny_inputs):
         # build a complete trace by scripting the optimal route
@@ -207,6 +236,28 @@ class TestAnalyze:
         with open(out_dir / "pruned_best.jsonl") as fh:
             pruned = analysis.read_traces_jsonl(fh)[0]
         assert pruned.n_steps == trace.n_steps - 1
+
+    def test_prune_without_scenario(self, tmp_path, capsys, tiny_inputs):
+        env = C2Env(*tiny_inputs)
+        traces_path = tmp_path / "traces.jsonl"
+        with open(traces_path, "w") as fh:
+            analysis.write_traces_jsonl(
+                [analysis.replay_trace(env, 0, [env.actions[-1]])], fh)
+        rc = run(["analyze", "--traces", str(traces_path), "--prune",
+                  "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, "--scenario")
+
+    @pytest.mark.parametrize("line, words", [
+        ('{"record": "step", "trace": 0, "step": 0}', ("line 1", "before")),
+        ('{"type": "step", "step": 0}', ("line 1", "record")),
+        ('[1, 2]', ("line 1", "object")),
+    ])
+    def test_malformed_traces_file(self, tmp_path, capsys, line, words):
+        traces_path = tmp_path / "traces.jsonl"
+        traces_path.write_text(line + "\n")
+        rc = run(["analyze", "--traces", str(traces_path),
+                  "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, *words)
 
     def test_analyze_without_traces_file(self, tmp_path):
         rc = run(["analyze", "--traces", str(tmp_path / "missing.jsonl"),

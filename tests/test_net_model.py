@@ -3,9 +3,10 @@ from __future__ import annotations
 import collections
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
-from c2sim import netgen, scenarios
+from c2sim import net_model, netgen, scenarios
 from c2sim.net_model import (
     AllowRule,
     Firewall,
@@ -198,6 +199,25 @@ class TestRoundTrip:
                                max_open_ports=4, max_cpes=2, seed=11)
         t = netgen.generate(cfg, refs)
         assert load_topology(save_topology(t)) == t
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__,
+                        reason="PyYAML is built without libyaml")
+    @pytest.mark.parametrize("network", ["tiny", "generated"])
+    def test_libyaml_and_pure_python_yaml_agree(self, network, refs, tiny_inputs,
+                                                monkeypatch):
+        if network == "tiny":
+            t = tiny_inputs[0]
+        else:
+            t = netgen.generate(netgen.GenConfig(
+                total_ips=40, num_subnets=10, min_ips_per_subnet=3,
+                max_ips_per_subnet=6, max_open_ports=4, max_cpes=2, seed=11), refs)
+        text = save_topology(t)
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
+        monkeypatch.setattr(net_model, "SafeDumper", yaml.SafeDumper)
+        monkeypatch.setattr(net_model, "SafeLoader", yaml.SafeLoader)
+        assert save_topology(t) == text
+        assert load_topology(text) == t
 
     def test_unicode_labels_round_trip(self):
         host = Host(
