@@ -135,6 +135,14 @@ def _table(cls, doc: dict, key: str):
     return cls(**raw)
 
 
+def _address(raw, what: str) -> Address:
+    """A host address from a scenario's ``[subnet, local]`` pair."""
+    if not (isinstance(raw, list) and len(raw) == 2
+            and all(type(v) is int for v in raw)):
+        raise ScenarioError(f"{what} must be a [subnet, local] pair, got {raw!r}")
+    return (raw[0], raw[1])
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     initial_foothold: Address
@@ -166,23 +174,29 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
-        doc = yaml.safe_load(text) or {}
+        doc = yaml.safe_load(text)
+        if not isinstance(doc, dict):
+            raise ScenarioError("scenario must be a mapping")
         for key in ("initial_foothold", "sensitive_hosts"):
             if key not in doc:
                 raise ScenarioError(f"scenario is missing {key!r}")
+        if not isinstance(doc["sensitive_hosts"], list):
+            raise ScenarioError("sensitive_hosts must be a list of [subnet, local] pairs")
         rewards = _table(RewardTable, doc, "rewards")
         times = _table(ActionTimes, doc, "action_times")
-        rates = {k: float(v) for k, v in doc.get(
-            "upload_rates", {"fast": 1000.0, "slow": 10.0}).items()}
+        rates = doc.get("upload_rates", {"fast": 1000.0, "slow": 10.0})
+        if not isinstance(rates, dict):
+            raise ScenarioError("upload_rates must be a mapping")
         return cls(
-            initial_foothold=tuple(doc["initial_foothold"]),
-            sensitive_hosts=tuple(tuple(a) for a in doc["sensitive_hosts"]),
+            initial_foothold=_address(doc["initial_foothold"], "initial_foothold"),
+            sensitive_hosts=tuple(_address(a, "sensitive_hosts entry")
+                                  for a in doc["sensitive_hosts"]),
             payload_size_mb=float(doc.get("payload_size_mb", 10000.0)),
             max_steps=int(doc.get("max_steps", 10000)),
             decay_factor=float(doc.get("decay_factor", 0.999)),
             rewards=rewards,
             action_times=times,
-            upload_rates=rates,
+            upload_rates={k: float(v) for k, v in rates.items()},
             cvss_scaled_exploits=bool(doc.get("cvss_scaled_exploits", False)),
             topology_ref=doc.get("topology"),
         )

@@ -7,7 +7,9 @@ environment instances.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -430,6 +432,27 @@ def host_ip(address: Address) -> str:
 # YAML manifest serialization
 
 
+@contextmanager
+def _gc_paused():
+    """Run the block with the cyclic garbage collector off.
+
+    A manifest's YAML node graph and document hold no reference cycles, so
+    reference counting frees them. But while they grow, the collections
+    their allocations trigger rescan them again and again: with
+    enterprise101's ~600k nodes, load took about twice as long and save
+    about a third longer. The collector is process-wide; it is turned back
+    on only if it was on.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def load_topology(yaml_text: str) -> NetworkTopology:
     """Parse and validate a YAML manifest."""
     try:
@@ -527,6 +550,7 @@ def _parse_service(raw) -> ServiceBinding:
     )
 
 
+@_gc_paused()
 def save_topology(t: NetworkTopology) -> str:
     """Serialize a topology to manifest YAML. load_topology round-trips it."""
     doc = {

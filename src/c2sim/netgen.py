@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -242,7 +242,20 @@ class GenConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "GenConfig":
-        return cls(**yaml.safe_load(text))
+        doc = yaml.safe_load(text)
+        if not isinstance(doc, dict):
+            raise GenerationError("generator config must be a mapping")
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(str(k) for k in doc if k not in known)
+        if unknown:
+            raise GenerationError(
+                f"unknown generator config key(s): {', '.join(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise GenerationError(
+                f"generator config is missing {', '.join(missing)}")
+        return cls(**doc)
 
 
 def assign_ports(rng: np.random.Generator, max_open_ports: int,

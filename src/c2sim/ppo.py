@@ -71,9 +71,13 @@ class PpoConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "PpoConfig":
-        doc = yaml.safe_load(text) or {}
+        doc = yaml.safe_load(text)
+        if doc is None:
+            doc = {}
+        if not isinstance(doc, dict):
+            raise ValueError("PPO config must be a mapping")
         known = {f.name for f in fields(cls)}
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(str(k) for k in doc if k not in known)
         if unknown:
             raise ValueError(f"unknown PPO config key(s): {', '.join(unknown)}")
         if isinstance(doc.get("hidden"), list):

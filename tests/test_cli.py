@@ -88,6 +88,18 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert "min_ips_per_subnet" in err
 
+    @pytest.mark.parametrize("text, words", [
+        (GEN_CONFIG + "bogus: 1\n", ["unknown", "bogus"]),
+        ("just a string\n", ["mapping"]),
+        (GEN_CONFIG.replace("total_ips: 12\n", ""), ["missing", "total_ips"]),
+    ], ids=["unknown-key", "not-a-mapping", "missing-key"])
+    def test_bad_config_document(self, tmp_path, capsys, text, words):
+        cfg = tmp_path / "gen.yaml"
+        cfg.write_text(text)
+        rc = run(["generate", "--config", str(cfg),
+                  "--out", str(tmp_path / "x.yaml")])
+        assert_invalid(rc, capsys, *words)
+
     def test_unknown_command_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run(["frobnicate"])
@@ -180,6 +192,41 @@ class TestConfigErrors:
                   "--out-dir", str(tmp_path / "out")])
         assert rc == cli.EXIT_INVALID
         assert "learning_rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, words", [
+        ("- 1\n", ["mapping"]),
+        (PPO_SMALL + "1: 2\n", ["unknown", "1"]),
+    ], ids=["list-document", "integer-key"])
+    def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
+        cfg = tmp_path / "ppo.yaml"
+        cfg.write_text(text)
+        rc = run(["train", "--scenario", "tiny", "--config", str(cfg),
+                  "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, *words)
+
+    @pytest.mark.parametrize("text, words", [
+        ("just a string\n", ["mapping"]),
+        ("initial_foothold: 5\nsensitive_hosts: [[1, 0]]\n",
+         ["initial_foothold", "pair"]),
+        ("initial_foothold: [1, 0, 2]\nsensitive_hosts: [[1, 0]]\n",
+         ["initial_foothold", "pair"]),
+        ("initial_foothold: [1, 0]\nsensitive_hosts: [3]\n",
+         ["sensitive_hosts", "pair"]),
+        ("initial_foothold: [1, 0]\nsensitive_hosts: [[1, x]]\n",
+         ["sensitive_hosts", "pair"]),
+        ("initial_foothold: [1, 0]\nsensitive_hosts: 7\n",
+         ["sensitive_hosts", "pair"]),
+        ("initial_foothold: [1, 0]\nsensitive_hosts: [[1, 0]]\nupload_rates: 5\n",
+         ["upload_rates", "mapping"]),
+    ], ids=["not-a-mapping", "scalar-foothold", "triple-foothold",
+            "scalar-target", "string-local-id", "scalar-targets",
+            "scalar-upload-rates"])
+    def test_bad_scenario_document(self, tmp_path, capsys, text, words):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(text)
+        rc = run(["train", "--scenario", str(scenario),
+                  "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, *words)
 
     @pytest.mark.parametrize("key", ["initial_foothold", "sensitive_hosts"])
     def test_scenario_missing_required_key(self, tmp_path, capsys, key):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import collections
+import gc
+import hashlib
 
 import pytest
 import yaml
@@ -83,8 +85,11 @@ firewalls:
 
     def test_bundled_enterprise_network_has_1444_hosts(self, refs):
         topology, scenario = scenarios.enterprise101(refs)
-        manifest = save_topology(topology)
-        reloaded = load_topology(manifest)
+        manifest = save_topology(topology).encode()
+        assert len(manifest) == 3_626_704
+        assert hashlib.sha256(manifest).hexdigest() == (
+            "539182d0476b39247bafaa054a7bd2c3812e6a8a63abff6b125dec4deb0384f0")
+        reloaded = load_topology(manifest.decode())
         assert len(reloaded.subnets) == 101
         assert len(reloaded.hosts()) == 1444
         sizes = [len(s.hosts) for s in reloaded.subnets]
@@ -100,6 +105,43 @@ firewalls:
         with pytest.raises(ManifestParseError, match="schema_version"):
             load_topology(MINIMAL_MANIFEST.replace(
                 "schema_version: 1", "schema_version: 99"))
+
+
+class TestCollectorState:
+    """Manifest I/O pauses the cyclic collector and restores it as found."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def caller_gc(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_load_and_save_restore_collector(self, caller_gc):
+        t = load_topology(MINIMAL_MANIFEST)
+        assert gc.isenabled() is caller_gc
+        assert load_topology(save_topology(t)) == t
+        assert gc.isenabled() is caller_gc
+
+    def test_collector_paused_inside_manifest_io(self, caller_gc, monkeypatch):
+        seen = []
+
+        def recording(real):
+            def call(*args, **kwargs):
+                seen.append((real.__name__, gc.isenabled()))
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(yaml, "load", recording(yaml.load))
+        monkeypatch.setattr(yaml, "dump", recording(yaml.dump))
+        save_topology(load_topology(MINIMAL_MANIFEST))
+        assert seen == [("load", False), ("dump", False)]
+        assert gc.isenabled() is caller_gc
+
+    def test_parse_error_restores_collector(self, caller_gc):
+        with pytest.raises(ManifestParseError):
+            load_topology("subnets: [unclosed")
+        assert gc.isenabled() is caller_gc
 
 
 class TestValidation:

@@ -59,6 +59,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="horizn"):
             PpoConfig.from_yaml("horizn: 1024\n")
 
+    def test_from_yaml_empty_document_gives_defaults(self):
+        assert PpoConfig.from_yaml("") == PpoConfig()
+
 
 class TestGae:
     def test_single_step(self):
