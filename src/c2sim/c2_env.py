@@ -240,6 +240,9 @@ class EnvState:
     targets: dict[Address, TargetState]
     fw_last_update: list[float]
     fw_next_update: list[float]
+    # No scheduled update is due while clock is below this; it never
+    # exceeds min(fw_next_update), since emergencies only push updates later.
+    fw_next_due: float = math.inf
     clock: float = 0.0
     step_count: int = 0
 
@@ -289,6 +292,11 @@ class C2Env:
     One instance is single-threaded; run several instances with separate
     seeds for parallel rollouts. The topology is never mutated; everything
     a step needs from it is tabulated once, in ``__init__``.
+
+    Each instance owns one observation buffer, rewritten in place by every
+    ``reset`` and ``step``. The observation they return is a read-only view
+    of it, valid until that instance's next ``reset`` or ``step``; a caller
+    that keeps an observation longer copies it.
     """
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
@@ -387,11 +395,14 @@ class C2Env:
 
         n_sub = len(subnet_ids)
         n_svc = len(service_vocab)
-        self.host_block_len = n_sub + max_local + 2 + n_svc + 4
+        status = n_sub + max_local + 2 + n_svc
+        self.host_block_len = status + 4
         self.sensitive_block_len = 3 + 5
         self.obs_len = (len(self._addresses) * self.host_block_len
                         + len(self._sensitive) * self.sensitive_block_len)
 
+        # The static slots are written once, here; encode_observation
+        # rewrites only the status bits and the target slots.
         template = np.zeros(self.obs_len, dtype=np.float64)
         # offset of each host's (value, discovered, value, infected) slots
         self._host_offsets = np.zeros(len(self._addresses), dtype=np.intp)
@@ -411,15 +422,22 @@ class C2Env:
             template[base + 2] = h.infection_value * VALUE_SCALE
             self._host_offsets[i] = base
             off += self.host_block_len
-        self._discovered_slots = self._host_offsets + 1
-        self._infected_slots = self._host_offsets + 3
+        # Host blocks have a fixed length, so each status bit sits at a
+        # fixed stride through the host part of the buffer.
+        hosts_part = template[:off]
+        self._discovered_bits = hosts_part[status + 1::self.host_block_len]
+        self._infected_bits = hosts_part[status + 3::self.host_block_len]
         self._sensitive_offsets = {addr: off + k * self.sensitive_block_len
                                    for k, addr in enumerate(self._sensitive)}
-        self._obs_template = template
+        self._obs = template
+        self._obs_readonly = template.view()
+        self._obs_readonly.flags.writeable = False
 
     # -- episode control ---------------------------------------------------
 
     def reset(self, seed: int | None = None) -> np.ndarray:
+        """Start an episode. Returns the initial observation, a read-only
+        view valid until this env's next ``reset`` or ``step``."""
         self._rng = np.random.default_rng(seed)
         n = len(self._addresses)
         self.state = EnvState(
@@ -431,6 +449,7 @@ class C2Env:
                      for addr in self._sensitive},
             fw_last_update=[0.0] * len(self._fw_periods),
             fw_next_update=list(self._fw_periods),
+            fw_next_due=min(self._fw_periods, default=math.inf),
         )
         foothold = self.host_index[self.scenario.initial_foothold]
         self.state.discovered[foothold] = self.state.infected[foothold] = True
@@ -442,7 +461,11 @@ class C2Env:
         return self._done
 
     def step(self, action: int | Action):
-        """Apply one action. Returns (observation, reward, done, info)."""
+        """Apply one action. Returns (observation, reward, done, info).
+
+        The observation is a read-only view valid until this env's next
+        ``reset`` or ``step``.
+        """
         if self.state is None or self._done:
             raise EpisodeDoneError("step() after episode end; call reset()")
         if isinstance(action, (int, np.integer)):
@@ -532,12 +555,15 @@ class C2Env:
         raise TypeError(f"unknown action {action!r}")
 
     def _scheduled_updates(self) -> None:
-        clock = self.state.clock
-        last, nxt = self.state.fw_last_update, self.state.fw_next_update
+        st = self.state
+        if st.clock < st.fw_next_due:
+            return
+        last, nxt = st.fw_last_update, st.fw_next_update
         for j, period in enumerate(self._fw_periods):
-            while nxt[j] <= clock:
+            while nxt[j] <= st.clock:
                 last[j] = nxt[j]
                 nxt[j] += period
+        st.fw_next_due = min(nxt)
 
     def _do_subnet_scan(self, origin: Address) -> tuple[list[Address], float]:
         """Discover same-subnet hosts plus allow-rule-visible neighbors."""
@@ -690,14 +716,19 @@ class C2Env:
         return "incomplete"
 
     def encode_observation(self) -> np.ndarray:
+        """Write the current state into this env's observation buffer.
+
+        Returns a read-only view of the buffer, valid until this env's next
+        ``reset`` or ``step``; copy it to keep it.
+        """
         st = self.state
-        obs = self._obs_template.copy()
-        # put casts the bool arrays faster than a fancy-index assignment
-        obs.put(self._discovered_slots, st.discovered)
-        obs.put(self._infected_slots, st.infected)
+        obs = self._obs
+        self._discovered_bits[:] = st.discovered
+        self._infected_bits[:] = st.infected
         for addr, ts in st.targets.items():
             i = self.host_index[addr]
             off = self._sensitive_offsets[addr]
+            obs[off:off + 3] = 0.0  # the buffer holds the last status bit
             obs[off + CONNECTION_STATUSES.index(ts.connection_status)] = 1.0
             since = st.clock - st.infection_time[i] if st.infected[i] else 0.0
             obs[off + 3] = since * INFECTION_TIME_SCALE
@@ -705,4 +736,4 @@ class C2Env:
             obs[off + 5] = ts.cum_connect_attempts
             obs[off + 6] = ts.cum_upload_time * UPLOAD_TIME_SCALE
             obs[off + 7] = ts.cum_upload_volume * UPLOAD_VOLUME_SCALE
-        return obs
+        return self._obs_readonly

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
@@ -214,6 +215,11 @@ class GenConfig:
     gateway_subnet: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "graph_shape" and (
+                    not isinstance(value, numbers.Integral) or isinstance(value, bool)):
+                raise GenerationError(f"{f.name} must be an integer, got {value!r}")
         if self.num_subnets < 1:
             raise GenerationError("num_subnets must be >= 1")
         if self.min_ips_per_subnet > self.max_ips_per_subnet:

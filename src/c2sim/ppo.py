@@ -9,6 +9,7 @@ sequentially-stepped environment instances with independent seed streams.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -25,6 +26,12 @@ class TrainingDiverged(Exception):
     def __init__(self, message: str, checkpoint_path: str | None = None):
         super().__init__(message)
         self.checkpoint_path = checkpoint_path
+
+
+_INT_FIELDS = ("horizon", "minibatch", "epochs", "total_steps", "eval_interval",
+               "seed", "num_envs", "checkpoint_interval", "stop_window")
+_REAL_FIELDS = ("critic_lr", "actor_lr", "gamma", "gae_lambda", "clip_epsilon",
+                "entropy_coef", "reward_scale", "grad_clip", "stop_reward")
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,18 @@ class PpoConfig:
     stop_window: int = 20
 
     def __post_init__(self) -> None:
+        for name in _INT_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name in ("grad_clip", "stop_reward"):
+                continue
+            integer = name in _INT_FIELDS
+            if (not isinstance(value, numbers.Integral if integer else numbers.Real)
+                    or isinstance(value, bool)):
+                kind = "an integer" if integer else "a number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+        if type(self.normalize_advantages) is not bool:
+            raise ValueError("normalize_advantages must be true or false, "
+                             f"got {self.normalize_advantages!r}")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError("clip_epsilon must be in (0, 1)")
         for name in ("critic_lr", "actor_lr", "horizon", "minibatch", "epochs",

@@ -9,6 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from c2sim.c2_env import (
+    CONNECTION_STATUSES,
+    INFECTION_TIME_SCALE,
+    UPLOAD_TIME_SCALE,
+    UPLOAD_VOLUME_SCALE,
+    VALUE_SCALE,
+)
 from c2sim.net_model import firewall_path
 
 WINDOW = 300.0
@@ -104,6 +111,57 @@ def run_checked_episode(env, action_rng, env_seed, max_actions=None):
             if info["emergency"]:
                 emergencies += 1
     return steps, emergencies
+
+
+def reference_observation(env):
+    """The observation of ``env``'s current state, encoded into a new array
+    from the topology, the scenario and the episode state alone.
+
+    Per host, in ``topology.hosts()`` order: subnet one-hot, local one-hot
+    (rank of the local id in its subnet), OS pair (windows, other), service
+    bits, then (discovery value, discovered, infection value, infected). Per
+    sensitive host, sorted: connection-status one-hot, hours since
+    infection, payload share left, decayed attempts, upload minutes and
+    upload volume.
+    """
+    topology, scenario, st = env.topology, env.scenario, env.state
+    hosts = topology.hosts()
+    subnet_ids = topology.subnet_ids
+    max_local = max(len(s.hosts) for s in topology.subnets)
+    services = sorted({b.service_name for h in hosts for b in h.services})
+    block = len(subnet_ids) + max_local + 2 + len(services) + 4
+    sensitive = sorted(scenario.sensitive_hosts)
+    obs = np.zeros(len(hosts) * block + len(sensitive) * 8)
+    for k, h in enumerate(hosts):
+        i = env.host_index[h.address]
+        locals_ = sorted(x.local_id for x in topology.subnet(h.subnet_id).hosts)
+        off = k * block
+        obs[off + subnet_ids.index(h.subnet_id)] = 1.0
+        off += len(subnet_ids)
+        obs[off + locals_.index(h.local_id)] = 1.0
+        off += max_local
+        obs[off + (0 if h.os == "windows" else 1)] = 1.0
+        off += 2
+        for b in h.services:
+            obs[off + services.index(b.service_name)] = 1.0
+        off += len(services)
+        obs[off:off + 4] = (h.discovery_value * VALUE_SCALE, st.discovered[i],
+                            h.infection_value * VALUE_SCALE, st.infected[i])
+    off = len(hosts) * block
+    for addr in sensitive:
+        ts = st.targets[addr]
+        i = env.host_index[addr]
+        since = st.clock - st.infection_time[i] if st.infected[i] else 0.0
+        obs[off + CONNECTION_STATUSES.index(ts.connection_status)] = 1.0
+        obs[off + 3:off + 8] = (
+            since * INFECTION_TIME_SCALE,
+            ts.payload_remaining / scenario.payload_size_mb,
+            ts.cum_connect_attempts,
+            ts.cum_upload_time * UPLOAD_TIME_SCALE,
+            ts.cum_upload_volume * UPLOAD_VOLUME_SCALE,
+        )
+        off += 8
+    return obs
 
 
 def mc_returns(rewards, dones, gamma):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ class TestReset:
 
     def test_reset_deterministic(self, chain3):
         env = env_of(chain3)
-        a = env.reset(seed=7)
+        a = env.reset(seed=7).copy()
         b = env.reset(seed=7)
         assert np.array_equal(a, b)
 
@@ -617,6 +618,24 @@ class TestScheduledUpdates:
             assert last == 2 * 86_400.0
             assert nxt == 3 * 86_400.0
 
+    def test_firewalls_with_different_periods(self, chain3):
+        # 1 h, 2.5 h and 24 h schedules; with sleeps only, each firewall's
+        # last update is the latest multiple of its period
+        topology, scenario = chain3
+        firewalls = tuple(
+            dataclasses.replace(fw, params=FirewallParams(update_frequency=hours))
+            for fw, hours in zip(topology.firewalls, (1.0, 2.5, 24.0)))
+        topology = dataclasses.replace(topology, firewalls=firewalls)
+        env = C2Env(topology, dataclasses.replace(scenario, max_steps=2_000))
+        env.reset(seed=0)
+        periods = [fw.params.update_period_seconds for fw in topology.firewalls]
+        for _ in range(1_500):  # 25 h
+            env.step(Sleep())
+            for j, period in enumerate(periods):
+                last = (env.state.clock // period) * period
+                assert env.state.fw_last_update[j] == last
+                assert env.state.fw_next_update[j] == last + period
+
 
 class TestObservation:
     def test_fresh_reset_has_two_status_bits(self, tiny_inputs):
@@ -629,7 +648,7 @@ class TestObservation:
 
     def test_discovery_flips_exactly_one_host_bit(self, tiny_inputs):
         env = C2Env(*tiny_inputs)
-        before = env.reset(seed=0)
+        before = env.reset(seed=0).copy()
         after, _, _, info = env.step(SubnetScan((1, 0)))
         newly = set(info["newly_discovered"])
         for addr, i in env.host_index.items():
@@ -652,6 +671,76 @@ class TestObservation:
         env.state.targets[(3, 0)].connection_status = NOT_CONNECTED
         obs = env.encode_observation()
         assert obs[off:off + 3].tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("network", ["chain3", "tiny"])
+    def test_matches_reference_encoder_on_random_walks(self, network, request):
+        # episodes run back to back on one env, so every reset follows a
+        # finished episode
+        pair = request.getfixturevalue(
+            "tiny_inputs" if network == "tiny" else network)
+        env = C2Env(*pair)
+        rng = np.random.default_rng(11)
+        isolations_after_connect = 0
+        for ep in range(40):
+            obs = env.reset(seed=ep)
+            assert np.array_equal(obs, oracles.reference_observation(env))
+            status = {a: ts.connection_status for a, ts in env.state.targets.items()}
+            while not env.done:
+                obs, _, _, _ = env.step(int(rng.integers(env.n_actions)))
+                assert np.array_equal(obs, oracles.reference_observation(env))
+                for addr, ts in env.state.targets.items():
+                    isolations_after_connect += (status[addr] == CONNECTED
+                                                 and ts.connection_status == ISOLATED)
+                    status[addr] = ts.connection_status
+        assert isolations_after_connect > 0  # the one-hot moved off "connected"
+
+    def test_matches_reference_encoder_at_full_scale(self, refs):
+        from c2sim import scenarios
+
+        env = C2Env(*scenarios.enterprise101(refs))
+        # a seeded walk over the actions whose host precondition holds; a
+        # uniform walk would be almost all erroneous steps
+        kinds = np.array([a.kind for a in env.actions])
+        hosts = np.array([env.host_index.get(getattr(a, "host", None), 0)
+                          for a in env.actions])
+        scan, exploit = kinds == "subnet_scan", kinds == "exploit"
+        rng = np.random.default_rng(3)
+        obs = env.reset(seed=0)
+        assert np.array_equal(obs, oracles.reference_observation(env))
+        steps = 0
+        while not env.done:
+            st = env.state
+            ok = ~(scan | exploit) | (scan & st.infected[hosts]) | (
+                exploit & st.discovered[hosts])
+            choices = np.flatnonzero(ok)
+            obs, _, _, _ = env.step(int(choices[rng.integers(len(choices))]))
+            steps += 1
+            if steps % 100 == 0:
+                assert np.array_equal(obs, oracles.reference_observation(env)), steps
+        assert steps >= 1000 and env.state.infected.sum() > 1
+        assert any(ts.connection_status != NOT_CONNECTED
+                   for ts in env.state.targets.values())
+
+        # the encoder writes into the env's buffer; it allocates no array
+        # of observation size
+        tracemalloc.start()
+        try:
+            env.encode_observation()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < obs.nbytes // 100, peak
+
+    def test_returned_observation_is_read_only(self, chain3):
+        env = env_of(chain3)
+        obs = env.reset(seed=0)
+        with pytest.raises(ValueError):
+            obs[0] = 1.0
+        obs, _, _, _ = env.step(Sleep())
+        with pytest.raises(ValueError):
+            obs[:] = 0.0
+        with pytest.raises(ValueError):
+            env.encode_observation()[-1] = 1.0
 
 
 class TestInvariantsAndOracles:

@@ -92,7 +92,11 @@ class TestGenerate:
         (GEN_CONFIG + "bogus: 1\n", ["unknown", "bogus"]),
         ("just a string\n", ["mapping"]),
         (GEN_CONFIG.replace("total_ips: 12\n", ""), ["missing", "total_ips"]),
-    ], ids=["unknown-key", "not-a-mapping", "missing-key"])
+        (GEN_CONFIG.replace("num_subnets: 3", "num_subnets: x"),
+         ["num_subnets", "integer"]),
+        (GEN_CONFIG.replace("seed: 4", "seed: true"), ["seed", "integer"]),
+    ], ids=["unknown-key", "not-a-mapping", "missing-key", "string-count",
+            "boolean-seed"])
     def test_bad_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "gen.yaml"
         cfg.write_text(text)
@@ -196,7 +200,12 @@ class TestConfigErrors:
     @pytest.mark.parametrize("text, words", [
         ("- 1\n", ["mapping"]),
         (PPO_SMALL + "1: 2\n", ["unknown", "1"]),
-    ], ids=["list-document", "integer-key"])
+        (PPO_SMALL.replace("horizon: 128", "horizon: abc"), ["horizon", "integer"]),
+        (PPO_SMALL + "actor_lr: fast\n", ["actor_lr", "number"]),
+        (PPO_SMALL + "stop_reward: [1]\n", ["stop_reward", "number"]),
+        (PPO_SMALL + "normalize_advantages: 2\n", ["normalize_advantages"]),
+    ], ids=["list-document", "integer-key", "string-horizon", "string-rate",
+            "list-stop-reward", "integer-flag"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
         cfg.write_text(text)
