@@ -24,6 +24,14 @@ class TraceFormatError(ValueError):
     """A traces file line that is not a record of the JSON-lines format."""
 
 
+class TraceReplayError(ValueError):
+    """A trace names a host or an upload rate that the replay environment
+    does not have."""
+
+
+_ACTION_KINDS = {cls.kind for cls in (SubnetScan, Exploit, Connect, Upload, Sleep)}
+
+
 @dataclass
 class TraceStep:
     step: int
@@ -45,7 +53,9 @@ class TraceStep:
             return Connect(tuple(self.target))
         if self.action == "upload":
             return Upload(tuple(self.target), self.rate)
-        return Sleep()
+        if self.action == "sleep":
+            return Sleep()
+        raise TraceFormatError(f"unknown action {self.action!r}")
 
 
 @dataclass
@@ -129,8 +139,26 @@ def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[Attack
     return traces
 
 
+def _check_replayable(env: C2Env, actions: list) -> None:
+    """Raise TraceReplayError if an action names a host outside ``env``'s
+    topology or an upload rate its scenario lacks."""
+    rates = env.scenario.upload_rates
+    for idx, action in enumerate(actions):
+        host = getattr(action, "host", None)
+        if host is not None and host not in env.host_index:
+            raise TraceReplayError(
+                f"step {idx}: {action.kind} targets host {host}, which is not "
+                f"in the topology")
+        if isinstance(action, Upload) and action.rate not in rates:
+            raise TraceReplayError(
+                f"step {idx}: upload rate {action.rate!r} is not one of "
+                f"{sorted(rates)}")
+
+
 def replay_trace(env: C2Env, seed: int, actions: list) -> AttackTrace:
-    """Re-run a recorded action sequence on a fresh episode."""
+    """Re-run a recorded action sequence on a fresh episode; raises
+    TraceReplayError on an action ``env`` cannot take."""
+    _check_replayable(env, actions)
     env.reset(seed=seed)
     trace = AttackTrace(seed=seed)
     for idx, action in enumerate(actions):
@@ -171,6 +199,8 @@ def prune_trace(env: C2Env, trace: AttackTrace) -> AttackTrace:
     """
     original_status = dict(trace.terminal_status)
     steps = list(trace.steps)
+    # checked once up front, so that an error names the trace's own step
+    _check_replayable(env, [s.to_action() for s in steps])
     changed = True
     while changed:
         changed = False
@@ -343,6 +373,25 @@ def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _typed(row: dict, key: str, kinds: tuple, what: str, lineno: int):
+    """``row[key]``, or TraceFormatError unless its type is one of ``kinds``
+    (exactly: a bool is not a number)."""
+    value = row[key]
+    if type(value) not in kinds:
+        raise TraceFormatError(f"line {lineno}: {key} must be {what}, got {value!r}")
+    return value
+
+
+def _address_key(key: str, lineno: int) -> tuple[int, int]:
+    try:
+        subnet, local = (int(x) for x in key.split(","))
+    except ValueError:
+        raise TraceFormatError(
+            f"line {lineno}: terminal_status key {key!r} is not 'subnet,local'"
+        ) from None
+    return subnet, local
+
+
 def read_traces_jsonl(fh) -> list[AttackTrace]:
     """Parse traces written by ``write_traces_jsonl``; raises
     TraceFormatError naming the first line that is not a valid record."""
@@ -351,30 +400,47 @@ def read_traces_jsonl(fh) -> list[AttackTrace]:
         line = line.strip()
         if not line:
             continue
-        row = json.loads(line)
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"line {lineno}: not JSON ({exc.msg})") from None
         if not isinstance(row, dict):
             raise TraceFormatError(f"line {lineno}: not a JSON object")
         try:
-            if row["record"] == "trace":
-                status = {
-                    tuple(int(x) for x in key.split(",")): value
-                    for key, value in row["terminal_status"].items()
-                }
-                traces[row["trace"]] = AttackTrace(
-                    seed=row["seed"], terminal_status=status,
+            record = row["record"]
+            if record not in ("trace", "step"):
+                continue
+            index = _typed(row, "trace", (int,), "an integer", lineno)
+            if record == "trace":
+                status = _typed(row, "terminal_status", (dict,), "a mapping", lineno)
+                traces[index] = AttackTrace(
+                    seed=_typed(row, "seed", (int,), "an integer", lineno),
+                    terminal_status={_address_key(key, lineno): value
+                                     for key, value in status.items()},
                     emergencies=row.get("emergencies", 0),
                 )
-            elif row["record"] == "step":
-                if row["trace"] not in traces:
+            elif record == "step":
+                if index not in traces:
                     raise TraceFormatError(
-                        f"line {lineno}: step of trace {row['trace']} comes "
+                        f"line {lineno}: step of trace {index} comes "
                         f"before its trace record")
-                traces[row["trace"]].steps.append(TraceStep(
-                    step=row["step"],
-                    clock=row["clock"],
-                    action=row["action"],
-                    target=tuple(row["target"]) if row["target"] else None,
-                    reward=row["reward"],
+                action, target = row["action"], row["target"]
+                if action not in _ACTION_KINDS:
+                    raise TraceFormatError(
+                        f"line {lineno}: unknown action {action!r}")
+                if action != "sleep" and not (
+                        isinstance(target, list) and len(target) == 2
+                        and all(type(v) is int for v in target)):
+                    raise TraceFormatError(
+                        f"line {lineno}: {action} target must be a "
+                        f"[subnet, local] pair, got {target!r}")
+                number = (int, float)
+                traces[index].steps.append(TraceStep(
+                    step=_typed(row, "step", (int,), "an integer", lineno),
+                    clock=_typed(row, "clock", number, "a number", lineno),
+                    action=action,
+                    target=None if action == "sleep" else tuple(target),
+                    reward=_typed(row, "reward", number, "a number", lineno),
                     outcome=row["outcome"],
                     vulnerability=row.get("vulnerability"),
                     rate=row.get("rate"),

@@ -24,6 +24,7 @@ from .net_model import (
     Host,
     NetworkTopology,
     firewall_path,
+    load_config_yaml,
 )
 
 # Fixed length of the rate-monitoring window (the "five-minute window").
@@ -174,7 +175,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
-        doc = yaml.safe_load(text)
+        doc = load_config_yaml(text)
         if not isinstance(doc, dict):
             raise ScenarioError("scenario must be a mapping")
         for key in ("initial_foothold", "sensitive_hosts"):

@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (TopologyError, ScenarioError, GenerationError, ReferenceDataError,
-            CheckpointError, ValueError) as exc:
+            CheckpointError, analysis.PruneDivergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

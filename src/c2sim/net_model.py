@@ -8,6 +8,7 @@ environment instances.
 from __future__ import annotations
 
 import gc
+import re
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -22,6 +23,32 @@ if yaml.__with_libyaml__:
     SafeLoader, SafeDumper = yaml.CSafeLoader, yaml.CSafeDumper
 else:
     SafeLoader, SafeDumper = yaml.SafeLoader, yaml.SafeDumper
+
+
+class _ConfigLoader(SafeLoader):
+    """SafeLoader that also reads YAML 1.2 floats such as ``3e-5`` and
+    ``1.5e3``, which YAML 1.1 (a dot and a signed exponent required) leaves
+    as strings. Integers and every other scalar resolve as before."""
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
+def load_config_yaml(text: str):
+    """Parse a scenario, generator or trainer config document; raises
+    ValueError, in one line, on malformed YAML."""
+    try:
+        return yaml.load(text, Loader=_ConfigLoader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = (getattr(exc, "problem", None) or " ".join(str(exc).split())
+                   or type(exc).__name__)
+        raise ValueError(f"malformed YAML{where}: {problem}") from None
+
 
 # Sentinel for the internet side of a firewall edge / adjacency.
 INTERNET = "internet"
@@ -420,12 +447,6 @@ def firewall_path(t: NetworkTopology, from_subnet: int) -> list[str]:
         cur = nxt
     path.append(t.firewall_on_edge(cur, INTERNET).id)
     return path
-
-
-def host_ip(address: Address) -> str:
-    """Dotted-quad for a host: each subnet owns a /24 inside 10.0.0.0/8."""
-    sid, lid = address
-    return f"10.{(sid >> 8) & 0xFF}.{sid & 0xFF}.{lid + 1}"
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from .net_model import (
     ServiceBinding,
     Subnet,
     Vulnerability,
+    load_config_yaml,
 )
 
 BUCKETS = ("high", "moderate", "low", "rare")
@@ -183,9 +184,6 @@ class References:
     cves: CveDatabase
     tiers: dict[str, str] = field(default_factory=dict)
 
-    def tier_of(self, service_name: str) -> str:
-        return self.tiers.get(service_name, "low")
-
 
 def _data_text(name: str) -> str:
     return (resources.files("c2sim") / "data" / name).read_text(encoding="utf-8")
@@ -248,7 +246,7 @@ class GenConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "GenConfig":
-        doc = yaml.safe_load(text)
+        doc = load_config_yaml(text)
         if not isinstance(doc, dict):
             raise GenerationError("generator config must be a mapping")
         known = {f.name for f in fields(cls)}

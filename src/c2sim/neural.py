@@ -102,10 +102,6 @@ def init_mlp(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...],
     return p
 
 
-def _activate(p: MlpParams, z: np.ndarray) -> np.ndarray:
-    return np.tanh(z) if p.activation == "tanh" else z
-
-
 def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
     """Deterministic forward pass; accepts a single vector or a batch."""
     out, _ = forward_cached(p, x)
@@ -113,7 +109,11 @@ def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(p: MlpParams, x: np.ndarray):
-    """Forward pass returning (output, activations) for use by backward."""
+    """Forward pass returning (output, activations) for use by backward.
+
+    Each layer's matmul makes a new array that the bias add and the
+    nonlinearity then update in place, so ``x`` is never written.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     h = x.reshape(1, -1) if single else x
@@ -123,9 +123,12 @@ def forward_cached(p: MlpParams, x: np.ndarray):
         )
     acts = [h]
     last = len(p.weights) - 1
+    tanh = p.activation == "tanh"
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
-        z = h @ w + b
-        h = z if i == last else _activate(p, z)
+        h = h @ w
+        h += b
+        if tanh and i != last:
+            np.tanh(h, out=h)
         acts.append(h)
     return (h[0] if single else h), acts
 
@@ -134,6 +137,7 @@ def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Analytic dLoss/dtheta given dLoss/dOutput, laid out like ``p.theta``.
 
     The upstream gradient must match the forward output shape for ``x``.
+    Each layer's gradient is written straight into its view of the result.
     """
     _, acts = forward_cached(p, x)
     g = np.asarray(upstream, dtype=np.float64)
@@ -146,12 +150,14 @@ def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     grad = np.empty_like(p.theta)
     w_grads, b_grads = layer_views(grad, p.dims)
     for i in range(len(p.weights) - 1, -1, -1):
-        w_grads[i][...] = acts[i].T @ g
-        b_grads[i][...] = g.sum(axis=0)
+        np.matmul(acts[i].T, g, out=w_grads[i])
+        np.sum(g, axis=0, out=b_grads[i])
         if i > 0:
             g = g @ p.weights[i].T
             if p.activation == "tanh":
-                g = g * (1.0 - acts[i] ** 2)
+                d = np.square(acts[i])
+                np.subtract(1.0, d, out=d)
+                g *= d
     return grad
 
 
@@ -161,7 +167,11 @@ def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OptimizerState:
-    """Adaptive-moment accumulators, laid out like the parameter vector."""
+    """Adaptive-moment accumulators, laid out like the parameter vector.
+
+    ``scratch`` is two work vectors of the same length that let
+    ``adam_step`` run without temporaries; it is not checkpointed.
+    """
 
     lr: float
     m: np.ndarray
@@ -170,6 +180,11 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adam_init(p: MlpParams, lr: float) -> OptimizerState:
@@ -177,7 +192,12 @@ def adam_init(p: MlpParams, lr: float) -> OptimizerState:
 
 
 def adam_step(state: OptimizerState, p: MlpParams, grad: np.ndarray):
-    """One bias-corrected moment update. Mutates and returns (state, p)."""
+    """One bias-corrected moment update. Mutates and returns (state, p).
+
+    Works in place through ``state.scratch``, in the order of
+    ``theta -= scale * m / (sqrt(v) + eps)``, so the rounding is that of
+    the plain expression.
+    """
     if grad.shape != p.theta.shape:
         raise ShapeMismatchError(
             f"gradient shape {grad.shape} vs parameter {p.theta.shape}"
@@ -186,11 +206,19 @@ def adam_step(state: OptimizerState, p: MlpParams, grad: np.ndarray):
     t = state.step
     b1, b2 = state.beta1, state.beta2
     scale = state.lr * np.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+    s, d = state.scratch
     state.m *= b1
-    state.m += (1.0 - b1) * grad
+    np.multiply(1.0 - b1, grad, out=s)
+    state.m += s
     state.v *= b2
-    state.v += (1.0 - b2) * grad * grad
-    p.theta -= scale * state.m / (np.sqrt(state.v) + state.eps)
+    np.multiply(1.0 - b2, grad, out=s)
+    s *= grad
+    state.v += s
+    np.sqrt(state.v, out=d)
+    d += state.eps
+    np.multiply(scale, state.m, out=s)
+    s /= d
+    p.theta -= s
     return state, p
 
 
@@ -200,8 +228,9 @@ def adam_step(state: OptimizerState, p: MlpParams, grad: np.ndarray):
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax, stabilized by max subtraction."""
-    z = scores - np.max(scores, axis=-1, keepdims=True)
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z = scores - scores.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -215,17 +244,26 @@ def entropy(scores: np.ndarray) -> np.ndarray:
 
 
 def categorical_sample(scores: np.ndarray, rng: np.random.Generator):
-    """Sample an index from softmax(scores); returns (index, log-probability).
+    """Sample from softmax(scores) by inverse CDF, one uniform per row.
 
-    Inverse-CDF sampling keeps the draw reproducible from a single uniform.
+    A single row of scores gives (index, log-probability) as Python
+    scalars. A 2-D batch gives (indices, log-probabilities) arrays from one
+    ``rng.random(n)``, which draws the same uniforms, in the same order, as
+    n single-row calls.
     """
     logp = log_softmax(np.asarray(scores, dtype=np.float64))
-    probs = np.exp(logp)
-    cum = np.cumsum(probs)
-    u = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, u, side="right"))
-    idx = min(idx, len(probs) - 1)
-    return idx, float(logp[idx])
+    cum = np.exp(logp).cumsum(axis=-1)
+    last = cum.shape[-1] - 1
+    if cum.ndim == 1:
+        u = rng.random() * cum[-1]
+        idx = min(int(cum.searchsorted(u, side="right")), last)
+        return idx, float(logp[idx])
+    u = rng.random(len(cum))
+    u *= cum[:, -1]
+    # cum is non-decreasing, so counting entries <= u is searchsorted(side="right")
+    idx = (cum <= u[:, None]).sum(axis=1)
+    np.minimum(idx, last, out=idx)
+    return idx, logp[np.arange(len(idx)), idx]
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import neural
 from .c2_env import C2Env, ScenarioConfig
-from .net_model import NetworkTopology
+from .net_model import NetworkTopology, load_config_yaml
 from .neural import MlpParams, OptimizerState
 
 
@@ -90,7 +89,7 @@ class PpoConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "PpoConfig":
-        doc = yaml.safe_load(text)
+        doc = load_config_yaml(text)
         if doc is None:
             doc = {}
         if not isinstance(doc, dict):
@@ -237,7 +236,8 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
     """Advance every environment ``steps_per_env`` times under the actor.
 
     Episodes that finish mid-horizon are logged and the environment restarts
-    immediately, so the batch always holds exactly horizon transitions.
+    immediately, so the batch always holds exactly horizon transitions. Each
+    step makes one batched forward per network and one batched action draw.
     """
     n = len(runners)
     obs_dim = runners[0].env.obs_len
@@ -255,16 +255,12 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
             r.reset()
 
     for t in range(steps_per_env):
-        obs_mat = np.stack([r.obs for r in runners])
+        obs_mat = np.stack([r.obs for r in runners], out=obs_buf[t])
         logits = neural.forward(actor, obs_mat)
-        values = neural.forward(critic, obs_mat)[:, 0]
-        obs_buf[t] = obs_mat
-        val_buf[t] = values
-        for i, runner in enumerate(runners):
-            a_idx, logp = neural.categorical_sample(logits[i], sample_rng)
+        val_buf[t] = neural.forward(critic, obs_mat)[:, 0]
+        act_buf[t], logp_buf[t] = neural.categorical_sample(logits, sample_rng)
+        for i, (runner, a_idx) in enumerate(zip(runners, act_buf[t].tolist())):
             next_obs, reward, done, _ = runner.env.step(a_idx)
-            act_buf[t, i] = a_idx
-            logp_buf[t, i] = logp
             rew_buf[t, i] = reward
             done_buf[t, i] = done
             runner.ep_return += reward
@@ -318,12 +314,11 @@ def ppo_loss(actor: MlpParams, critic: MlpParams, obs: np.ndarray,
     rows = np.arange(n)
     logp = logp_all[rows, actions]
     ratio = np.exp(logp - logp_old)
-    clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
     surr1 = ratio * advantages
-    surr2 = clipped * advantages
-    objective = np.minimum(surr1, surr2)
-    policy_loss = -objective.mean()
-    row_entropy = -np.sum(probs * logp_all, axis=1)
+    surr2 = ratio.clip(1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
+    surr2 *= advantages
+    policy_loss = -np.minimum(surr1, surr2).mean()
+    row_entropy = -(probs * logp_all).sum(axis=1)
     ent = row_entropy.mean()
 
     # d(-objective)/dlogits: gradient flows only where the unclipped branch
@@ -336,9 +331,9 @@ def ppo_loss(actor: MlpParams, critic: MlpParams, obs: np.ndarray,
     # entropy bonus: loss includes -beta * H
     dlogits += cfg.entropy_coef * probs * (logp_all + row_entropy[:, None]) / n
 
-    v = neural.forward(critic, obs)[:, 0]
-    value_loss = np.mean((v - returns) ** 2)
-    dv = (2.0 * (v - returns) / len(returns))[:, None]
+    err = neural.forward(critic, obs)[:, 0] - returns
+    value_loss = (err ** 2).mean()
+    dv = (2.0 * err / len(returns))[:, None]
     return (float(policy_loss), float(value_loss), float(ent),
             neural.backward(actor, obs, dlogits), neural.backward(critic, obs, dv))
 
@@ -370,7 +365,8 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, cfg: PpoConfig,
             p_loss, v_loss, ent, a_grads, c_grads = ppo_loss(
                 params.actor, params.critic, obs[idx], actions[idx],
                 logp_old[idx], advantages[idx], returns[idx], cfg)
-            if not (np.isfinite(p_loss) and np.isfinite(v_loss) and np.isfinite(ent)):
+            if not (math.isfinite(p_loss) and math.isfinite(v_loss)
+                    and math.isfinite(ent)):
                 raise TrainingDiverged(
                     f"non-finite loss: policy={p_loss} value={v_loss} entropy={ent}"
                 )

@@ -14,6 +14,7 @@ from c2sim.c2_env import (
     Connect,
     EpisodeDoneError,
     Exploit,
+    RewardTable,
     ScenarioConfig,
     ScenarioError,
     Sleep,
@@ -541,6 +542,13 @@ class TestScenarioConfig:
     def test_yaml_round_trip(self, tiny_inputs):
         _, scenario = tiny_inputs
         assert ScenarioConfig.from_yaml(scenario.to_yaml()) == scenario
+
+    def test_yaml_1_2_float(self):
+        # YAML 1.1 reads an exponent without a dot as a string
+        s = ScenarioConfig.from_yaml("initial_foothold: [1, 0]\n"
+                                     "sensitive_hosts: [[1, 0]]\n"
+                                     "rewards: {upload_bonus: 1e4}\n")
+        assert s.rewards == RewardTable()
 
     def test_defaults_match_documented_values(self):
         s = ScenarioConfig(initial_foothold=(1, 0), sensitive_hosts=((1, 0),))

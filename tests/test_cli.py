@@ -95,8 +95,9 @@ class TestGenerate:
         (GEN_CONFIG.replace("num_subnets: 3", "num_subnets: x"),
          ["num_subnets", "integer"]),
         (GEN_CONFIG.replace("seed: 4", "seed: true"), ["seed", "integer"]),
+        (GEN_CONFIG + "graph_shape: [star\n", ["malformed YAML", "line"]),
     ], ids=["unknown-key", "not-a-mapping", "missing-key", "string-count",
-            "boolean-seed"])
+            "boolean-seed", "malformed-yaml"])
     def test_bad_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "gen.yaml"
         cfg.write_text(text)
@@ -204,8 +205,9 @@ class TestConfigErrors:
         (PPO_SMALL + "actor_lr: fast\n", ["actor_lr", "number"]),
         (PPO_SMALL + "stop_reward: [1]\n", ["stop_reward", "number"]),
         (PPO_SMALL + "normalize_advantages: 2\n", ["normalize_advantages"]),
+        ("actor_lr: [\n", ["malformed YAML", "line 2"]),
     ], ids=["list-document", "integer-key", "string-horizon", "string-rate",
-            "list-stop-reward", "integer-flag"])
+            "list-stop-reward", "integer-flag", "malformed-yaml"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
         cfg.write_text(text)
@@ -227,9 +229,11 @@ class TestConfigErrors:
          ["sensitive_hosts", "pair"]),
         ("initial_foothold: [1, 0]\nsensitive_hosts: [[1, 0]]\nupload_rates: 5\n",
          ["upload_rates", "mapping"]),
+        ("initial_foothold: [1, 0]\nsensitive_hosts: {\n",
+         ["malformed YAML", "line 3"]),
     ], ids=["not-a-mapping", "scalar-foothold", "triple-foothold",
             "scalar-target", "string-local-id", "scalar-targets",
-            "scalar-upload-rates"])
+            "scalar-upload-rates", "malformed-yaml"])
     def test_bad_scenario_document(self, tmp_path, capsys, text, words):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(text)
@@ -269,15 +273,18 @@ class TestConfigErrors:
         assert_invalid(rc, capsys, table, key)
 
 
+def complete_trace(env):
+    """A complete tiny trace: the optimal route plus one repeated step."""
+    from test_analysis import OPTIMAL_PREFIX, OPTIMAL_UPLOADS, lucky_seed
+
+    return analysis.replay_trace(
+        env, lucky_seed(env),
+        OPTIMAL_PREFIX + [OPTIMAL_PREFIX[5]] + OPTIMAL_UPLOADS)
+
+
 class TestAnalyze:
     def test_analyze_with_prune_and_timing(self, tmp_path, tiny_inputs):
-        # build a complete trace by scripting the optimal route
-        from test_analysis import OPTIMAL_PREFIX, OPTIMAL_UPLOADS, lucky_seed
-
-        env = C2Env(*tiny_inputs)
-        seed = lucky_seed(env)
-        trace = analysis.replay_trace(
-            env, seed, OPTIMAL_PREFIX + [OPTIMAL_PREFIX[5]] + OPTIMAL_UPLOADS)
+        trace = complete_trace(C2Env(*tiny_inputs))
         traces_path = tmp_path / "traces.jsonl"
         with open(traces_path, "w") as fh:
             analysis.write_traces_jsonl([trace], fh)
@@ -307,12 +314,49 @@ class TestAnalyze:
         ('{"record": "step", "trace": 0, "step": 0}', ("line 1", "before")),
         ('{"type": "step", "step": 0}', ("line 1", "record")),
         ('[1, 2]', ("line 1", "object")),
+        ('{"record": "trace",', ("line 1", "not JSON")),
+        ('{"record": "trace", "trace": [1], "seed": 1, "terminal_status": {}}',
+         ("line 1", "trace", "integer")),
+        ('{"record": "trace", "trace": 0, "seed": 1, "terminal_status": []}',
+         ("line 1", "terminal_status", "mapping")),
+        ('{"record": "trace", "trace": 0, "seed": 1, '
+         '"terminal_status": {"x": "completed"}}',
+         ("line 1", "terminal_status", "'x'")),
     ])
     def test_malformed_traces_file(self, tmp_path, capsys, line, words):
         traces_path = tmp_path / "traces.jsonl"
         traces_path.write_text(line + "\n")
         rc = run(["analyze", "--traces", str(traces_path),
                   "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, *words)
+
+    # line 1 is the trace record; line 3 holds step 1, an exploit, and
+    # line 10 step 8, an upload
+    @pytest.mark.parametrize("line, field, value, words", [
+        (3, "action", "teleport", ("line 3", "unknown action", "teleport")),
+        (3, "target", 5, ("line 3", "target", "pair")),
+        (3, "target", [99, 99], ("step 1", "(99, 99)", "not in the topology")),
+        (10, "rate", "medium", ("step 8", "upload rate", "medium")),
+        (3, "vulnerability", "CVE-0000-0000", ("pruned trace reaches",)),
+        (3, "reward", "abc", ("line 3", "reward", "number")),
+        (3, "clock", None, ("line 3", "clock", "number")),
+        (3, "step", 1.5, ("line 3", "step", "integer")),
+        (1, "seed", "7", ("line 1", "seed", "integer")),
+    ], ids=["unknown-action", "scalar-target", "unknown-host", "unknown-rate",
+            "unknown-cve", "string-reward", "null-clock", "fractional-step",
+            "string-seed"])
+    def test_corrupt_line_in_pruned_trace(self, tmp_path, capsys, tiny_inputs,
+                                          line, field, value, words):
+        with open(tmp_path / "good.jsonl", "w") as fh:
+            analysis.write_traces_jsonl([complete_trace(C2Env(*tiny_inputs))], fh)
+        lines = (tmp_path / "good.jsonl").read_text().splitlines()
+        row = json.loads(lines[line - 1])
+        row[field] = value
+        lines[line - 1] = json.dumps(row)
+        traces_path = tmp_path / "traces.jsonl"
+        traces_path.write_text("\n".join(lines) + "\n")
+        rc = run(["analyze", "--traces", str(traces_path), "--prune",
+                  "--scenario", "tiny", "--out-dir", str(tmp_path / "out")])
         assert_invalid(rc, capsys, *words)
 
     def test_analyze_without_traces_file(self, tmp_path):

@@ -21,7 +21,6 @@ from c2sim.net_model import (
     ManifestParseError,
     UnreachableSubnetError,
     firewall_path,
-    host_ip,
     load_topology,
     save_topology,
 )
@@ -377,7 +376,3 @@ class TestFirewallPath:
         start = data.draw(st.integers(1, n))
         path = firewall_path(t, start)
         assert len(path) == dist[start]
-
-    def test_host_ip_layout(self):
-        assert host_ip((1, 0)) == "10.0.1.1"
-        assert host_ip((260, 7)) == "10.1.4.8"

@@ -16,6 +16,7 @@ from c2sim.neural import (
     categorical_sample,
     entropy,
     forward,
+    forward_cached,
     init_mlp,
     layer_views,
     load_checkpoint,
@@ -71,6 +72,21 @@ class TestForward:
         p = init_mlp(np.random.default_rng(0), 4, (8,), 2)
         with pytest.raises(ShapeMismatchError):
             forward(p, np.zeros(5))
+
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    def test_input_never_written_or_aliased(self, activation):
+        rng = np.random.default_rng(6)
+        p = init_mlp(rng, 5, (6, 4), 3, activation=activation)
+        for x in (rng.standard_normal(5), rng.standard_normal((4, 5))):
+            before = x.copy()
+            x.flags.writeable = False  # an in-place write would raise
+            out, acts = forward_cached(p, x)
+            assert x.tobytes() == before.tobytes()
+            for a in (forward(p, x), out, *acts[1:]):
+                assert not np.shares_memory(a, x)
+            upstream = np.ones(out.shape)
+            upstream.flags.writeable = False
+            backward(p, x, upstream)
 
 
 class TestFlatLayout:
@@ -149,7 +165,29 @@ class TestBackward:
             backward(p, np.zeros((5, 3)), np.zeros((5, 3)))
 
 
+def reference_adam_step(state, theta, grad):
+    """The out-of-place update, on copies: returns (theta, m, v)."""
+    t = state.step + 1
+    b1, b2 = state.beta1, state.beta2
+    scale = state.lr * np.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+    m = state.m * b1 + (1.0 - b1) * grad
+    v = state.v * b2 + (1.0 - b2) * grad * grad
+    return theta - scale * m / (np.sqrt(v) + state.eps), m, v
+
+
 class TestAdam:
+    def test_in_place_update_equals_plain_formula_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        nets = [init_mlp(rng, 6, (8,), 3), init_mlp(rng, 6, (5, 4), 1)]
+        opts = [adam_init(nets[0], 3e-2), adam_init(nets[1], 1e-3)]
+        for _ in range(20):
+            for p, state in zip(nets, opts):  # the two optimizers interleave
+                grad = rng.standard_normal(p.theta.size) * 10.0 ** rng.integers(-6, 2)
+                want = reference_adam_step(state, p.theta, grad)
+                adam_step(state, p, grad)
+                for got, ref in zip((p.theta, state.m, state.v), want):
+                    assert got.tobytes() == ref.tobytes()
+
     def test_zero_gradient_fixed_point(self):
         rng = np.random.default_rng(0)
         p = init_mlp(rng, 3, (4,), 2)
@@ -219,6 +257,24 @@ class TestCategorical:
             logp = log_softmax(scores)
             assert np.all(np.isfinite(logp))
             assert np.isfinite(entropy(scores))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_equals_row_calls_bit_for_bit(self, seed):
+        scores = np.random.default_rng(seed).standard_normal((8, 18)) * 3.0
+        scores[1] = 0.0            # uniform
+        scores[2, 5] = 1e9         # one dominant action
+        scores[3, -1] = 40.0       # nearly all mass on the last action
+        batch_rng = np.random.default_rng(100 + seed)
+        row_rng = np.random.default_rng(100 + seed)
+        idx, logp = categorical_sample(scores, batch_rng)
+        rows = [categorical_sample(row, row_rng) for row in scores]
+        assert idx.tolist() == [i for i, _ in rows]
+        assert logp.tobytes() == np.array([lp for _, lp in rows]).tobytes()
+        assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+
+    def test_row_gives_python_scalars(self):
+        idx, logp = categorical_sample(np.zeros(4), np.random.default_rng(0))
+        assert type(idx) is int and type(logp) is float
 
     def test_sampled_logp_matches_distribution(self):
         rng = np.random.default_rng(3)

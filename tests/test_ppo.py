@@ -62,6 +62,14 @@ class TestConfig:
     def test_from_yaml_empty_document_gives_defaults(self):
         assert PpoConfig.from_yaml("") == PpoConfig()
 
+    def test_from_yaml_reads_yaml_1_2_floats(self):
+        # YAML 1.1 reads an exponent without a dot as a string
+        cfg = PpoConfig.from_yaml("actor_lr: 3e-5\n")
+        assert cfg == PpoConfig() and cfg.actor_lr == 3e-5
+        cfg = PpoConfig.from_yaml("critic_lr: 3E-4\nentropy_coef: 1e-3\n"
+                                  "reward_scale: 1.0e-3\nhorizon: 4096\n")
+        assert cfg == PpoConfig() and type(cfg.horizon) is int
+
 
 class TestGae:
     def test_single_step(self):
