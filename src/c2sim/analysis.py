@@ -25,8 +25,8 @@ class TraceFormatError(ValueError):
 
 
 class TraceReplayError(ValueError):
-    """A trace names a host or an upload rate that the replay environment
-    does not have."""
+    """A trace names a host, an exploit CVE or an upload rate that the replay
+    environment does not have."""
 
 
 _ACTION_KINDS = {cls.kind for cls in (SubnetScan, Exploit, Connect, Upload, Sleep)}
@@ -141,14 +141,20 @@ def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[Attack
 
 def _check_replayable(env: C2Env, actions: list) -> None:
     """Raise TraceReplayError if an action names a host outside ``env``'s
-    topology or an upload rate its scenario lacks."""
+    topology, a CVE no host in it has or an upload rate its scenario lacks.
+    A known CVE aimed at a host without it is a failed exploit, not an error."""
     rates = env.scenario.upload_rates
+    cves = {a.cve_id for a in env.actions if isinstance(a, Exploit)}
     for idx, action in enumerate(actions):
         host = getattr(action, "host", None)
         if host is not None and host not in env.host_index:
             raise TraceReplayError(
                 f"step {idx}: {action.kind} targets host {host}, which is not "
                 f"in the topology")
+        if isinstance(action, Exploit) and action.cve_id not in cves:
+            raise TraceReplayError(
+                f"step {idx}: exploit names {action.cve_id}, which no host in "
+                f"the topology has")
         if isinstance(action, Upload) and action.rate not in rates:
             raise TraceReplayError(
                 f"step {idx}: upload rate {action.rate!r} is not one of "

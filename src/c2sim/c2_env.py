@@ -14,7 +14,7 @@ connections from hosts compromised before it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
@@ -23,6 +23,7 @@ from .net_model import (
     Address,
     Host,
     NetworkTopology,
+    build_config,
     firewall_path,
     load_config_yaml,
 )
@@ -125,25 +126,6 @@ class ActionTimes:
         return getattr(self, action.kind)
 
 
-def _table(cls, doc: dict, key: str):
-    """A RewardTable or ActionTimes from the scenario's ``key`` mapping."""
-    raw = doc.get(key) or {}
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{key} must be a mapping")
-    unknown = sorted(str(k) for k in set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ScenarioError(f"unknown {key} key(s): {', '.join(unknown)}")
-    return cls(**raw)
-
-
-def _address(raw, what: str) -> Address:
-    """A host address from a scenario's ``[subnet, local]`` pair."""
-    if not (isinstance(raw, list) and len(raw) == 2
-            and all(type(v) is int for v in raw)):
-        raise ScenarioError(f"{what} must be a [subnet, local] pair, got {raw!r}")
-    return (raw[0], raw[1])
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     initial_foothold: Address
@@ -157,7 +139,7 @@ class ScenarioConfig:
         default_factory=lambda: {"fast": 1000.0, "slow": 10.0}
     )
     cvss_scaled_exploits: bool = False
-    topology_ref: str | None = None
+    topology_ref: str | None = field(default=None, metadata={"key": "topology"})
 
     def __post_init__(self) -> None:
         if self.payload_size_mb <= 0:
@@ -176,31 +158,11 @@ class ScenarioConfig:
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
         doc = load_config_yaml(text)
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario must be a mapping")
-        for key in ("initial_foothold", "sensitive_hosts"):
-            if key not in doc:
-                raise ScenarioError(f"scenario is missing {key!r}")
-        if not isinstance(doc["sensitive_hosts"], list):
-            raise ScenarioError("sensitive_hosts must be a list of [subnet, local] pairs")
-        rewards = _table(RewardTable, doc, "rewards")
-        times = _table(ActionTimes, doc, "action_times")
-        rates = doc.get("upload_rates", {"fast": 1000.0, "slow": 10.0})
-        if not isinstance(rates, dict):
-            raise ScenarioError("upload_rates must be a mapping")
-        return cls(
-            initial_foothold=_address(doc["initial_foothold"], "initial_foothold"),
-            sensitive_hosts=tuple(_address(a, "sensitive_hosts entry")
-                                  for a in doc["sensitive_hosts"]),
-            payload_size_mb=float(doc.get("payload_size_mb", 10000.0)),
-            max_steps=int(doc.get("max_steps", 10000)),
-            decay_factor=float(doc.get("decay_factor", 0.999)),
-            rewards=rewards,
-            action_times=times,
-            upload_rates={k: float(v) for k, v in rates.items()},
-            cvss_scaled_exploits=bool(doc.get("cvss_scaled_exploits", False)),
-            topology_ref=doc.get("topology"),
-        )
+        if isinstance(doc, dict):
+            version = doc.pop("schema_version", 1)
+            if type(version) is not int or version != 1:
+                raise ScenarioError(f"schema_version must be 1, got {version!r}")
+        return build_config(cls, doc, ScenarioError, "scenario")
 
     def to_yaml(self) -> str:
         fields = asdict(self)

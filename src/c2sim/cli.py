@@ -1,8 +1,9 @@
 """Command-line entry point: generate networks, train, evaluate, analyze.
 
 Every run with an output directory records a run manifest (command, inputs,
-seed, version, timestamps) before any work starts. All randomness flows from
---seed, so reruns with identical inputs give identical CSV/JSON outputs.
+seed, resolved configs, version, timestamps) before any work starts. All
+randomness flows from --seed, so reruns with identical inputs give identical
+CSV/JSON outputs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> Path:
+def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
+                    **configs) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "run_manifest.json"
     config_files = {
@@ -42,6 +44,8 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> Pa
         "command": command,
         "config_files": config_files,
         "seed": getattr(args, "seed", None),
+        "configs": {name: dataclasses.asdict(cfg)
+                    for name, cfg in configs.items() if cfg is not None},
         "version": __version__,
         "out_dir": str(out_dir),
         "started_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -113,7 +117,7 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
 
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "train", args)
+    manifest = _write_manifest(out_dir, "train", args, ppo=cfg, scenario=scenario)
     result = ppo.train(
         topology, scenario, cfg, out_dir=out_dir,
         log=lambda row: log.info(
@@ -133,7 +137,7 @@ def cmd_eval(args) -> int:
     params, _ = ppo.load_policy(
         args.checkpoint, expect_obs_dim=env.obs_len, expect_actions=env.n_actions)
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "eval", args)
+    manifest = _write_manifest(out_dir, "eval", args, scenario=scenario)
     traces = analysis.sample_paths(env, params.actor, args.n, args.seed or 0)
     with open(out_dir / "traces.jsonl", "w") as fh:
         analysis.write_traces_jsonl(traces, fh)
@@ -156,8 +160,9 @@ def cmd_analyze(args) -> int:
         traces = analysis.read_traces_jsonl(fh)
     if not traces:
         raise ValueError(f"no traces in {args.traces}")
+    topology, scenario = _load_env_inputs(args) if args.scenario else (None, None)
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "analyze", args)
+    manifest = _write_manifest(out_dir, "analyze", args, scenario=scenario)
     summary = analysis.summarize(traces)
     (out_dir / "summary.csv").write_text(summary.to_csv())
     if args.timing:
@@ -165,7 +170,6 @@ def cmd_analyze(args) -> int:
         (out_dir / "upload_times.csv").write_text(times_csv)
         (out_dir / "upload_gaps.csv").write_text(gaps_csv)
     if args.prune:
-        topology, scenario = _load_env_inputs(args)
         env = C2Env(topology, scenario)
         complete = [t for t in traces if t.classification() == "complete"]
         if not complete:

@@ -7,15 +7,20 @@ environment instances.
 
 from __future__ import annotations
 
+import functools
 import gc
 import re
+import types
+import typing
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
 SCHEMA_VERSION = 1
+
+Address = tuple[int, int]
 
 # libyaml's loader and dumper give the same documents and manifest text as
 # the pure-Python ones, several times faster; PyYAML may be built without it.
@@ -48,6 +53,74 @@ def load_config_yaml(text: str):
         problem = (getattr(exc, "problem", None) or " ".join(str(exc).split())
                    or type(exc).__name__)
         raise ValueError(f"malformed YAML{where}: {problem}") from None
+
+
+# The field annotations a config dataclass may use, named as its messages
+# name them; a nested config dataclass and ``X | None`` are also accepted.
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", Address: "a [subnet, local] pair",
+          tuple[int, ...]: "a list of integers",
+          tuple[Address, ...]: "a list of [subnet, local] pairs",
+          dict[str, float]: "a mapping of names to numbers"}
+
+
+@functools.cache
+def _config_fields(cls) -> dict:
+    """YAML key -> (field name, annotation, required) for a config dataclass;
+    ``field(metadata={"key": ...})`` gives a field another YAML key."""
+    hints = typing.get_type_hints(cls)
+    return {f.metadata.get("key", f.name): (
+                f.name, hints[f.name],
+                f.default is MISSING and f.default_factory is MISSING)
+            for f in fields(cls)}
+
+
+def build_config(cls, doc, error: type[Exception], name: str, path: str = ""):
+    """The config dataclass ``cls`` built from a parsed document, each field
+    checked against its annotation; raises ``error`` naming the YAML key.
+
+    An int is widened where a number is expected and a list becomes a tuple;
+    a bool is never a number. ``name`` names the document in messages, and
+    a nested config's keys are named ``<key>.<field>``. Range checks are left
+    to ``cls.__post_init__``."""
+    if not isinstance(doc, dict):
+        raise error(f"{name} must be a mapping, got {doc!r}")
+    specs = _config_fields(cls)
+    unknown = sorted(str(k) for k in doc if k not in specs)
+    if unknown:
+        raise error(f"unknown {name} key(s): {', '.join(unknown)}")
+    missing = [key for key, (_, _, required) in specs.items()
+               if required and key not in doc]
+    if missing:
+        raise error(f"{name} is missing {', '.join(missing)}")
+    return cls(**{attr: _config_value(kind, doc[key], path + key, error)
+                  for key, (attr, kind, _) in specs.items() if key in doc})
+
+
+def _config_value(kind, value, key: str, error: type[Exception]):
+    if isinstance(kind, types.UnionType):  # X | None
+        return None if value is None else _config_value(
+            kind.__args__[0], value, key, error)
+    if is_dataclass(kind):
+        return build_config(kind, value, error, key, key + ".")
+    if kind is float and type(value) is int:
+        return float(value)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is tuple and isinstance(value, list):
+        if args[-1] is Ellipsis:
+            return tuple(_config_value(args[0], v, f"{key}[{i}]", error)
+                         for i, v in enumerate(value))
+        # a fixed pair of scalars, such as Address
+        if len(value) == len(args) and all(
+                type(v) is t for v, t in zip(value, args)):
+            return tuple(value)
+    elif origin is dict and isinstance(value, dict):
+        if all(type(k) is args[0] for k in value):
+            return {k: _config_value(args[1], v, f"{key}.{k}", error)
+                    for k, v in value.items()}
+    elif type(value) is kind:
+        return value
+    raise error(f"{key} must be {_KINDS[kind]}, got {value!r}")
 
 
 # Sentinel for the internet side of a firewall edge / adjacency.
@@ -105,9 +178,6 @@ class ServiceBinding:
                 f"port {self.port}: defense_tier must be one of {DEFENSE_TIERS}, "
                 f"got {self.defense_tier!r}"
             )
-
-
-Address = tuple[int, int]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -25,6 +24,7 @@ from .net_model import (
     ServiceBinding,
     Subnet,
     Vulnerability,
+    build_config,
     load_config_yaml,
 )
 
@@ -213,11 +213,6 @@ class GenConfig:
     gateway_subnet: int = 1
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "graph_shape" and (
-                    not isinstance(value, numbers.Integral) or isinstance(value, bool)):
-                raise GenerationError(f"{f.name} must be an integer, got {value!r}")
         if self.num_subnets < 1:
             raise GenerationError("num_subnets must be >= 1")
         if self.min_ips_per_subnet > self.max_ips_per_subnet:
@@ -246,20 +241,8 @@ class GenConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "GenConfig":
-        doc = load_config_yaml(text)
-        if not isinstance(doc, dict):
-            raise GenerationError("generator config must be a mapping")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(str(k) for k in doc if k not in known)
-        if unknown:
-            raise GenerationError(
-                f"unknown generator config key(s): {', '.join(unknown)}")
-        missing = [f.name for f in fields(cls)
-                   if f.default is MISSING and f.name not in doc]
-        if missing:
-            raise GenerationError(
-                f"generator config is missing {', '.join(missing)}")
-        return cls(**doc)
+        return build_config(cls, load_config_yaml(text), GenerationError,
+                            "generator config")
 
 
 def assign_ports(rng: np.random.Generator, max_open_ports: int,

@@ -9,15 +9,14 @@ sequentially-stepped environment instances with independent seed streams.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import neural
 from .c2_env import C2Env, ScenarioConfig
-from .net_model import NetworkTopology, load_config_yaml
+from .net_model import NetworkTopology, build_config, load_config_yaml
 from .neural import MlpParams, OptimizerState
 
 
@@ -25,12 +24,6 @@ class TrainingDiverged(Exception):
     def __init__(self, message: str, checkpoint_path: str | None = None):
         super().__init__(message)
         self.checkpoint_path = checkpoint_path
-
-
-_INT_FIELDS = ("horizon", "minibatch", "epochs", "total_steps", "eval_interval",
-               "seed", "num_envs", "checkpoint_interval", "stop_window")
-_REAL_FIELDS = ("critic_lr", "actor_lr", "gamma", "gae_lambda", "clip_epsilon",
-                "entropy_coef", "reward_scale", "grad_clip", "stop_reward")
 
 
 @dataclass(frozen=True)
@@ -57,18 +50,6 @@ class PpoConfig:
     stop_window: int = 20
 
     def __post_init__(self) -> None:
-        for name in _INT_FIELDS + _REAL_FIELDS:
-            value = getattr(self, name)
-            if value is None and name in ("grad_clip", "stop_reward"):
-                continue
-            integer = name in _INT_FIELDS
-            if (not isinstance(value, numbers.Integral if integer else numbers.Real)
-                    or isinstance(value, bool)):
-                kind = "an integer" if integer else "a number"
-                raise ValueError(f"{name} must be {kind}, got {value!r}")
-        if type(self.normalize_advantages) is not bool:
-            raise ValueError("normalize_advantages must be true or false, "
-                             f"got {self.normalize_advantages!r}")
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError("clip_epsilon must be in (0, 1)")
         for name in ("critic_lr", "actor_lr", "horizon", "minibatch", "epochs",
@@ -82,25 +63,14 @@ class PpoConfig:
             raise ValueError("total_steps must be >= 0")
         if self.horizon % self.num_envs != 0:
             raise ValueError("horizon must be divisible by num_envs")
-        if not isinstance(self.hidden, tuple) or not all(
-                type(w) is int and w > 0 for w in self.hidden):
+        if not all(w > 0 for w in self.hidden):
             raise ValueError(
                 f"hidden must be a list of positive layer widths, got {self.hidden!r}")
 
     @classmethod
     def from_yaml(cls, text: str) -> "PpoConfig":
         doc = load_config_yaml(text)
-        if doc is None:
-            doc = {}
-        if not isinstance(doc, dict):
-            raise ValueError("PPO config must be a mapping")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(str(k) for k in doc if k not in known)
-        if unknown:
-            raise ValueError(f"unknown PPO config key(s): {', '.join(unknown)}")
-        if isinstance(doc.get("hidden"), list):
-            doc["hidden"] = tuple(doc["hidden"])
-        return cls(**doc)
+        return build_config(cls, {} if doc is None else doc, ValueError, "PPO config")
 
 
 @dataclass

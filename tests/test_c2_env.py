@@ -542,6 +542,12 @@ class TestScenarioConfig:
     def test_yaml_round_trip(self, tiny_inputs):
         _, scenario = tiny_inputs
         assert ScenarioConfig.from_yaml(scenario.to_yaml()) == scenario
+        # tiny.yaml writes these as YAML integers; the loader widens them
+        numbers = [scenario.payload_size_mb, scenario.decay_factor,
+                   *vars(scenario.rewards).values(),
+                   *vars(scenario.action_times).values(),
+                   *scenario.upload_rates.values()]
+        assert all(type(v) is float for v in numbers)
 
     def test_yaml_1_2_float(self):
         # YAML 1.1 reads an exponent without a dot as a string
@@ -887,8 +893,10 @@ class TestPrecomputedTables:
     def test_golden_digest_of_random_episodes_on_tiny(self, tiny_inputs):
         # sha256 over every observation, reward, done flag and info dict of
         # 300 seeded random-action episodes, recorded before the episode
-        # state moved to host arrays; the env does no BLAS work, so the
-        # value holds on any platform
+        # state moved to host arrays and re-recorded when the scenario loader
+        # began widening integer action times to floats (info["elapsed"] is
+        # 30.0, not 30); the env does no BLAS work, so the value holds on any
+        # platform
         env = C2Env(*tiny_inputs)
         rng = np.random.default_rng(2024)
         digest = hashlib.sha256()
@@ -900,4 +908,4 @@ class TestPrecomputedTables:
                 digest.update(obs.tobytes())
                 digest.update(json.dumps([reward, done, info], sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "1aafb8f9d38aa070063e71836f1e817520954616b0c371656ea2aadf6020ff7e")
+            "7957a4a928af243c3e3dde994edb62ed665fd015639371819c95f061a48900c6")

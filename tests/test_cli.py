@@ -19,6 +19,8 @@ max_cpes: 2
 seed: 4
 """
 
+SCENARIO = "initial_foothold: [1, 0]\nsensitive_hosts: [[1, 0]]\n"
+
 PPO_SMALL = """
 horizon: 128
 num_envs: 2
@@ -96,8 +98,13 @@ class TestGenerate:
          ["num_subnets", "integer"]),
         (GEN_CONFIG.replace("seed: 4", "seed: true"), ["seed", "integer"]),
         (GEN_CONFIG + "graph_shape: [star\n", ["malformed YAML", "line"]),
+        (GEN_CONFIG.replace("total_ips: 12", "total_ips: 12.5"),
+         ["total_ips", "integer"]),
+        (GEN_CONFIG + "graph_shape: 5\n", ["graph_shape", "string"]),
+        ("", ["generator config", "mapping"]),
     ], ids=["unknown-key", "not-a-mapping", "missing-key", "string-count",
-            "boolean-seed", "malformed-yaml"])
+            "boolean-seed", "malformed-yaml", "fractional-count",
+            "integer-shape", "empty-document"])
     def test_bad_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "gen.yaml"
         cfg.write_text(text)
@@ -132,6 +139,15 @@ class TestTrainEvalPipeline:
         assert manifest["command"] == "train"
         assert manifest["seed"] == 5
         assert manifest["finished_at"] is not None
+        # the resolved configs: PPO_SMALL after the --seed override, and tiny
+        ppo_cfg = manifest["configs"]["ppo"]
+        assert (ppo_cfg["seed"], ppo_cfg["total_steps"], ppo_cfg["horizon"]) == (
+            5, 512, 128)
+        assert ppo_cfg["hidden"] == [128, 64] and ppo_cfg["stop_reward"] is None
+        scenario = manifest["configs"]["scenario"]
+        assert scenario["max_steps"] == 150
+        assert scenario["sensitive_hosts"] == [[2, 1], [3, 0]]
+        assert scenario["action_times"]["sleep"] == 60.0
 
     def test_eval_consumes_checkpoint(self, train_run, tiny_inputs):
         out, _ = train_run
@@ -143,6 +159,8 @@ class TestTrainEvalPipeline:
         with open(eval_dir / "traces.jsonl") as fh:
             traces = analysis.read_traces_jsonl(fh)
         assert len(traces) == 3
+        manifest = json.loads((eval_dir / "run_manifest.json").read_text())
+        assert manifest["configs"]["scenario"]["payload_size_mb"] == 3000.0
         assert (eval_dir / "summary.csv").exists()
         assert (eval_dir / "upload_times.csv").exists()
         assert (eval_dir / "upload_gaps.csv").exists()
@@ -206,8 +224,15 @@ class TestConfigErrors:
         (PPO_SMALL + "stop_reward: [1]\n", ["stop_reward", "number"]),
         (PPO_SMALL + "normalize_advantages: 2\n", ["normalize_advantages"]),
         ("actor_lr: [\n", ["malformed YAML", "line 2"]),
+        (PPO_SMALL.replace("horizon: 128", "horizon: 128.5"), ["horizon", "integer"]),
+        (PPO_SMALL.replace("seed: 5", "seed: true"), ["seed", "integer"]),
+        (PPO_SMALL + "gamma: true\n", ["gamma", "number"]),
+        (PPO_SMALL + 'normalize_advantages: "no"\n', ["normalize_advantages"]),
+        (PPO_SMALL + "hidden: [64, x]\n", ["hidden[1]", "integer"]),
     ], ids=["list-document", "integer-key", "string-horizon", "string-rate",
-            "list-stop-reward", "integer-flag", "malformed-yaml"])
+            "list-stop-reward", "integer-flag", "malformed-yaml",
+            "fractional-horizon", "boolean-seed", "boolean-rate", "string-flag",
+            "string-width"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
         cfg.write_text(text)
@@ -231,9 +256,25 @@ class TestConfigErrors:
          ["upload_rates", "mapping"]),
         ("initial_foothold: [1, 0]\nsensitive_hosts: {\n",
          ["malformed YAML", "line 3"]),
+        (SCENARIO + "action_times: {sleep: abc}\n", ["action_times.sleep", "number"]),
+        (SCENARIO + "decay_factor: [1]\n", ["decay_factor", "number"]),
+        (SCENARIO + "rewards: {connection: abc}\n", ["rewards.connection", "number"]),
+        (SCENARIO + "max_steps: 1.9\n", ["max_steps", "integer"]),
+        (SCENARIO + "max_steps: true\n", ["max_steps", "integer"]),
+        (SCENARIO + 'cvss_scaled_exploits: "no"\n', ["cvss_scaled_exploits"]),
+        (SCENARIO + "payload_size_mb: abc\n", ["payload_size_mb", "number"]),
+        (SCENARIO + "upload_rates: {fast: abc, slow: 1}\n",
+         ["upload_rates.fast", "number"]),
+        (SCENARIO + "bogus: 1\n", ["unknown", "bogus"]),
+        (SCENARIO + "schema_version: 2\n", ["schema_version", "1"]),
+        (SCENARIO + "topology: 5\n", ["topology", "string"]),
     ], ids=["not-a-mapping", "scalar-foothold", "triple-foothold",
             "scalar-target", "string-local-id", "scalar-targets",
-            "scalar-upload-rates", "malformed-yaml"])
+            "scalar-upload-rates", "malformed-yaml", "string-action-time",
+            "list-decay", "string-reward", "fractional-max-steps",
+            "boolean-max-steps", "string-flag", "string-payload",
+            "string-upload-rate", "unknown-key", "schema-version-2",
+            "integer-topology"])
     def test_bad_scenario_document(self, tmp_path, capsys, text, words):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(text)
@@ -294,6 +335,8 @@ class TestAnalyze:
                   "--prune", "--timing", "--scenario", "tiny",
                   "--out-dir", str(out_dir)])
         assert rc == cli.EXIT_OK
+        manifest = json.loads((out_dir / "run_manifest.json").read_text())
+        assert manifest["configs"]["scenario"]["topology_ref"] == "tiny_topology.yaml"
         assert (out_dir / "summary.csv").exists()
         assert (out_dir / "upload_gaps.csv").exists()
         with open(out_dir / "pruned_best.jsonl") as fh:
@@ -330,21 +373,22 @@ class TestAnalyze:
                   "--out-dir", str(tmp_path / "out")])
         assert_invalid(rc, capsys, *words)
 
-    # line 1 is the trace record; line 3 holds step 1, an exploit, and
-    # line 10 step 8, an upload
+    # line 1 is the trace record; lines 3 and 5 hold steps 1 and 3, exploits,
+    # and line 10 step 8, an upload
     @pytest.mark.parametrize("line, field, value, words", [
         (3, "action", "teleport", ("line 3", "unknown action", "teleport")),
         (3, "target", 5, ("line 3", "target", "pair")),
         (3, "target", [99, 99], ("step 1", "(99, 99)", "not in the topology")),
         (10, "rate", "medium", ("step 8", "upload rate", "medium")),
-        (3, "vulnerability", "CVE-0000-0000", ("pruned trace reaches",)),
+        (3, "vulnerability", "CVE-0000-0000", ("step 1", "CVE-0000-0000")),
+        (5, "vulnerability", "CVE-9999-0001", ("step 3", "CVE-9999-0001")),
         (3, "reward", "abc", ("line 3", "reward", "number")),
         (3, "clock", None, ("line 3", "clock", "number")),
         (3, "step", 1.5, ("line 3", "step", "integer")),
         (1, "seed", "7", ("line 1", "seed", "integer")),
     ], ids=["unknown-action", "scalar-target", "unknown-host", "unknown-rate",
-            "unknown-cve", "string-reward", "null-clock", "fractional-step",
-            "string-seed"])
+            "unknown-cve", "unknown-cve-step-3", "string-reward", "null-clock",
+            "fractional-step", "string-seed"])
     def test_corrupt_line_in_pruned_trace(self, tmp_path, capsys, tiny_inputs,
                                           line, field, value, words):
         with open(tmp_path / "good.jsonl", "w") as fh:
