@@ -1,9 +1,9 @@
 """Command-line entry point: generate networks, train, evaluate, analyze.
 
 Every run with an output directory records a run manifest (command, inputs,
-seed, resolved configs, version, timestamps) before any work starts. All
-randomness flows from --seed, so reruns with identical inputs give identical
-CSV/JSON outputs.
+seed, resolved configs, topology hash, version, timestamps) before any work
+starts. All randomness flows from --seed, so reruns with identical inputs
+give identical CSV/JSON outputs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import hashlib
 import json
 import logging
 import sys
@@ -32,7 +33,7 @@ EXIT_INTERNAL = 5
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    **configs) -> Path:
+                    topology=None, **configs) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "run_manifest.json"
     config_files = {
@@ -46,6 +47,10 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "seed": getattr(args, "seed", None),
         "configs": {name: dataclasses.asdict(cfg)
                     for name, cfg in configs.items() if cfg is not None},
+        # the canonical manifest's hash: the same network in any layout
+        # hashes the same
+        "topology_sha256": None if topology is None else hashlib.sha256(
+            save_topology(topology).encode("utf-8")).hexdigest(),
         "version": __version__,
         "out_dir": str(out_dir),
         "started_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -117,7 +122,8 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, **overrides)
 
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "train", args, ppo=cfg, scenario=scenario)
+    manifest = _write_manifest(out_dir, "train", args, topology,
+                               ppo=cfg, scenario=scenario)
     result = ppo.train(
         topology, scenario, cfg, out_dir=out_dir,
         log=lambda row: log.info(
@@ -137,7 +143,7 @@ def cmd_eval(args) -> int:
     params, _ = ppo.load_policy(
         args.checkpoint, expect_obs_dim=env.obs_len, expect_actions=env.n_actions)
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "eval", args, scenario=scenario)
+    manifest = _write_manifest(out_dir, "eval", args, topology, scenario=scenario)
     traces = analysis.sample_paths(env, params.actor, args.n, args.seed or 0)
     with open(out_dir / "traces.jsonl", "w") as fh:
         analysis.write_traces_jsonl(traces, fh)
@@ -162,7 +168,8 @@ def cmd_analyze(args) -> int:
         raise ValueError(f"no traces in {args.traces}")
     topology, scenario = _load_env_inputs(args) if args.scenario else (None, None)
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "analyze", args, scenario=scenario)
+    manifest = _write_manifest(out_dir, "analyze", args, topology,
+                               scenario=scenario)
     summary = analysis.summarize(traces)
     (out_dir / "summary.csv").write_text(summary.to_csv())
     if args.timing:

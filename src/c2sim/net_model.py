@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
 import re
 import types
 import typing
@@ -17,6 +18,11 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import yaml
+from yaml.events import (
+    DocumentEndEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent,
+    ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent,
+    StreamStartEvent)
+from yaml.nodes import ScalarNode
 
 SCHEMA_VERSION = 1
 
@@ -80,9 +86,10 @@ def build_config(cls, doc, error: type[Exception], name: str, path: str = ""):
     checked against its annotation; raises ``error`` naming the YAML key.
 
     An int is widened where a number is expected and a list becomes a tuple;
-    a bool is never a number. ``name`` names the document in messages, and
-    a nested config's keys are named ``<key>.<field>``. Range checks are left
-    to ``cls.__post_init__``."""
+    neither a bool nor NaN is a number (NaN would pass every range check).
+    ``name`` names the document in messages, and a nested config's keys are
+    named ``<key>.<field>``. Range checks are left to ``cls.__post_init__``.
+    """
     if not isinstance(doc, dict):
         raise error(f"{name} must be a mapping, got {doc!r}")
     specs = _config_fields(cls)
@@ -118,7 +125,7 @@ def _config_value(kind, value, key: str, error: type[Exception]):
         if all(type(k) is args[0] for k in value):
             return {k: _config_value(args[1], v, f"{key}.{k}", error)
                     for k, v in value.items()}
-    elif type(value) is kind:
+    elif type(value) is kind and not (kind is float and math.isnan(value)):
         return value
     raise error(f"{key} must be {_KINDS[kind]}, got {value!r}")
 
@@ -543,11 +550,55 @@ def _gc_paused():
             gc.enable()
 
 
+class _ManifestLoader(SafeLoader):
+    """SafeLoader that resolves each distinct scalar once per load.
+
+    PyYAML's parser asks ``resolve`` for the tag of every untagged scalar,
+    and its constructor builds each scalar node on its own: for
+    enterprise101 that is ~600k regex resolutions and constructor calls in
+    Python. Both are memoized here, for one load only (a loader reads one
+    stream). The memos are exact. A tag depends only on the text and the
+    implicit flags, since the safe resolver has no path resolvers. The safe
+    scalar constructors are pure functions of ``(tag, text)`` and return
+    immutable values, so one object can stand for every equal scalar, as an
+    alias of one node already does.
+    """
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._tags = {}     # (text, implicit) -> resolved tag
+        self._scalars = {}  # (tag, text) -> constructed value
+
+    def resolve(self, kind, value, implicit):
+        if kind is not ScalarNode:
+            return super().resolve(kind, value, implicit)
+        key = (value, implicit)
+        try:
+            return self._tags[key]
+        except KeyError:
+            tag = self._tags[key] = super().resolve(kind, value, implicit)
+            return tag
+
+    def construct_object(self, node, deep=False):
+        if type(node) is not ScalarNode:
+            return super().construct_object(node, deep)
+        key = (node.tag, node.value)
+        try:
+            return self._scalars[key]
+        except KeyError:
+            data = self._scalars[key] = super().construct_object(node, deep)
+            return data
+
+
 @_gc_paused()
 def load_topology(yaml_text: str) -> NetworkTopology:
-    """Parse and validate a YAML manifest."""
+    """Parse and validate a YAML manifest.
+
+    Raises ManifestParseError naming the key (as ``subnets[0].hosts[2].os``)
+    when an entry has the wrong shape or type, and TopologyError when the
+    network breaks an invariant."""
     try:
-        doc = yaml.load(yaml_text, Loader=SafeLoader)
+        doc = yaml.load(yaml_text, Loader=_ManifestLoader)
     except yaml.YAMLError as exc:
         raise ManifestParseError(f"malformed YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -559,29 +610,29 @@ def load_topology(yaml_text: str) -> NetworkTopology:
             f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
 
-    sensitive = {_parse_address(a) for a in doc.get("sensitive_hosts", [])}
-    security = {_parse_address(a) for a in doc.get("security_products", [])}
+    sensitive = set(_addresses(doc, "sensitive_hosts"))
+    security = set(_addresses(doc, "security_products"))
 
     rules_by_subnet: dict[int, list[AllowRule]] = {}
-    for raw in doc.get("allow_rules", []):
-        rule = AllowRule(
-            peer=int(raw["peer"]),
-            port=None if raw.get("port", "all") == "all" else int(raw["port"]),
-        )
-        rules_by_subnet.setdefault(int(raw["subnet"]), []).append(rule)
+    for i, raw in enumerate(_entries(doc, "allow_rules", "")):
+        where = f"allow_rules[{i}]"
+        raw = _mapping(raw, where)
+        port = raw.get("port", "all")
+        rule = AllowRule(peer=_get(raw, "peer", int, where),
+                         port=None if port == "all" else _get(raw, "port", int, where))
+        rules_by_subnet.setdefault(_get(raw, "subnet", int, where), []).append(rule)
 
-    try:
-        subnets = tuple(
-            _parse_subnet(raw, rules_by_subnet, sensitive, security)
-            for raw in doc["subnets"]
-        )
-        firewalls = tuple(_parse_firewall(raw) for raw in doc.get("firewalls", []))
-        adjacency = tuple(
-            (int(a), int(b)) for a, b in doc.get("adjacency", [])
-        )
-        gateways = frozenset(int(g) for g in doc.get("internet_gateways", []))
-    except KeyError as exc:
-        raise ManifestParseError(f"manifest missing key {exc}") from exc
+    if "subnets" not in doc:
+        raise ManifestParseError("manifest is missing 'subnets'")
+    subnets = tuple(
+        _parse_subnet(_mapping(raw, f"subnets[{i}]"), f"subnets[{i}]",
+                      rules_by_subnet, sensitive, security)
+        for i, raw in enumerate(_entries(doc, "subnets", "")))
+    firewalls = tuple(
+        _parse_firewall(_mapping(raw, f"firewalls[{i}]"), f"firewalls[{i}]")
+        for i, raw in enumerate(_entries(doc, "firewalls", "")))
+    adjacency = _addresses(doc, "adjacency")
+    gateways = frozenset(_ints(doc, "internet_gateways", ""))
 
     return NetworkTopology(
         subnets=subnets,
@@ -591,28 +642,84 @@ def load_topology(yaml_text: str) -> NetworkTopology:
     )
 
 
-def _parse_address(raw) -> Address:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ManifestParseError(f"address must be a [subnet, local] pair, got {raw!r}")
-    return (int(raw[0]), int(raw[1]))
+# The manifest's scalar kinds, named as its messages name them.
+_MANIFEST_KINDS = {int: "an integer", float: "a finite number",
+                   str: "a string", bool: "true or false"}
+_REQUIRED = object()
 
 
-def _parse_subnet(raw, rules_by_subnet, sensitive, security) -> Subnet:
-    sid = int(raw["id"])
+def _get(raw: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """``raw[key]`` (or ``default``) checked to be of ``kind``; an int is
+    widened where a number is expected, and a bool is never a number."""
+    value = raw.get(key, default)
+    if type(value) is kind:
+        if kind is not float or math.isfinite(value):
+            return value
+    elif kind is float and type(value) is int:
+        return float(value)
+    elif value is _REQUIRED:
+        raise ManifestParseError(f"{where} is missing '{key}'")
+    raise ManifestParseError(
+        f"{where}.{key} must be {_MANIFEST_KINDS[kind]}, got {value!r}")
+
+
+def _mapping(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ManifestParseError(f"{where} must be a mapping, got {raw!r}")
+    return raw
+
+
+def _entries(raw: dict, key: str, where: str) -> list:
+    """The list under ``key``; an absent key is an empty list. ``where`` is
+    empty at the top level."""
+    value = raw.get(key, [])
+    if not isinstance(value, list):
+        raise ManifestParseError(
+            f"{where}.{key}".lstrip(".") + f" must be a list, got {value!r}")
+    return value
+
+
+def _ints(raw: dict, key: str, where: str) -> list[int]:
+    values = _entries(raw, key, where)
+    for value in values:
+        if type(value) is not int:
+            raise ManifestParseError(f"{where}.{key}".lstrip(".")
+                                     + f" must be a list of integers, got {value!r}")
+    return values
+
+
+def _addresses(doc: dict, key: str) -> tuple[tuple[int, int], ...]:
+    """A top-level list of integer pairs: host addresses or subnet edges."""
+    pairs = _entries(doc, key, "")
+    for pair in pairs:
+        if not (type(pair) is list and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
+            raise ManifestParseError(
+                f"{key} must be a list of integer pairs, got {pair!r}")
+    return tuple((a, b) for a, b in pairs)
+
+
+def _parse_subnet(raw, where, rules_by_subnet, sensitive, security) -> Subnet:
+    sid = _get(raw, "id", int, where)
     hosts = []
-    for h in raw.get("hosts", []):
-        addr = (sid, int(h["local_id"]))
-        services = tuple(_parse_service(s) for s in h.get("services", []))
+    for i, h in enumerate(_entries(raw, "hosts", where)):
+        host_where = f"{where}.hosts[{i}]"
+        h = _mapping(h, host_where)
+        addr = (sid, _get(h, "local_id", int, host_where))
         hosts.append(Host(
             address=addr,
-            os=str(h["os"]),
-            open_ports=frozenset(int(p) for p in h.get("open_ports", [])),
-            services=services,
-            discovery_value=float(h.get("discovery_value", 1000.0)),
-            infection_value=float(h.get("infection_value", 1000.0)),
-            is_sensitive=addr in sensitive or bool(h.get("is_sensitive", False)),
+            os=_get(h, "os", str, host_where),
+            open_ports=frozenset(_ints(h, "open_ports", host_where)),
+            services=tuple(
+                _parse_service(_mapping(b, f"{host_where}.services[{j}]"),
+                               f"{host_where}.services[{j}]")
+                for j, b in enumerate(_entries(h, "services", host_where))),
+            discovery_value=_get(h, "discovery_value", float, host_where, 1000.0),
+            infection_value=_get(h, "infection_value", float, host_where, 1000.0),
+            is_sensitive=addr in sensitive
+            or _get(h, "is_sensitive", bool, host_where, False),
             is_security_product=addr in security
-            or bool(h.get("is_security_product", False)),
+            or _get(h, "is_security_product", bool, host_where, False),
         ))
     return Subnet(
         id=sid,
@@ -621,30 +728,44 @@ def _parse_subnet(raw, rules_by_subnet, sensitive, security) -> Subnet:
     )
 
 
-def _parse_service(raw) -> ServiceBinding:
-    vulns = tuple(
-        Vulnerability(
-            cve_id=str(v["id"]),
-            cvss_score=float(v["cvss_score"]),
-            cvss_vector=str(v["cvss_vector"]),
-            required_service=str(v.get("required_service", raw["name"])),
-            required_os=v.get("required_os"),
-        )
-        for v in raw.get("cves", [])
-    )
+def _parse_service(raw, where) -> ServiceBinding:
+    name = _get(raw, "name", str, where)
+    vulns = []
+    for i, v in enumerate(_entries(raw, "cves", where)):
+        cve_where = f"{where}.cves[{i}]"
+        v = _mapping(v, cve_where)
+        required_os = v.get("required_os")
+        vulns.append(Vulnerability(
+            cve_id=_get(v, "id", str, cve_where),
+            cvss_score=_get(v, "cvss_score", float, cve_where),
+            cvss_vector=_get(v, "cvss_vector", str, cve_where),
+            required_service=_get(v, "required_service", str, cve_where, name),
+            required_os=None if required_os is None
+            else _get(v, "required_os", str, cve_where),
+        ))
     return ServiceBinding(
-        port=int(raw["port"]),
-        service_name=str(raw["name"]),
-        cpe=str(raw.get("cpe", "")),
-        vulnerabilities=vulns,
-        defense_tier=str(raw.get("defense_tier", "low")),
+        port=_get(raw, "port", int, where),
+        service_name=name,
+        cpe=_get(raw, "cpe", str, where, ""),
+        vulnerabilities=tuple(vulns),
+        defense_tier=_get(raw, "defense_tier", str, where, "low"),
     )
 
 
 @_gc_paused()
 def save_topology(t: NetworkTopology) -> str:
-    """Serialize a topology to manifest YAML. load_topology round-trips it."""
-    doc = {
+    """Serialize a topology to manifest YAML. load_topology round-trips it.
+
+    The text is exactly ``yaml.dump(_manifest_doc(t), Dumper=SafeDumper,
+    sort_keys=False, allow_unicode=True, width=100)``, made without the
+    representation graph that yaml.dump builds first (see
+    ``_manifest_events``)."""
+    return yaml.emit(_manifest_events(_manifest_doc(t), SafeDumper(None)),
+                     Dumper=SafeDumper, allow_unicode=True, width=100)
+
+
+def _manifest_doc(t: NetworkTopology) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "subnets": [_dump_subnet(s) for s in sorted(t.subnets, key=lambda s: s.id)],
         "adjacency": sorted([list(e) for e in (sorted(e) for e in t.adjacency)]),
@@ -662,8 +783,73 @@ def save_topology(t: NetworkTopology) -> str:
             [list(h.address) for h in t.hosts() if h.is_security_product]
         ),
     }
-    return yaml.dump(doc, Dumper=SafeDumper, sort_keys=False, allow_unicode=True,
-                     width=100)
+
+
+_MAP_TAG, _SEQ_TAG = "tag:yaml.org,2002:map", "tag:yaml.org,2002:seq"
+
+
+def _manifest_events(doc, dumper):
+    """The YAML events that ``yaml.dump(doc, sort_keys=False)`` serializes
+    ``doc`` into, with ``dumper``'s representers and resolver; ``doc`` holds
+    dicts, lists and str, int, float, bool or None scalars.
+
+    yaml.dump first represents every value as a node, then serializes the
+    node graph, resolving each scalar's text twice to decide whether its
+    tag may stay implicit: for enterprise101 that is ~600k nodes and 1.2M
+    regex resolutions in Python. Here each scalar's tag and text come from
+    the same SafeRepresenter functions, once per distinct value, and the
+    resolution is memoized by text. Both memos are exact. A representer's
+    text depends only on the value, and resolution only on the text, since
+    the safe resolver has no path resolvers. Floats are never memoized by
+    value, because ``0.0 == -0.0`` yet each is written its own way.
+    Collections are block style (yaml.dump's ``default_flow_style=False``),
+    and the document shares no collection, so it needs no anchor.
+    """
+    representers = dumper.yaml_representers
+    resolve = dumper.resolve
+    implicit_by_text = {}
+    events = {}  # (type, value) -> ScalarEvent, for all but floats
+
+    def scalar(value):
+        node = representers[type(value)](dumper, value)
+        tag, text = node.tag, node.value
+        try:
+            detected, default = implicit_by_text[text]
+        except KeyError:
+            detected, default = implicit_by_text[text] = (
+                resolve(ScalarNode, text, (True, False)),
+                resolve(ScalarNode, text, (False, True)))
+        return ScalarEvent(None, tag, (tag == detected, tag == default), text,
+                           style=node.style)
+
+    map_end, seq_end = MappingEndEvent(), SequenceEndEvent()
+    yield StreamStartEvent()
+    yield DocumentStartEvent()
+    stack = [doc]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is dict:
+            yield MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
+            stack.append(map_end)
+            for key, value in reversed(item.items()):
+                stack.append(value)
+                stack.append(key)
+        elif kind is list:
+            yield SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
+            stack.append(seq_end)
+            stack.extend(reversed(item))
+        elif item is map_end or item is seq_end:
+            yield item
+        elif kind is float:
+            yield scalar(item)
+        else:
+            event = events.get((kind, item))
+            if event is None:
+                event = events[kind, item] = scalar(item)
+            yield event
+    yield DocumentEndEvent()
+    yield StreamEndEvent()
 
 
 def _dump_subnet(s: Subnet) -> dict:
@@ -715,19 +901,29 @@ def _dump_firewall(fw: Firewall) -> dict:
     }
 
 
-def _parse_firewall(raw) -> Firewall:
-    a, b = raw["edge"]
-    side_a = a if a == INTERNET else int(a)
-    side_b = b if b == INTERNET else int(b)
-    params = raw.get("params") or {}
+def _parse_firewall(raw, where) -> Firewall:
+    edge = raw.get("edge")
+    if not (type(edge) is list and len(edge) == 2 and all(
+            side == INTERNET or type(side) is int for side in edge)):
+        raise ManifestParseError(
+            f"{where}.edge must be a pair of subnet ids or '{INTERNET}', "
+            f"got {edge!r}")
+    params = raw.get("params")
+    params_where = f"{where}.params"
+    params = {} if params is None else _mapping(params, params_where)
     return Firewall(
-        id=str(raw["id"]),
-        edge=(side_a, side_b),
+        id=_get(raw, "id", str, where),
+        edge=(edge[0], edge[1]),
         params=FirewallParams(
-            connect_probability=float(params.get("connect_probability", 0.8)),
-            max_connect_attempts=int(params.get("max_connect_attempts", 3)),
-            max_upload_volume=float(params.get("max_upload_volume", 5000.0)),
-            max_upload_time=float(params.get("max_upload_time", 4.0)),
-            update_frequency=float(params.get("update_frequency", 24.0)),
+            connect_probability=_get(
+                params, "connect_probability", float, params_where, 0.8),
+            max_connect_attempts=_get(
+                params, "max_connect_attempts", int, params_where, 3),
+            max_upload_volume=_get(
+                params, "max_upload_volume", float, params_where, 5000.0),
+            max_upload_time=_get(
+                params, "max_upload_time", float, params_where, 4.0),
+            update_frequency=_get(
+                params, "update_frequency", float, params_where, 24.0),
         ),
     )

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from importlib import resources
 
 import pytest
+import yaml
 
 from c2sim import analysis, cli
 from c2sim.c2_env import C2Env
@@ -19,6 +22,8 @@ max_cpes: 2
 seed: 4
 """
 
+DATA = resources.files("c2sim") / "data"
+
 SCENARIO = "initial_foothold: [1, 0]\nsensitive_hosts: [[1, 0]]\n"
 
 PPO_SMALL = """
@@ -33,6 +38,10 @@ seed: 5
 
 def run(argv):
     return cli.main(argv)
+
+
+def topology_sha256(topology) -> str:
+    return hashlib.sha256(save_topology(topology).encode("utf-8")).hexdigest()
 
 
 def assert_invalid(rc, capsys, *words):
@@ -59,6 +68,43 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert run(["validate", "--topology",
                     str(tmp_path / "nope.yaml")]) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("edit, words", [
+        (lambda d: d["allow_rules"][0].pop("peer"), ["allow_rules[0]", "peer"]),
+        (lambda d: d.update(allow_rules=5), ["allow_rules", "list"]),
+        (lambda d: d.update(sensitive_hosts=5), ["sensitive_hosts", "list"]),
+        (lambda d: d["subnets"][0].update(hosts=7), ["subnets[0].hosts", "list"]),
+        (lambda d: d["subnets"][1]["hosts"][0]["services"][0].update(cves=3),
+         ["subnets[1].hosts[0].services[0].cves", "list"]),
+        (lambda d: d["firewalls"][0].update(params="x"),
+         ["firewalls[0].params", "mapping"]),
+        (lambda d: d["subnets"].__setitem__(1, "subnet-2"),
+         ["subnets[1]", "mapping"]),
+        (lambda d: d["subnets"][1]["hosts"][0].update(
+            discovery_value=float("nan")),
+         ["subnets[1].hosts[0].discovery_value", "finite"]),
+        (lambda d: d["firewalls"][1].update(params={
+            "max_upload_volume": float("nan")}),
+         ["firewalls[1].params.max_upload_volume", "finite"]),
+        (lambda d: d["subnets"][0]["hosts"][0].update(local_id="0"),
+         ["subnets[0].hosts[0].local_id", "integer"]),
+        (lambda d: d["firewalls"][0].update(edge=["internet"]),
+         ["firewalls[0].edge", "pair"]),
+        (lambda d: d.update(adjacency=[[1, 2, 3]]), ["adjacency", "pair"]),
+        (lambda d: d.pop("subnets"), ["subnets", "missing"]),
+    ], ids=["rule-without-peer", "scalar-rules", "scalar-sensitive",
+            "scalar-hosts", "scalar-cves", "string-params", "string-subnet",
+            "nan-discovery-value", "nan-upload-volume", "string-local-id",
+            "one-sided-edge", "triple-edge", "no-subnets"])
+    def test_malformed_manifest_entry(self, tmp_path, capsys, edit, words):
+        """The tiny manifest with one entry broken fails naming the key."""
+        doc = yaml.safe_load(
+            (DATA / "scenarios" / "tiny_topology.yaml").read_text())
+        edit(doc)
+        path = tmp_path / "net.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = run(["validate", "--topology", str(path)])
+        assert_invalid(rc, capsys, *words)
 
 
 class TestGenerate:
@@ -130,13 +176,14 @@ def train_run(tmp_path_factory):
 
 
 class TestTrainEvalPipeline:
-    def test_outputs_exist(self, train_run):
+    def test_outputs_exist(self, train_run, tiny_inputs):
         out, _ = train_run
         run_dir = out / "run1"
         assert (run_dir / "metrics.csv").exists()
         assert (run_dir / "checkpoint_final.npz").exists()
         manifest = json.loads((run_dir / "run_manifest.json").read_text())
         assert manifest["command"] == "train"
+        assert manifest["topology_sha256"] == topology_sha256(tiny_inputs[0])
         assert manifest["seed"] == 5
         assert manifest["finished_at"] is not None
         # the resolved configs: PPO_SMALL after the --seed override, and tiny
@@ -161,6 +208,7 @@ class TestTrainEvalPipeline:
         assert len(traces) == 3
         manifest = json.loads((eval_dir / "run_manifest.json").read_text())
         assert manifest["configs"]["scenario"]["payload_size_mb"] == 3000.0
+        assert manifest["topology_sha256"] == topology_sha256(tiny_inputs[0])
         assert (eval_dir / "summary.csv").exists()
         assert (eval_dir / "upload_times.csv").exists()
         assert (eval_dir / "upload_gaps.csv").exists()
@@ -229,10 +277,12 @@ class TestConfigErrors:
         (PPO_SMALL + "gamma: true\n", ["gamma", "number"]),
         (PPO_SMALL + 'normalize_advantages: "no"\n', ["normalize_advantages"]),
         (PPO_SMALL + "hidden: [64, x]\n", ["hidden[1]", "integer"]),
+        (PPO_SMALL + "actor_lr: .nan\n", ["actor_lr", "number", "nan"]),
+        (PPO_SMALL + "stop_reward: .NaN\n", ["stop_reward", "number", "nan"]),
     ], ids=["list-document", "integer-key", "string-horizon", "string-rate",
             "list-stop-reward", "integer-flag", "malformed-yaml",
             "fractional-horizon", "boolean-seed", "boolean-rate", "string-flag",
-            "string-width"])
+            "string-width", "nan-rate", "nan-stop-reward"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
         cfg.write_text(text)
@@ -268,13 +318,16 @@ class TestConfigErrors:
         (SCENARIO + "bogus: 1\n", ["unknown", "bogus"]),
         (SCENARIO + "schema_version: 2\n", ["schema_version", "1"]),
         (SCENARIO + "topology: 5\n", ["topology", "string"]),
+        (SCENARIO + "payload_size_mb: .nan\n", ["payload_size_mb", "nan"]),
+        (SCENARIO + "action_times: {sleep: .nan}\n", ["action_times.sleep", "nan"]),
     ], ids=["not-a-mapping", "scalar-foothold", "triple-foothold",
             "scalar-target", "string-local-id", "scalar-targets",
             "scalar-upload-rates", "malformed-yaml", "string-action-time",
             "list-decay", "string-reward", "fractional-max-steps",
             "boolean-max-steps", "string-flag", "string-payload",
             "string-upload-rate", "unknown-key", "schema-version-2",
-            "integer-topology"])
+            "integer-topology",
+            "nan-payload", "nan-action-time"])
     def test_bad_scenario_document(self, tmp_path, capsys, text, words):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(text)
@@ -342,6 +395,39 @@ class TestAnalyze:
         with open(out_dir / "pruned_best.jsonl") as fh:
             pruned = analysis.read_traces_jsonl(fh)[0]
         assert pruned.n_steps == trace.n_steps - 1
+
+    def test_topology_hash_ignores_manifest_layout(self, tmp_path, tiny_inputs):
+        """``--scenario tiny`` and ``--topology`` on a reformatted copy of
+        its manifest record the same topology_sha256."""
+        traces_path = tmp_path / "traces.jsonl"
+        with open(traces_path, "w") as fh:
+            analysis.write_traces_jsonl([complete_trace(C2Env(*tiny_inputs))], fh)
+        scenario = tmp_path / "tiny.yaml"
+        scenario.write_text((DATA / "scenarios" / "tiny.yaml").read_text())
+        original = (DATA / "scenarios" / "tiny_topology.yaml").read_text()
+        reformatted = tmp_path / "net.yaml"
+        reformatted.write_text(yaml.safe_dump(
+            yaml.safe_load(original), default_flow_style=True, width=60))
+        assert reformatted.read_text() != original
+
+        hashes = []
+        for name, inputs in (("bundled", ["--scenario", "tiny"]),
+                             ("copy", ["--scenario", str(scenario),
+                                       "--topology", str(reformatted)])):
+            rc = run(["analyze", "--traces", str(traces_path), *inputs,
+                      "--out-dir", str(tmp_path / name)])
+            assert rc == cli.EXIT_OK
+            manifest = json.loads(
+                (tmp_path / name / "run_manifest.json").read_text())
+            hashes.append(manifest["topology_sha256"])
+        assert hashes == [topology_sha256(tiny_inputs[0])] * 2
+
+        rc = run(["analyze", "--traces", str(traces_path),
+                  "--out-dir", str(tmp_path / "no-env")])
+        assert rc == cli.EXIT_OK
+        manifest = json.loads(
+            (tmp_path / "no-env" / "run_manifest.json").read_text())
+        assert manifest["topology_sha256"] is None
 
     def test_prune_without_scenario(self, tmp_path, capsys, tiny_inputs):
         env = C2Env(*tiny_inputs)

@@ -27,7 +27,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from c2sim import cli
+from c2sim import cli, scenarios
+from c2sim.net_model import load_topology, save_topology
 
 RECORDED_BUILD = {
     "numpy": "2.4.6",
@@ -133,3 +134,14 @@ def test_chain_outputs_match_recorded_digests(chain_digests):
                     f"one ({differs}; recorded {RECORDED_BUILD}); digests not "
                     f"compared and not re-recorded")
     pytest.fail(f"seeded outputs changed on the recorded build: {changed}")
+
+
+def test_enterprise101_manifest_is_byte_identical():
+    """The full-scale manifest involves no BLAS, so its digest is a hard
+    assert on every build; loading it gives back the generated network."""
+    topology, _ = scenarios.enterprise101()
+    manifest = save_topology(topology).encode("utf-8")
+    assert len(manifest) == 3_626_704
+    assert sha256(manifest) == (
+        "539182d0476b39247bafaa054a7bd2c3812e6a8a63abff6b125dec4deb0384f0")
+    assert load_topology(manifest.decode("utf-8")) == topology

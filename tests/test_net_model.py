@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import gc
 import hashlib
+import math
 
 import pytest
 import yaml
@@ -54,6 +55,83 @@ allow_rules:
 """
 
 
+def reference_dump(t) -> str:
+    """The manifest text as pure-Python yaml.dump writes it."""
+    return yaml.dump(net_model._manifest_doc(t), Dumper=yaml.SafeDumper,
+                     sort_keys=False, allow_unicode=True, width=100)
+
+
+def assert_same_document(ours, ref):
+    """Equal documents, down to each value's type, NaN and the sign of
+    zero; the shapes must also match (``==`` alone would equate 1 and True,
+    fail on NaN and equate 0.0 and -0.0)."""
+    assert type(ours) is type(ref), (ours, ref)
+    if isinstance(ref, dict):
+        assert list(ours) == list(ref)
+        for key in ref:
+            assert_same_document(ours[key], ref[key])
+    elif isinstance(ref, list):
+        assert len(ours) == len(ref)
+        for a, b in zip(ours, ref):
+            assert_same_document(a, b)
+    elif isinstance(ref, float) and math.isnan(ref):
+        assert math.isnan(ours)
+    elif isinstance(ref, float):
+        assert (ours, math.copysign(1.0, ours)) == (ref, math.copysign(1.0, ref))
+    else:
+        assert ours == ref
+
+
+CRAFTED_DOCUMENT = """
+base: &base {port: 80, name: http, cpe: ""}
+shared: &shared [1, 2, 3]
+again: *shared
+merged:
+  <<: *base
+  name: https
+blob: !!binary aGVsbG8gd29ybGQ=
+stamp: 2001-12-14t21:59:43.10-05:00
+day: 2002-12-14
+stamps: [2002-12-14, 2002-12-14]
+flags: [yes, On, off, NO, true, y, n]
+octal: 0o17
+old_octal: 017
+sexagesimal: 1:30
+floats: [.nan, .NaN, .inf, -.inf, 0.0, -0.0, 0.0, -0.0, 1e3, 1.0e3, 3e-5, 6.8523015e+5]
+strings: ['0.0', "-0.0", '1', '.nan', 'yes', '', abc, abc]
+tagged: [!!str 1, !!int "2", !!float "3", !!str 0.0, !!float -0.0]
+nulls: [~, null, Null, ]
+numbers: [0x1F, 0b101, 1_000, +5, -0, 1, 1]
+hosts:
+  - {local_id: 0, os: linux, discovery_value: 0.0}
+  - {local_id: 1, os: linux, discovery_value: -0.0}
+"""
+
+
+class TestManifestLoader:
+    """The manifest loader's memos give exactly what yaml.SafeLoader gives."""
+
+    def test_no_path_resolvers(self):
+        # the memos key a tag on the scalar's text alone, which is exact only
+        # while no resolver depends on the node's path
+        assert not net_model._ManifestLoader.yaml_path_resolvers
+        assert not net_model.SafeDumper.yaml_path_resolvers
+
+    def test_crafted_document_loads_as_safe_loader_loads_it(self):
+        ours = yaml.load(CRAFTED_DOCUMENT, Loader=net_model._ManifestLoader)
+        ref = yaml.load(CRAFTED_DOCUMENT, Loader=yaml.SafeLoader)
+        assert_same_document(ours, ref)
+        for doc in (ours, ref):  # an alias is the anchored object itself
+            assert doc["again"] is doc["shared"]
+        assert ours["merged"] == {"port": 80, "name": "https", "cpe": ""}
+        assert ours["blob"] == b"hello world"
+        assert ours["flags"] == [True, True, False, False, True, "y", "n"]
+        assert (ours["octal"], ours["old_octal"], ours["sexagesimal"]) == (
+            "0o17", 15, 90)
+        assert [math.copysign(1.0, x) for x in ours["floats"][4:8]] == [
+            1.0, -1.0, 1.0, -1.0]
+
+
 class TestLoadTopology:
     def test_minimal_manifest(self):
         t = load_topology(MINIMAL_MANIFEST)
@@ -89,6 +167,7 @@ firewalls:
         assert hashlib.sha256(manifest).hexdigest() == (
             "539182d0476b39247bafaa054a7bd2c3812e6a8a63abff6b125dec4deb0384f0")
         reloaded = load_topology(manifest.decode())
+        assert reloaded == topology
         assert len(reloaded.subnets) == 101
         assert len(reloaded.hosts()) == 1444
         sizes = [len(s.hosts) for s in reloaded.subnets]
@@ -132,9 +211,9 @@ class TestCollectorState:
             return call
 
         monkeypatch.setattr(yaml, "load", recording(yaml.load))
-        monkeypatch.setattr(yaml, "dump", recording(yaml.dump))
+        monkeypatch.setattr(yaml, "emit", recording(yaml.emit))
         save_topology(load_topology(MINIMAL_MANIFEST))
-        assert seen == [("load", False), ("dump", False)]
+        assert seen == [("load", False), ("emit", False)]
         assert gc.isenabled() is caller_gc
 
     def test_parse_error_restores_collector(self, caller_gc):
@@ -241,11 +320,10 @@ class TestRoundTrip:
         t = netgen.generate(cfg, refs)
         assert load_topology(save_topology(t)) == t
 
-    @pytest.mark.skipif(not yaml.__with_libyaml__,
-                        reason="PyYAML is built without libyaml")
     @pytest.mark.parametrize("network", ["tiny", "generated"])
-    def test_libyaml_and_pure_python_yaml_agree(self, network, refs, tiny_inputs,
-                                                monkeypatch):
+    def test_libyaml_and_pure_python_yaml_agree(self, network, refs, tiny_inputs):
+        """save_topology and load_topology (libyaml when PyYAML has it) give
+        exactly what pure-Python yaml.dump and yaml.load give."""
         if network == "tiny":
             t = tiny_inputs[0]
         else:
@@ -253,12 +331,28 @@ class TestRoundTrip:
                 total_ips=40, num_subnets=10, min_ips_per_subnet=3,
                 max_ips_per_subnet=6, max_open_ports=4, max_cpes=2, seed=11), refs)
         text = save_topology(t)
-        assert (yaml.load(text, Loader=yaml.CSafeLoader)
-                == yaml.load(text, Loader=yaml.SafeLoader))
-        monkeypatch.setattr(net_model, "SafeDumper", yaml.SafeDumper)
-        monkeypatch.setattr(net_model, "SafeLoader", yaml.SafeLoader)
-        assert save_topology(t) == text
+        assert text == reference_dump(t)
+        assert_same_document(yaml.load(text, Loader=net_model._ManifestLoader),
+                             yaml.load(text, Loader=yaml.SafeLoader))
         assert load_topology(text) == t
+
+    def test_signed_zeros_saved_as_reference_dumper_saves_them(self):
+        hosts = (make_host(1, 0, discovery=0.0, infection=-0.0),
+                 make_host(1, 1, discovery=-0.0, infection=0.0))
+        t = NetworkTopology(
+            subnets=(Subnet(id=1, hosts=hosts),),
+            firewalls=(Firewall(id="fw", edge=("internet", 1)),),
+            internet_gateway_subnets=frozenset({1}),
+            adjacency=(),
+        )
+        text = save_topology(t)
+        assert text == reference_dump(t)
+        assert "discovery_value: 0.0" in text and "infection_value: -0.0" in text
+        back = load_topology(text)
+        for address, signs in (((1, 0), (1.0, -1.0)), ((1, 1), (-1.0, 1.0))):
+            host = back.host(address)
+            assert (math.copysign(1.0, host.discovery_value),
+                    math.copysign(1.0, host.infection_value)) == signs
 
     def test_unicode_labels_round_trip(self):
         host = Host(
