@@ -13,6 +13,7 @@ import numpy as np
 
 from . import neural
 from .c2_env import C2Env, Connect, Exploit, Sleep, SubnetScan, Upload
+from .net_model import build_config
 from .neural import MlpParams
 
 
@@ -379,15 +380,6 @@ def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _typed(row: dict, key: str, kinds: tuple, what: str, lineno: int):
-    """``row[key]``, or TraceFormatError unless its type is one of ``kinds``
-    (exactly: a bool is not a number)."""
-    value = row[key]
-    if type(value) not in kinds:
-        raise TraceFormatError(f"line {lineno}: {key} must be {what}, got {value!r}")
-    return value
-
-
 def _address_key(key: str, lineno: int) -> tuple[int, int]:
     try:
         subnet, local = (int(x) for x in key.split(","))
@@ -396,6 +388,15 @@ def _address_key(key: str, lineno: int) -> tuple[int, int]:
             f"line {lineno}: terminal_status key {key!r} is not 'subnet,local'"
         ) from None
     return subnet, local
+
+
+@dataclass(slots=True)
+class _TraceRecord:
+    """A trace record once its ``record`` and ``trace`` keys are taken off."""
+
+    seed: int
+    terminal_status: dict[str, str]
+    emergencies: int = 0
 
 
 def read_traces_jsonl(fh) -> list[AttackTrace]:
@@ -410,48 +411,32 @@ def read_traces_jsonl(fh) -> list[AttackTrace]:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {lineno}: not JSON ({exc.msg})") from None
+        where = f"line {lineno}"
         if not isinstance(row, dict):
-            raise TraceFormatError(f"line {lineno}: not a JSON object")
+            raise TraceFormatError(f"{where}: not a JSON object")
         try:
-            record = row["record"]
+            record = row.pop("record")
             if record not in ("trace", "step"):
                 continue
-            index = _typed(row, "trace", (int,), "an integer", lineno)
-            if record == "trace":
-                status = _typed(row, "terminal_status", (dict,), "a mapping", lineno)
-                traces[index] = AttackTrace(
-                    seed=_typed(row, "seed", (int,), "an integer", lineno),
-                    terminal_status={_address_key(key, lineno): value
-                                     for key, value in status.items()},
-                    emergencies=row.get("emergencies", 0),
-                )
-            elif record == "step":
-                if index not in traces:
-                    raise TraceFormatError(
-                        f"line {lineno}: step of trace {index} comes "
-                        f"before its trace record")
-                action, target = row["action"], row["target"]
-                if action not in _ACTION_KINDS:
-                    raise TraceFormatError(
-                        f"line {lineno}: unknown action {action!r}")
-                if action != "sleep" and not (
-                        isinstance(target, list) and len(target) == 2
-                        and all(type(v) is int for v in target)):
-                    raise TraceFormatError(
-                        f"line {lineno}: {action} target must be a "
-                        f"[subnet, local] pair, got {target!r}")
-                number = (int, float)
-                traces[index].steps.append(TraceStep(
-                    step=_typed(row, "step", (int,), "an integer", lineno),
-                    clock=_typed(row, "clock", number, "a number", lineno),
-                    action=action,
-                    target=None if action == "sleep" else tuple(target),
-                    reward=_typed(row, "reward", number, "a number", lineno),
-                    outcome=row["outcome"],
-                    vulnerability=row.get("vulnerability"),
-                    rate=row.get("rate"),
-                    n_discovered=row.get("n_discovered"),
-                ))
+            index = build_config(int, row.pop("trace"), TraceFormatError,
+                                 f"{where}: trace")
         except KeyError as exc:
-            raise TraceFormatError(f"line {lineno}: missing key {exc}") from None
+            raise TraceFormatError(f"{where}: missing key {exc}") from None
+        if record == "trace":
+            meta = build_config(_TraceRecord, row, TraceFormatError, where)
+            traces[index] = AttackTrace(
+                seed=meta.seed, emergencies=meta.emergencies,
+                terminal_status={_address_key(key, lineno): status
+                                 for key, status in meta.terminal_status.items()})
+            continue
+        if index not in traces:
+            raise TraceFormatError(
+                f"{where}: step of trace {index} comes before its trace record")
+        step = build_config(TraceStep, row, TraceFormatError, where)
+        if step.action not in _ACTION_KINDS:
+            raise TraceFormatError(f"{where}: unknown action {step.action!r}")
+        if step.action != "sleep" and step.target is None:
+            raise TraceFormatError(f"{where}: {step.action} target must be a pair "
+                                   f"of integers, got None")
+        traces[index].steps.append(step)
     return [traces[k] for k in sorted(traces)]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Literal
 
 import numpy as np
 import yaml
@@ -26,6 +27,7 @@ from .net_model import (
     build_config,
     firewall_path,
     load_config_yaml,
+    vuln_applies,
 )
 
 # Fixed length of the rate-monitoring window (the "five-minute window").
@@ -159,9 +161,8 @@ class ScenarioConfig:
     def from_yaml(cls, text: str) -> "ScenarioConfig":
         doc = load_config_yaml(text)
         if isinstance(doc, dict):
-            version = doc.pop("schema_version", 1)
-            if type(version) is not int or version != 1:
-                raise ScenarioError(f"schema_version must be 1, got {version!r}")
+            build_config(Literal[1], doc.pop("schema_version", 1), ScenarioError,
+                         "scenario schema_version")
         return build_config(cls, doc, ScenarioError, "scenario")
 
     def to_yaml(self) -> str:
@@ -302,7 +303,7 @@ class C2Env:
                 raise ScenarioError(f"sensitive host not in topology: {exc}") from exc
             if addr == self.scenario.initial_foothold:
                 continue
-            if not any(self._vuln_applies(host, v) for v in host.vulnerabilities()):
+            if not any(vuln_applies(host, v) for v in host.vulnerabilities()):
                 raise ScenarioError(
                     f"sensitive host {addr} has no vulnerability exploitable "
                     f"on its own os/services"
@@ -541,18 +542,11 @@ class C2Env:
             gained += value
         return sorted(self._addresses[i] for i in newly.tolist()), gained
 
-    def _vuln_applies(self, host: Host, vuln) -> bool:
-        if vuln.required_service and vuln.required_service not in host.service_names:
-            return False
-        if vuln.required_os is not None and vuln.required_os != host.os:
-            return False
-        return True
-
     def _do_exploit(self, target: Address, cve_id: str) -> tuple[bool, float]:
         st = self.state
         host = self._hosts[target]
         matching = [v for v in host.vulnerabilities() if v.cve_id == cve_id]
-        applicable = [v for v in matching if self._vuln_applies(host, v)]
+        applicable = [v for v in matching if vuln_applies(host, v)]
         success = bool(applicable)
         if success and self.scenario.cvss_scaled_exploits:
             best = max(v.cvss_score for v in applicable)

@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default=None)
     p.add_argument("--scenario", default=None)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_analyze)
     return parser
 

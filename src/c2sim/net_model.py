@@ -1,5 +1,6 @@
-"""Network domain model: subnets, hosts, services, firewalls, and the YAML
-manifest format that persists them.
+"""Network domain model: subnets, hosts, services, firewalls, the YAML
+manifest format that persists them, and the typed reader of every parsed
+document (configs, manifests, trace records, the CVE snapshot).
 
 A topology is immutable once loaded/validated and can be shared freely across
 environment instances.
@@ -15,7 +16,9 @@ import types
 import typing
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import (
+    MISSING, asdict, dataclass, field, fields, is_dataclass, replace)
+from typing import Literal
 
 import yaml
 from yaml.events import (
@@ -27,6 +30,12 @@ from yaml.nodes import ScalarNode
 SCHEMA_VERSION = 1
 
 Address = tuple[int, int]
+
+# Sentinel for the internet side of a firewall edge / adjacency.
+INTERNET = "internet"
+
+# A firewall edge: two subnet ids, or a gateway subnet and the internet.
+Edge = tuple[int | Literal["internet"], int | Literal["internet"]]
 
 # libyaml's loader and dumper give the same documents and manifest text as
 # the pure-Python ones, several times faster; PyYAML may be built without it.
@@ -61,77 +70,199 @@ def load_config_yaml(text: str):
         raise ValueError(f"malformed YAML{where}: {problem}") from None
 
 
-# The field annotations a config dataclass may use, named as its messages
-# name them; a nested config dataclass and ``X | None`` are also accepted.
-_KINDS = {int: "an integer", float: "a number", bool: "true or false",
-          str: "a string", Address: "a [subnet, local] pair",
+# ---------------------------------------------------------------------------
+# Typed documents
+#
+# Every parsed document (the scenario, generator and trainer configs, a
+# topology manifest, a trace-file record, the CVE snapshot) is read by
+# ``build_config`` against dataclass annotations, under one rule set.
+
+
+class _Invalid(Exception):
+    """A document value that does not fit its annotation. ``path`` gathers
+    the keys and list indexes from the value up to the document root as the
+    exception propagates, so reading a document that fits formats none."""
+
+    def __init__(self, problem: str):
+        super().__init__(problem)
+        self.problem, self.path = problem, []
+
+    def message(self, name: str) -> str:
+        where = ""
+        for part in reversed(self.path):
+            where += (f"[{part}]" if type(part) is int
+                      else f".{part}" if where else str(part))
+        return f"{name}: {where} {self.problem}" if where else f"{name} {self.problem}"
+
+
+class _Reader(typing.NamedTuple):
+    """How one annotation's values are read: a value whose type is in
+    ``exact`` is taken as it is, and ``convert`` reads any other, returning
+    the value to store or raising _Invalid."""
+
+    exact: frozenset
+    convert: typing.Callable
+    name: str
+
+    def read(self, value):
+        return value if type(value) in self.exact else self.convert(value)
+
+
+def build_config(kind, doc, error: type[Exception], name: str):
+    """``doc``, a parsed document, read as ``kind``: a dataclass, whose
+    fields are read by their annotations, or any annotation ``_reader``
+    handles (a scalar, ``X | Y``, ``Literal``, a tuple or a ``dict``).
+
+    A mapping's unknown and missing keys fail, a number must be finite
+    (an int is widened to float), a bool is not a number, a list becomes
+    a tuple, and a ``Literal`` admits only its values. A failure raises
+    ``error`` naming the document (``name``) and the key path in it, such
+    as ``subnets[1].hosts[0].os``. ``field(metadata={"key": ...})`` reads a
+    field from another key; range checks are left to ``__post_init__``.
+    """
+    try:
+        return _reader(kind).read(doc)
+    except _Invalid as exc:
+        raise error(exc.message(name)) from None
+
+
+_NONE = type(None)
+
+# Annotations named as the messages name them; the rest are named by kind.
+_KINDS = {int: "an integer", float: "a finite number", bool: "true or false",
+          str: "a string", _NONE: "null", Address: "a pair of integers",
+          Edge: f"a pair of subnet ids or '{INTERNET}'",
           tuple[int, ...]: "a list of integers",
-          tuple[Address, ...]: "a list of [subnet, local] pairs",
+          tuple[Address, ...]: "a list of integer pairs",
           dict[str, float]: "a mapping of names to numbers"}
 
 
 @functools.cache
-def _config_fields(cls) -> dict:
-    """YAML key -> (field name, annotation, required) for a config dataclass;
-    ``field(metadata={"key": ...})`` gives a field another YAML key."""
-    hints = typing.get_type_hints(cls)
-    return {f.metadata.get("key", f.name): (
-                f.name, hints[f.name],
-                f.default is MISSING and f.default_factory is MISSING)
-            for f in fields(cls)}
-
-
-def build_config(cls, doc, error: type[Exception], name: str, path: str = ""):
-    """The config dataclass ``cls`` built from a parsed document, each field
-    checked against its annotation; raises ``error`` naming the YAML key.
-
-    An int is widened where a number is expected and a list becomes a tuple;
-    neither a bool nor NaN is a number (NaN would pass every range check).
-    ``name`` names the document in messages, and a nested config's keys are
-    named ``<key>.<field>``. Range checks are left to ``cls.__post_init__``.
-    """
-    if not isinstance(doc, dict):
-        raise error(f"{name} must be a mapping, got {doc!r}")
-    specs = _config_fields(cls)
-    unknown = sorted(str(k) for k in doc if k not in specs)
-    if unknown:
-        raise error(f"unknown {name} key(s): {', '.join(unknown)}")
-    missing = [key for key, (_, _, required) in specs.items()
-               if required and key not in doc]
-    if missing:
-        raise error(f"{name} is missing {', '.join(missing)}")
-    return cls(**{attr: _config_value(kind, doc[key], path + key, error)
-                  for key, (attr, kind, _) in specs.items() if key in doc})
-
-
-def _config_value(kind, value, key: str, error: type[Exception]):
-    if isinstance(kind, types.UnionType):  # X | None
-        return None if value is None else _config_value(
-            kind.__args__[0], value, key, error)
-    if is_dataclass(kind):
-        return build_config(kind, value, error, key, key + ".")
-    if kind is float and type(value) is int:
-        return float(value)
+def _reader(kind) -> _Reader:
+    """The reader of one annotation, built once per annotation, so that
+    reading a value does no annotation work."""
+    name = _KINDS.get(kind)
     origin, args = typing.get_origin(kind), typing.get_args(kind)
-    if origin is tuple and isinstance(value, list):
-        if args[-1] is Ellipsis:
-            return tuple(_config_value(args[0], v, f"{key}[{i}]", error)
-                         for i, v in enumerate(value))
-        # a fixed pair of scalars, such as Address
-        if len(value) == len(args) and all(
-                type(v) is t for v, t in zip(value, args)):
-            return tuple(value)
-    elif origin is dict and isinstance(value, dict):
-        if all(type(k) is args[0] for k in value):
-            return {k: _config_value(args[1], v, f"{key}.{k}", error)
-                    for k, v in value.items()}
-    elif type(value) is kind and not (kind is float and math.isnan(value)):
-        return value
-    raise error(f"{key} must be {_KINDS[kind]}, got {value!r}")
+
+    def reject(value):
+        raise _Invalid(f"must be {name}, got {value!r}")
+
+    exact = frozenset()
+    if kind in (int, str, bool, _NONE):
+        exact, convert = frozenset({kind}), reject
+    elif kind is float:
+        def convert(value):
+            if type(value) is int or type(value) is float and math.isfinite(value):
+                return float(value)
+            reject(value)
+    elif origin is Literal:
+        name = name or " or ".join(map(repr, args))
+        literal_types = frozenset(map(type, args))
+
+        def convert(value):
+            if type(value) not in literal_types or value not in args:
+                reject(value)
+            return value
+    elif origin in (types.UnionType, typing.Union):
+        alternatives = [_reader(a) for a in args]
+        name = name or " or ".join(r.name for r in alternatives)
+        exact = frozenset().union(*(r.exact for r in alternatives))
+
+        def convert(value):
+            for r in alternatives:
+                try:
+                    return r.read(value)
+                except _Invalid as exc:
+                    if exc.path:  # a part of the value, named by its path
+                        raise
+            reject(value)
+    elif origin is tuple and args[-1] is Ellipsis:
+        item_exact, item_convert, _ = _reader(args[0])
+        name = name or "a list"
+
+        def convert(value):
+            if type(value) is not list:
+                reject(value)
+            out = list(value)
+            try:
+                for i, v in enumerate(value):
+                    if type(v) not in item_exact:
+                        out[i] = item_convert(v)
+            except _Invalid as exc:
+                exc.path.append(i)
+                raise
+            return tuple(out)
+    elif origin is tuple:  # a fixed-length list, such as Address
+        items = [_reader(a) for a in args]
+        name = name or f"a list of {len(args)} values"
+
+        def convert(value):
+            if type(value) is list and len(value) == len(items):
+                try:
+                    return tuple(r.read(v) for r, v in zip(items, value))
+                except _Invalid:
+                    pass
+            reject(value)
+    elif origin is dict:
+        key_exact, values = _reader(args[0]).exact, _reader(args[1])
+        name = name or "a mapping"
+
+        def convert(value):
+            if type(value) is not dict or not all(type(k) in key_exact for k in value):
+                reject(value)
+            out = {}
+            try:
+                for k, v in value.items():
+                    out[k] = values.read(v)
+            except _Invalid as exc:
+                exc.path.append(k)
+                raise
+            return out
+    elif is_dataclass(kind):
+        name, convert = name or "a mapping", _dataclass_reader(kind)
+    else:
+        raise TypeError(f"no document reader for {kind!r}")
+    return _Reader(exact, convert, name)
 
 
-# Sentinel for the internet side of a firewall edge / adjacency.
-INTERNET = "internet"
+def _dataclass_reader(cls):
+    """The convert function of a dataclass: each of a mapping's values is
+    read by its key's field reader; then the required keys are checked."""
+    hints = typing.get_type_hints(cls)
+    spec = {}  # document key -> (field name, exact types, convert)
+    required = []
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        r = _reader(hints[f.name])
+        spec[key] = (f.name, r.exact, r.convert)
+        if f.default is MISSING and f.default_factory is MISSING:
+            required.append(key)
+    needed = frozenset(required)
+
+    def convert(doc):
+        if type(doc) is not dict:
+            raise _Invalid(f"must be a mapping, got {doc!r}")
+        kwargs = {}
+        for key, value in doc.items():
+            try:
+                attr, exact, convert_value = spec[key]
+            except KeyError:
+                raise _Invalid("has unknown key(s): " + ", ".join(
+                    sorted(str(k) for k in doc if k not in spec))) from None
+            if type(value) in exact:
+                kwargs[attr] = value
+            else:
+                try:
+                    kwargs[attr] = convert_value(value)
+                except _Invalid as exc:
+                    exc.path.append(key)
+                    raise
+        if len(doc) < len(spec) and not doc.keys() >= needed:
+            raise _Invalid("is missing " + ", ".join(
+                k for k in required if k not in doc))
+        return cls(**kwargs)
+    return convert
+
 
 OS_WINDOWS = "windows"
 OS_LINUX = "linux"
@@ -145,7 +276,8 @@ class TopologyError(Exception):
 
 
 class ManifestParseError(TopologyError):
-    """The manifest text is not well-formed YAML or misses required keys."""
+    """The manifest text is not well-formed YAML or does not fit the
+    manifest's types."""
 
 
 class UnreachableSubnetError(TopologyError):
@@ -156,10 +288,11 @@ class UnreachableSubnetError(TopologyError):
 class Vulnerability:
     """A CVE record attached to a service binding."""
 
-    cve_id: str
+    cve_id: str = field(metadata={"key": "id"})
     cvss_score: float
     cvss_vector: str
-    required_service: str
+    # empty until bound to a service: ServiceBinding fills in its own name
+    required_service: str = ""
     required_os: str | None = None
 
     def __post_init__(self) -> None:
@@ -174,9 +307,10 @@ class ServiceBinding:
     """A service (with optional CPE label) listening on one port of a host."""
 
     port: int
-    service_name: str
-    cpe: str
-    vulnerabilities: tuple[Vulnerability, ...] = ()
+    service_name: str = field(metadata={"key": "name"})
+    cpe: str = ""
+    vulnerabilities: tuple[Vulnerability, ...] = field(
+        default=(), metadata={"key": "cves"})
     defense_tier: str = "low"
 
     def __post_init__(self) -> None:
@@ -185,6 +319,12 @@ class ServiceBinding:
                 f"port {self.port}: defense_tier must be one of {DEFENSE_TIERS}, "
                 f"got {self.defense_tier!r}"
             )
+        # a CVE that names no service requires this binding's service
+        if not all(v.required_service for v in self.vulnerabilities):
+            object.__setattr__(self, "vulnerabilities", tuple(
+                v if v.required_service
+                else replace(v, required_service=self.service_name)
+                for v in self.vulnerabilities))
 
 
 @dataclass(frozen=True)
@@ -220,6 +360,13 @@ class Host:
 
     def vulnerabilities(self) -> list[Vulnerability]:
         return [v for b in self.services for v in b.vulnerabilities]
+
+
+def vuln_applies(host: Host, vuln: Vulnerability) -> bool:
+    """Whether ``vuln`` is exploitable on ``host``: the host runs the
+    service it requires, if any, and the OS it requires, if any."""
+    return ((not vuln.required_service or vuln.required_service in host.service_names)
+            and (vuln.required_os is None or vuln.required_os == host.os))
 
 
 @dataclass(frozen=True)
@@ -277,7 +424,7 @@ class FirewallParams:
 @dataclass(frozen=True)
 class Firewall:
     id: str
-    edge: tuple[int | str, int | str]
+    edge: Edge
     params: FirewallParams = field(default_factory=FirewallParams)
 
 
@@ -590,6 +737,47 @@ class _ManifestLoader(SafeLoader):
             return data
 
 
+@dataclass(slots=True)
+class _HostEntry:
+    """A manifest host: listed under its subnet, so named by ``local_id``."""
+
+    local_id: int
+    os: str
+    open_ports: tuple[int, ...] = ()
+    services: tuple[ServiceBinding, ...] = ()
+    discovery_value: float = 1000.0
+    infection_value: float = 1000.0
+    is_sensitive: bool = False
+    is_security_product: bool = False
+
+
+@dataclass(slots=True)
+class _SubnetEntry:
+    id: int
+    hosts: tuple[_HostEntry, ...] = ()
+
+
+@dataclass(slots=True)
+class _RuleEntry:
+    """A manifest allow rule: the owning subnet is named in the rule."""
+
+    subnet: int
+    peer: int
+    port: int | Literal["all"] = "all"
+
+
+@dataclass(slots=True)
+class _Manifest:
+    schema_version: Literal[SCHEMA_VERSION]
+    subnets: tuple[_SubnetEntry, ...]
+    adjacency: tuple[Address, ...] = ()
+    internet_gateways: tuple[int, ...] = ()
+    firewalls: tuple[Firewall, ...] = ()
+    allow_rules: tuple[_RuleEntry, ...] = ()
+    sensitive_hosts: tuple[Address, ...] = ()
+    security_products: tuple[Address, ...] = ()
+
+
 @_gc_paused()
 def load_topology(yaml_text: str) -> NetworkTopology:
     """Parse and validate a YAML manifest.
@@ -601,154 +789,40 @@ def load_topology(yaml_text: str) -> NetworkTopology:
         doc = yaml.load(yaml_text, Loader=_ManifestLoader)
     except yaml.YAMLError as exc:
         raise ManifestParseError(f"malformed YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ManifestParseError("manifest root must be a mapping")
-
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ManifestParseError(
-            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
-        )
-
-    sensitive = set(_addresses(doc, "sensitive_hosts"))
-    security = set(_addresses(doc, "security_products"))
+    manifest = build_config(_Manifest, doc, ManifestParseError, "manifest")
 
     rules_by_subnet: dict[int, list[AllowRule]] = {}
-    for i, raw in enumerate(_entries(doc, "allow_rules", "")):
-        where = f"allow_rules[{i}]"
-        raw = _mapping(raw, where)
-        port = raw.get("port", "all")
-        rule = AllowRule(peer=_get(raw, "peer", int, where),
-                         port=None if port == "all" else _get(raw, "port", int, where))
-        rules_by_subnet.setdefault(_get(raw, "subnet", int, where), []).append(rule)
-
-    if "subnets" not in doc:
-        raise ManifestParseError("manifest is missing 'subnets'")
-    subnets = tuple(
-        _parse_subnet(_mapping(raw, f"subnets[{i}]"), f"subnets[{i}]",
-                      rules_by_subnet, sensitive, security)
-        for i, raw in enumerate(_entries(doc, "subnets", "")))
-    firewalls = tuple(
-        _parse_firewall(_mapping(raw, f"firewalls[{i}]"), f"firewalls[{i}]")
-        for i, raw in enumerate(_entries(doc, "firewalls", "")))
-    adjacency = _addresses(doc, "adjacency")
-    gateways = frozenset(_ints(doc, "internet_gateways", ""))
-
+    # (peer, port) -> AllowRule: equal rules share one immutable object, as
+    # building a frozen dataclass per rule is slow (enterprise101 has 72k)
+    shared = {}
+    for rule in manifest.allow_rules:
+        key = (rule.peer, None if rule.port == "all" else rule.port)
+        allow = shared.get(key) or shared.setdefault(key, AllowRule(*key))
+        rules_by_subnet.setdefault(rule.subnet, []).append(allow)
+    sensitive = set(manifest.sensitive_hosts)
+    security = set(manifest.security_products)
+    subnets = []
+    for s in manifest.subnets:
+        hosts = []
+        for h in s.hosts:
+            address = (s.id, h.local_id)
+            hosts.append(Host(
+                address=address,
+                os=h.os,
+                open_ports=frozenset(h.open_ports),
+                services=h.services,
+                discovery_value=h.discovery_value,
+                infection_value=h.infection_value,
+                is_sensitive=h.is_sensitive or address in sensitive,
+                is_security_product=h.is_security_product or address in security,
+            ))
+        subnets.append(Subnet(id=s.id, hosts=tuple(hosts),
+                              allow_rules=tuple(rules_by_subnet.get(s.id, ()))))
     return NetworkTopology(
-        subnets=subnets,
-        firewalls=firewalls,
-        internet_gateway_subnets=gateways,
-        adjacency=adjacency,
-    )
-
-
-# The manifest's scalar kinds, named as its messages name them.
-_MANIFEST_KINDS = {int: "an integer", float: "a finite number",
-                   str: "a string", bool: "true or false"}
-_REQUIRED = object()
-
-
-def _get(raw: dict, key: str, kind: type, where: str, default=_REQUIRED):
-    """``raw[key]`` (or ``default``) checked to be of ``kind``; an int is
-    widened where a number is expected, and a bool is never a number."""
-    value = raw.get(key, default)
-    if type(value) is kind:
-        if kind is not float or math.isfinite(value):
-            return value
-    elif kind is float and type(value) is int:
-        return float(value)
-    elif value is _REQUIRED:
-        raise ManifestParseError(f"{where} is missing '{key}'")
-    raise ManifestParseError(
-        f"{where}.{key} must be {_MANIFEST_KINDS[kind]}, got {value!r}")
-
-
-def _mapping(raw, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ManifestParseError(f"{where} must be a mapping, got {raw!r}")
-    return raw
-
-
-def _entries(raw: dict, key: str, where: str) -> list:
-    """The list under ``key``; an absent key is an empty list. ``where`` is
-    empty at the top level."""
-    value = raw.get(key, [])
-    if not isinstance(value, list):
-        raise ManifestParseError(
-            f"{where}.{key}".lstrip(".") + f" must be a list, got {value!r}")
-    return value
-
-
-def _ints(raw: dict, key: str, where: str) -> list[int]:
-    values = _entries(raw, key, where)
-    for value in values:
-        if type(value) is not int:
-            raise ManifestParseError(f"{where}.{key}".lstrip(".")
-                                     + f" must be a list of integers, got {value!r}")
-    return values
-
-
-def _addresses(doc: dict, key: str) -> tuple[tuple[int, int], ...]:
-    """A top-level list of integer pairs: host addresses or subnet edges."""
-    pairs = _entries(doc, key, "")
-    for pair in pairs:
-        if not (type(pair) is list and len(pair) == 2
-                and type(pair[0]) is int and type(pair[1]) is int):
-            raise ManifestParseError(
-                f"{key} must be a list of integer pairs, got {pair!r}")
-    return tuple((a, b) for a, b in pairs)
-
-
-def _parse_subnet(raw, where, rules_by_subnet, sensitive, security) -> Subnet:
-    sid = _get(raw, "id", int, where)
-    hosts = []
-    for i, h in enumerate(_entries(raw, "hosts", where)):
-        host_where = f"{where}.hosts[{i}]"
-        h = _mapping(h, host_where)
-        addr = (sid, _get(h, "local_id", int, host_where))
-        hosts.append(Host(
-            address=addr,
-            os=_get(h, "os", str, host_where),
-            open_ports=frozenset(_ints(h, "open_ports", host_where)),
-            services=tuple(
-                _parse_service(_mapping(b, f"{host_where}.services[{j}]"),
-                               f"{host_where}.services[{j}]")
-                for j, b in enumerate(_entries(h, "services", host_where))),
-            discovery_value=_get(h, "discovery_value", float, host_where, 1000.0),
-            infection_value=_get(h, "infection_value", float, host_where, 1000.0),
-            is_sensitive=addr in sensitive
-            or _get(h, "is_sensitive", bool, host_where, False),
-            is_security_product=addr in security
-            or _get(h, "is_security_product", bool, host_where, False),
-        ))
-    return Subnet(
-        id=sid,
-        hosts=tuple(hosts),
-        allow_rules=tuple(rules_by_subnet.get(sid, ())),
-    )
-
-
-def _parse_service(raw, where) -> ServiceBinding:
-    name = _get(raw, "name", str, where)
-    vulns = []
-    for i, v in enumerate(_entries(raw, "cves", where)):
-        cve_where = f"{where}.cves[{i}]"
-        v = _mapping(v, cve_where)
-        required_os = v.get("required_os")
-        vulns.append(Vulnerability(
-            cve_id=_get(v, "id", str, cve_where),
-            cvss_score=_get(v, "cvss_score", float, cve_where),
-            cvss_vector=_get(v, "cvss_vector", str, cve_where),
-            required_service=_get(v, "required_service", str, cve_where, name),
-            required_os=None if required_os is None
-            else _get(v, "required_os", str, cve_where),
-        ))
-    return ServiceBinding(
-        port=_get(raw, "port", int, where),
-        service_name=name,
-        cpe=_get(raw, "cpe", str, where, ""),
-        vulnerabilities=tuple(vulns),
-        defense_tier=_get(raw, "defense_tier", str, where, "low"),
+        subnets=tuple(subnets),
+        firewalls=manifest.firewalls,
+        internet_gateway_subnets=frozenset(manifest.internet_gateways),
+        adjacency=manifest.adjacency,
     )
 
 
@@ -891,39 +965,5 @@ def _dump_firewall(fw: Firewall) -> dict:
     return {
         "id": fw.id,
         "edge": [fw.edge[0], fw.edge[1]],
-        "params": {
-            "connect_probability": fw.params.connect_probability,
-            "max_connect_attempts": fw.params.max_connect_attempts,
-            "max_upload_volume": fw.params.max_upload_volume,
-            "max_upload_time": fw.params.max_upload_time,
-            "update_frequency": fw.params.update_frequency,
-        },
+        "params": asdict(fw.params),
     }
-
-
-def _parse_firewall(raw, where) -> Firewall:
-    edge = raw.get("edge")
-    if not (type(edge) is list and len(edge) == 2 and all(
-            side == INTERNET or type(side) is int for side in edge)):
-        raise ManifestParseError(
-            f"{where}.edge must be a pair of subnet ids or '{INTERNET}', "
-            f"got {edge!r}")
-    params = raw.get("params")
-    params_where = f"{where}.params"
-    params = {} if params is None else _mapping(params, params_where)
-    return Firewall(
-        id=_get(raw, "id", str, where),
-        edge=(edge[0], edge[1]),
-        params=FirewallParams(
-            connect_probability=_get(
-                params, "connect_probability", float, params_where, 0.8),
-            max_connect_attempts=_get(
-                params, "max_connect_attempts", int, params_where, 3),
-            max_upload_volume=_get(
-                params, "max_upload_volume", float, params_where, 5000.0),
-            max_upload_time=_get(
-                params, "max_upload_time", float, params_where, 4.0),
-            update_frequency=_get(
-                params, "update_frequency", float, params_where, 24.0),
-        ),
-    )

@@ -9,6 +9,7 @@ import csv
 import io
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from typing import Literal
 
 import numpy as np
 import yaml
@@ -156,23 +157,17 @@ class CveDatabase:
 
     @classmethod
     def from_yaml(cls, text: str) -> "CveDatabase":
-        doc = yaml.safe_load(text)
-        by_cpe: dict[str, tuple[Vulnerability, ...]] = {}
-        for cpe, rows in (doc.get("cpes") or {}).items():
-            vulns = []
-            for r in rows:
-                for key in ("id", "cvss_score", "cvss_vector"):
-                    if key not in r:
-                        raise ReferenceDataError(f"{cpe}: CVE record missing {key!r}")
-                vulns.append(Vulnerability(
-                    cve_id=str(r["id"]),
-                    cvss_score=float(r["cvss_score"]),
-                    cvss_vector=str(r["cvss_vector"]),
-                    required_service=str(r.get("required_service", "")),
-                    required_os=r.get("required_os"),
-                ))
-            by_cpe[str(cpe)] = tuple(vulns)
-        return cls(by_cpe=by_cpe)
+        snapshot = build_config(_CveSnapshot, yaml.safe_load(text),
+                                ReferenceDataError, "CVE snapshot")
+        return cls(by_cpe=snapshot.cpes)
+
+
+@dataclass(frozen=True)
+class _CveSnapshot:
+    """The CVE snapshot document: CVE records by CPE label."""
+
+    cpes: dict[str, tuple[Vulnerability, ...]] = field(default_factory=dict)
+    schema_version: Literal[1] = 1
 
 
 @dataclass(frozen=True)
@@ -312,14 +307,7 @@ def assign_cpes(rng: np.random.Generator, ports: set[int],
 
 def assign_cves(bindings: list[ServiceBinding], db: CveDatabase) -> list[ServiceBinding]:
     """Enrich bindings with the CVE lists recorded for their CPEs."""
-    out = []
-    for b in bindings:
-        vulns = tuple(
-            v if v.required_service else replace(v, required_service=b.service_name)
-            for v in db.lookup(b.cpe)
-        )
-        out.append(replace(b, vulnerabilities=vulns))
-    return out
+    return [replace(b, vulnerabilities=db.lookup(b.cpe)) for b in bindings]
 
 
 def assign_allow_rules(subnets: list[Subnet]) -> dict[int, list[AllowRule]]:

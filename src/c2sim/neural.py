@@ -233,10 +233,6 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
     return z
 
 
-def softmax(scores: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(scores))
-
-
 def entropy(scores: np.ndarray) -> np.ndarray:
     """Entropy of the categorical distribution for each score row."""
     logp = log_softmax(scores)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .c2_env import ScenarioConfig
-from .net_model import NetworkTopology, load_topology
+from .net_model import NetworkTopology, load_topology, vuln_applies
 from .netgen import GenConfig, References, generate, load_default_references
 
 
@@ -49,11 +49,7 @@ def enterprise101(refs: References | None = None) -> tuple[NetworkTopology, Scen
     topology = _ENTERPRISE_CACHE
 
     def exploitable(host) -> bool:
-        return any(
-            (v.required_os in (None, host.os))
-            and (not v.required_service or v.required_service in host.service_names)
-            for v in host.vulnerabilities()
-        )
+        return any(vuln_applies(host, v) for v in host.vulnerabilities())
 
     windows_target = next(
         h.address for h in topology.hosts()

@@ -92,10 +92,14 @@ class TestValidate:
          ["firewalls[0].edge", "pair"]),
         (lambda d: d.update(adjacency=[[1, 2, 3]]), ["adjacency", "pair"]),
         (lambda d: d.pop("subnets"), ["subnets", "missing"]),
+        (lambda d: d["subnets"][1]["hosts"][0].update(discovery_valu=5.0),
+         ["subnets[1].hosts[0]", "unknown", "discovery_valu"]),
+        (lambda d: d.update(firewall_rules=[]), ["unknown", "firewall_rules"]),
     ], ids=["rule-without-peer", "scalar-rules", "scalar-sensitive",
             "scalar-hosts", "scalar-cves", "string-params", "string-subnet",
             "nan-discovery-value", "nan-upload-volume", "string-local-id",
-            "one-sided-edge", "triple-edge", "no-subnets"])
+            "one-sided-edge", "triple-edge", "no-subnets", "misspelt-host-key",
+            "unknown-top-level-key"])
     def test_malformed_manifest_entry(self, tmp_path, capsys, edit, words):
         """The tiny manifest with one entry broken fails naming the key."""
         doc = yaml.safe_load(
@@ -279,10 +283,11 @@ class TestConfigErrors:
         (PPO_SMALL + "hidden: [64, x]\n", ["hidden[1]", "integer"]),
         (PPO_SMALL + "actor_lr: .nan\n", ["actor_lr", "number", "nan"]),
         (PPO_SMALL + "stop_reward: .NaN\n", ["stop_reward", "number", "nan"]),
+        (PPO_SMALL + "actor_lr: .inf\n", ["actor_lr", "finite", "inf"]),
     ], ids=["list-document", "integer-key", "string-horizon", "string-rate",
             "list-stop-reward", "integer-flag", "malformed-yaml",
             "fractional-horizon", "boolean-seed", "boolean-rate", "string-flag",
-            "string-width", "nan-rate", "nan-stop-reward"])
+            "string-width", "nan-rate", "nan-stop-reward", "infinite-rate"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
         cfg.write_text(text)
@@ -320,6 +325,7 @@ class TestConfigErrors:
         (SCENARIO + "topology: 5\n", ["topology", "string"]),
         (SCENARIO + "payload_size_mb: .nan\n", ["payload_size_mb", "nan"]),
         (SCENARIO + "action_times: {sleep: .nan}\n", ["action_times.sleep", "nan"]),
+        (SCENARIO + "payload_size_mb: .inf\n", ["payload_size_mb", "finite"]),
     ], ids=["not-a-mapping", "scalar-foothold", "triple-foothold",
             "scalar-target", "string-local-id", "scalar-targets",
             "scalar-upload-rates", "malformed-yaml", "string-action-time",
@@ -327,7 +333,7 @@ class TestConfigErrors:
             "boolean-max-steps", "string-flag", "string-payload",
             "string-upload-rate", "unknown-key", "schema-version-2",
             "integer-topology",
-            "nan-payload", "nan-action-time"])
+            "nan-payload", "nan-action-time", "infinite-payload"])
     def test_bad_scenario_document(self, tmp_path, capsys, text, words):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(text)
@@ -472,9 +478,14 @@ class TestAnalyze:
         (3, "clock", None, ("line 3", "clock", "number")),
         (3, "step", 1.5, ("line 3", "step", "integer")),
         (1, "seed", "7", ("line 1", "seed", "integer")),
+        (3, "clock", float("nan"), ("line 3", "clock", "finite")),
+        (1, "emergencies", "many", ("line 1", "emergencies", "integer")),
+        (1, "terminal_status", {"2,1": 5, "3,0": "completed"},
+         ("line 1", "terminal_status", "string")),
     ], ids=["unknown-action", "scalar-target", "unknown-host", "unknown-rate",
             "unknown-cve", "unknown-cve-step-3", "string-reward", "null-clock",
-            "fractional-step", "string-seed"])
+            "fractional-step", "string-seed", "nan-clock", "string-emergencies",
+            "integer-status"])
     def test_corrupt_line_in_pruned_trace(self, tmp_path, capsys, tiny_inputs,
                                           line, field, value, words):
         with open(tmp_path / "good.jsonl", "w") as fh:

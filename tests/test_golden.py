@@ -1,4 +1,5 @@
-"""Golden digests of the seeded tiny CLI chain.
+"""Golden digests of the seeded tiny CLI chain, of the enterprise101
+manifest, and of pruning a committed traces file.
 
     train --scenario tiny --seed 7 --total-steps 8192
     -> eval --n 20 --seed 3
@@ -23,6 +24,7 @@ changed.
 from __future__ import annotations
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +75,11 @@ DIGESTS = {
     "analyze/pruned_best.jsonl":
         "0f24327aacce30b5fba3570d27aeb23ffda99b94e8f88491ead21443a5876eba",
 }
+
+
+# Traces 8 and 11 of the chain's eval/traces.jsonl (one complete, one with
+# two emergencies), as write_traces_jsonl writes them.
+TRACES_FIXTURE = Path(__file__).parent / "data" / "traces.jsonl"
 
 
 def current_build() -> dict:
@@ -145,3 +152,16 @@ def test_enterprise101_manifest_is_byte_identical():
     assert sha256(manifest) == (
         "539182d0476b39247bafaa054a7bd2c3812e6a8a63abff6b125dec4deb0384f0")
     assert load_topology(manifest.decode("utf-8")) == topology
+
+
+def test_prune_of_committed_traces_is_byte_identical(tmp_path):
+    """``analyze --prune`` replays the environment alone, with no BLAS, so
+    its digests are a hard assert on every build. The best trace is the
+    chain's best, so the pruned trace is the chain's too."""
+    out = tmp_path / "analyze"
+    assert cli.main(["analyze", "--traces", str(TRACES_FIXTURE), "--prune",
+                     "--scenario", "tiny", "--out-dir", str(out)]) == cli.EXIT_OK
+    pruned = sha256((out / "pruned_best.jsonl").read_bytes())
+    assert pruned == DIGESTS["analyze/pruned_best.jsonl"]
+    assert sha256((out / "summary.csv").read_bytes()) == (
+        "e0beb229f705a8845e14a7ec17d84506ffcd80f9aaaf8c90b77227ac0bae09d2")

@@ -175,6 +175,16 @@ firewalls:
         for addr in scenario.sensitive_hosts:
             reloaded.host(addr)
 
+    def test_cve_without_required_service_takes_its_binding_service(self):
+        t = load_topology(MINIMAL_MANIFEST.replace(
+            'cpe: "cpe:/a:x:y:1"}]}\n      - {local_id: 1',
+            'cpe: "cpe:/a:x:y:1", cves: [{id: CVE-1, cvss_score: 5, '
+            'cvss_vector: v}, {id: CVE-2, cvss_score: 5, cvss_vector: v, '
+            'required_service: ssh}]}]}\n      - {local_id: 1', 1))
+        cves = t.host((1, 0)).services[0].vulnerabilities
+        assert [(v.cve_id, v.cvss_score, v.required_service) for v in cves] == [
+            ("CVE-1", 5.0, "http"), ("CVE-2", 5.0, "ssh")]
+
     def test_malformed_yaml(self):
         with pytest.raises(ManifestParseError):
             load_topology("subnets: [unclosed")
