@@ -21,10 +21,12 @@ from dataclasses import (
 from typing import Literal
 
 import yaml
+from yaml.composer import ComposerError
+from yaml.constructor import ConstructorError
 from yaml.events import (
-    DocumentEndEvent, DocumentStartEvent, MappingEndEvent, MappingStartEvent,
-    ScalarEvent, SequenceEndEvent, SequenceStartEvent, StreamEndEvent,
-    StreamStartEvent)
+    AliasEvent, DocumentEndEvent, DocumentStartEvent, MappingEndEvent,
+    MappingStartEvent, ScalarEvent, SequenceEndEvent, SequenceStartEvent,
+    StreamEndEvent, StreamStartEvent)
 from yaml.nodes import ScalarNode
 
 SCHEMA_VERSION = 1
@@ -118,7 +120,9 @@ def build_config(kind, doc, error: type[Exception], name: str):
     a tuple, and a ``Literal`` admits only its values. A failure raises
     ``error`` naming the document (``name``) and the key path in it, such
     as ``subnets[1].hosts[0].os``. ``field(metadata={"key": ...})`` reads a
-    field from another key; range checks are left to ``__post_init__``.
+    field from another key. Range checks are left to ``__post_init__``; a
+    domain type's TopologyError from one is raised as ``error`` too, after
+    the key path of the entry that failed it.
     """
     try:
         return _reader(kind).read(doc)
@@ -260,7 +264,10 @@ def _dataclass_reader(cls):
         if len(doc) < len(spec) and not doc.keys() >= needed:
             raise _Invalid("is missing " + ", ".join(
                 k for k in required if k not in doc))
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except TopologyError as exc:  # a domain type's range check
+            raise _Invalid(str(exc)) from None
     return convert
 
 
@@ -268,7 +275,8 @@ OS_WINDOWS = "windows"
 OS_LINUX = "linux"
 KNOWN_OSES = (OS_WINDOWS, OS_LINUX)
 
-DEFENSE_TIERS = ("high", "medium", "low")
+DefenseTier = Literal["high", "medium", "low"]
+DEFENSE_TIERS = typing.get_args(DefenseTier)
 
 
 class TopologyError(Exception):
@@ -681,12 +689,16 @@ def firewall_path(t: NetworkTopology, from_subnet: int) -> list[str]:
 def _gc_paused():
     """Run the block with the cyclic garbage collector off.
 
-    A manifest's YAML node graph and document hold no reference cycles, so
-    reference counting frees them. But while they grow, the collections
-    their allocations trigger rescan them again and again: with
-    enterprise101's ~600k nodes, load took about twice as long and save
-    about a third longer. The collector is process-wide; it is turned back
-    on only if it was on.
+    A manifest document holds no reference cycles, so reference counting
+    frees it. But while it grows, the collections its allocations trigger
+    rescan it again and again. With the ~600k-node YAML graph that loading
+    used to compose, load took about twice as long with the collector on.
+    Now that load builds no graph, the pause gains little: over 10
+    alternating pairs on enterprise101 (2-vCPU VM), load and save with the
+    collector on took 1.04x as long as with it paused (per-pair medians;
+    1.7-1.8 s and ~1.0 s), less than the host's run-to-run noise. It stays
+    because it costs nothing. The collector is process-wide; it is turned
+    back on only if it was on.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -697,44 +709,217 @@ def _gc_paused():
             gc.enable()
 
 
-class _ManifestLoader(SafeLoader):
-    """SafeLoader that resolves each distinct scalar once per load.
+_MAP_TAG, _SEQ_TAG = "tag:yaml.org,2002:map", "tag:yaml.org,2002:seq"
+_MERGE_TAG, _VALUE_TAG = "tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"
 
-    PyYAML's parser asks ``resolve`` for the tag of every untagged scalar,
-    and its constructor builds each scalar node on its own: for
-    enterprise101 that is ~600k regex resolutions and constructor calls in
-    Python. Both are memoized here, for one load only (a loader reads one
-    stream). The memos are exact. A tag depends only on the text and the
-    implicit flags, since the safe resolver has no path resolvers. The safe
-    scalar constructors are pure functions of ``(tag, text)`` and return
-    immutable values, so one object can stand for every equal scalar, as an
-    alias of one node already does.
+# Stands in the builder's items for a mapping's merge key ``<<``.
+_MERGE = object()
+
+
+def _node_id(value) -> str:
+    return ("mapping" if type(value) is dict else
+            "sequence" if type(value) is list else "scalar")
+
+
+def _anchor(anchors, event, value) -> None:
+    name = event.anchor
+    if name in anchors:
+        raise ComposerError(
+            f"found duplicate anchor {name!r}; first occurrence",
+            anchors[name][1], "second occurrence", event.start_mark)
+    anchors[name] = (value, event.start_mark)
+
+
+def _undefined_tag(event, tag):
+    raise ConstructorError(
+        None, None, f"could not determine a constructor for the tag {tag!r}",
+        event.start_mark)
+
+
+def _unhashable_key(stack, event):
+    raise ConstructorError("while constructing a mapping", stack[-1][3].start_mark,
+                           "found unhashable key", event.start_mark)
+
+
+def _key_scalar(loader, event, tag, items, in_map, merges):
+    """A scalar tagged merge (``<<``) or value (``=``), which only a
+    mapping key may be, as SafeConstructor's ``flatten_mapping`` reads
+    them: ``=`` is the string, and ``<<`` marks a merge of its value, whose
+    mark is kept for ``_merge``'s errors."""
+    if not in_map or len(items) & 1:
+        _undefined_tag(event, tag)
+    if tag == _VALUE_TAG:
+        return event.value
+    merges.setdefault(id(items), []).append(loader.peek_event().start_mark)
+    return _MERGE
+
+
+def _merge(container, items, start, marks, stack) -> None:
+    """Fill ``container`` from a mapping's keys and values, some of them
+    merge keys, as ``flatten_mapping`` does: the merged pairs first, in the
+    order of the merge keys (the mappings of a list merged in reverse),
+    then the mapping's own, so its own keys win."""
+    merged, own = [], []
+    marks = iter(marks)
+    pairs = iter(items)
+    for key, value in zip(pairs, pairs):
+        if key is not _MERGE:
+            own.append((key, value))
+            continue
+        mark = next(marks)
+        if type(value) is dict:
+            sources = [value]
+        elif type(value) is list:
+            for source in value:
+                if type(source) is not dict:
+                    raise ConstructorError(
+                        "while constructing a mapping", start.start_mark,
+                        f"expected a mapping for merging, but found "
+                        f"{_node_id(source)}", mark)
+            sources = value[::-1]
+        else:
+            raise ConstructorError(
+                "while constructing a mapping", start.start_mark,
+                "expected a mapping or list of mappings for merging, but "
+                "found scalar", mark)
+        for source in sources:
+            if source is container or any(source is f[2] for f in stack):
+                raise ConstructorError(
+                    "while constructing a mapping", start.start_mark,
+                    "found a merge of a mapping this one sits in", mark)
+            merged.extend(source.items())
+    container.update(merged)
+    container.update(own)
+
+
+class _ManifestLoader(SafeLoader):
+    """SafeLoader that builds the document straight from the parser's events.
+
+    PyYAML composes a node graph of the whole stream (for enterprise101,
+    ~600k ScalarNode and MappingNode objects, each with two marks) and only
+    then constructs the document from it. ``get_single_data`` here builds
+    the dicts and lists as their events arrive, so no graph is ever held,
+    and it resolves and constructs each distinct scalar once per load. The
+    memos are exact. A tag depends only on the text and the implicit flags,
+    since the safe resolver has no path resolvers. The safe scalar
+    constructors are pure functions of ``(tag, text)`` and return immutable
+    values, so one object can stand for every equal scalar, as an alias of
+    one node already does.
+
+    The document is the one ``yaml.SafeLoader`` gives: anchors, aliases
+    (also of a collection inside itself), merge keys and the ``=`` key
+    behave as there. The two differ only in what they reject. A collection
+    tagged ``!!set``, ``!!omap``, ``!!pairs`` or any tag but the plain
+    mapping and sequence ones raises ConstructorError naming the tag (no
+    manifest holds one), and so does a mapping that merges a collection it
+    sits in, which SafeLoader reads in a way that depends on its
+    construction order. A document with several faults reports the first
+    one the parser reaches, where SafeLoader reports YAML syntax faults
+    before construction faults.
     """
 
-    def __init__(self, stream):
-        super().__init__(stream)
-        self._tags = {}     # (text, implicit) -> resolved tag
-        self._scalars = {}  # (tag, text) -> constructed value
+    def get_single_data(self):
+        get_event = self.get_event
+        get_event()  # StreamStartEvent
+        if type(get_event()) is StreamEndEvent:
+            return None  # an empty stream; else a DocumentStartEvent came
+        resolve, construct = self.resolve, self.construct_object
+        untagged = {}  # (text, implicit) -> value of an untagged scalar
+        scalars = {}   # (tag, text) -> constructed value
+        anchors = {}   # anchor -> (value, mark)
+        merges = {}    # id(items) of a mapping with merge keys -> value marks
 
-    def resolve(self, kind, value, implicit):
-        if kind is not ScalarNode:
-            return super().resolve(kind, value, implicit)
-        key = (value, implicit)
-        try:
-            return self._tags[key]
-        except KeyError:
-            tag = self._tags[key] = super().resolve(kind, value, implicit)
-            return tag
+        def scalar(tag, event, items, in_map):
+            if tag == _MERGE_TAG or tag == _VALUE_TAG:
+                return _key_scalar(self, event, tag, items, in_map, merges)
+            key = (tag, event.value)
+            try:
+                return scalars[key]
+            except KeyError:
+                value = scalars[key] = construct(ScalarNode(
+                    tag, event.value, event.start_mark, event.end_mark,
+                    style=event.style), deep=True)
+                return value
 
-    def construct_object(self, node, deep=False):
-        if type(node) is not ScalarNode:
-            return super().construct_object(node, deep)
-        key = (node.tag, node.value)
-        try:
-            return self._scalars[key]
-        except KeyError:
-            data = self._scalars[key] = super().construct_object(node, deep)
-            return data
+        root = items = []  # the open collection's values; a mapping's are
+        in_map = False     # its keys and values in turn
+        stack = []  # per open collection: (parent items, parent in_map,
+        #             the collection, its start event)
+        event = get_event()
+        first_mark = event.start_mark
+        while True:
+            kind = type(event)
+            if kind is ScalarEvent:
+                tag = event.tag
+                if tag is None or tag == "!":  # the resolver picks the tag
+                    key = (event.value, event.implicit)
+                    try:
+                        value = untagged[key]
+                    except KeyError:
+                        tag = resolve(ScalarNode, event.value, event.implicit)
+                        value = scalar(tag, event, items, in_map)
+                        if tag != _MERGE_TAG and tag != _VALUE_TAG:
+                            untagged[key] = value
+                else:
+                    value = scalar(tag, event, items, in_map)
+                if event.anchor is not None:
+                    _anchor(anchors, event, value)
+                items.append(value)
+            elif kind is MappingStartEvent or kind is SequenceStartEvent:
+                if kind is MappingStartEvent:
+                    container, plain_tag = {}, _MAP_TAG
+                else:
+                    container, plain_tag = [], _SEQ_TAG
+                if event.anchor is not None:
+                    _anchor(anchors, event, container)
+                tag = event.tag
+                if not (tag is None or tag == "!" or tag == plain_tag):
+                    raise ConstructorError(
+                        None, None, f"found a {_node_id(container)} tagged "
+                        f"{tag!r}; only plain mappings and sequences are read",
+                        event.start_mark)
+                if in_map and not len(items) & 1:
+                    _unhashable_key(stack, event)
+                stack.append((items, in_map, container, event))
+                if kind is MappingStartEvent:
+                    items, in_map = [], True
+                else:
+                    items, in_map = container, False
+            elif kind is MappingEndEvent:
+                parent, parent_in_map, container, start = stack.pop()
+                marks = merges.pop(id(items), None) if merges else None
+                if marks is None:
+                    pairs = iter(items)
+                    container.update(zip(pairs, pairs))
+                else:
+                    _merge(container, items, start, marks, stack)
+                items, in_map = parent, parent_in_map
+                items.append(container)
+            elif kind is SequenceEndEvent:
+                items, in_map, container, _ = stack.pop()
+                items.append(container)
+            elif kind is AliasEvent:
+                try:
+                    value = anchors[event.anchor][0]
+                except KeyError:
+                    raise ComposerError(
+                        None, None, f"found undefined alias {event.anchor!r}",
+                        event.start_mark) from None
+                if (in_map and not len(items) & 1
+                        and (type(value) is dict or type(value) is list)):
+                    _unhashable_key(stack, event)
+                if value is _MERGE:  # an alias of an anchored ``<<``
+                    _key_scalar(self, event, _MERGE_TAG, items, in_map, merges)
+                items.append(value)
+            else:  # DocumentEndEvent: the root is complete
+                break
+            event = get_event()
+        event = get_event()
+        if type(event) is not StreamEndEvent:
+            raise ComposerError(
+                "expected a single document in the stream", first_mark,
+                "but found another document", event.start_mark)
+        return root[0]
 
 
 @dataclass(slots=True)
@@ -802,7 +987,7 @@ def load_topology(yaml_text: str) -> NetworkTopology:
     sensitive = set(manifest.sensitive_hosts)
     security = set(manifest.security_products)
     subnets = []
-    for s in manifest.subnets:
+    for i, s in enumerate(manifest.subnets):
         hosts = []
         for h in s.hosts:
             address = (s.id, h.local_id)
@@ -816,8 +1001,11 @@ def load_topology(yaml_text: str) -> NetworkTopology:
                 is_sensitive=h.is_sensitive or address in sensitive,
                 is_security_product=h.is_security_product or address in security,
             ))
-        subnets.append(Subnet(id=s.id, hosts=tuple(hosts),
-                              allow_rules=tuple(rules_by_subnet.get(s.id, ()))))
+        try:
+            subnets.append(Subnet(id=s.id, hosts=tuple(hosts), allow_rules=tuple(
+                rules_by_subnet.get(s.id, ()))))
+        except TopologyError as exc:
+            raise ManifestParseError(f"manifest: subnets[{i}] {exc}") from None
     return NetworkTopology(
         subnets=tuple(subnets),
         firewalls=manifest.firewalls,
@@ -857,9 +1045,6 @@ def _manifest_doc(t: NetworkTopology) -> dict:
             [list(h.address) for h in t.hosts() if h.is_security_product]
         ),
     }
-
-
-_MAP_TAG, _SEQ_TAG = "tag:yaml.org,2002:map", "tag:yaml.org,2002:seq"
 
 
 def _manifest_events(doc, dumper):

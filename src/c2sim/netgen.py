@@ -12,12 +12,12 @@ from importlib import resources
 from typing import Literal
 
 import numpy as np
-import yaml
 
 from .net_model import (
     INTERNET,
     KNOWN_OSES,
     AllowRule,
+    DefenseTier,
     Firewall,
     FirewallParams,
     Host,
@@ -157,7 +157,7 @@ class CveDatabase:
 
     @classmethod
     def from_yaml(cls, text: str) -> "CveDatabase":
-        snapshot = build_config(_CveSnapshot, yaml.safe_load(text),
+        snapshot = build_config(_CveSnapshot, load_config_yaml(text),
                                 ReferenceDataError, "CVE snapshot")
         return cls(by_cpe=snapshot.cpes)
 
@@ -168,6 +168,13 @@ class _CveSnapshot:
 
     cpes: dict[str, tuple[Vulnerability, ...]] = field(default_factory=dict)
     schema_version: Literal[1] = 1
+
+
+@dataclass(frozen=True)
+class _DefenseTiers:
+    """The defense tier document: a tier per service name."""
+
+    tiers: dict[str, DefenseTier]
 
 
 @dataclass(frozen=True)
@@ -186,12 +193,14 @@ def _data_text(name: str) -> str:
 
 def load_default_references() -> References:
     """The reference tables shipped with the package."""
-    tiers = yaml.safe_load(_data_text("defense_tiers.yaml"))["tiers"]
+    tiers = build_config(_DefenseTiers,
+                         load_config_yaml(_data_text("defense_tiers.yaml")),
+                         ReferenceDataError, "defense tiers").tiers
     return References(
         ports=PortProbabilityTable.from_csv(_data_text("port_probabilities.csv")),
         cpes=CpeReferenceTable.from_csv(_data_text("cpe_reference.csv")),
         cves=CveDatabase.from_yaml(_data_text("cve_snapshot.yaml")),
-        tiers=dict(tiers),
+        tiers=tiers,
     )
 
 

@@ -111,6 +111,32 @@ class TestValidate:
         assert_invalid(rc, capsys, *words)
 
 
+    @pytest.mark.parametrize("edit, words", [
+        (lambda d: d["firewalls"][0]["params"].update(connect_probability=2),
+         ["manifest: firewalls[0].params connect_probability must be in (0, 1], "
+          "got 2.0"]),
+        (lambda d: d["subnets"][1]["hosts"][0]["services"][0]["cves"][0].update(
+            cvss_score=11),
+         ["manifest: subnets[1].hosts[0].services[0].cves[0] ",
+          "cvss_score must be in [0, 10], got 11.0"]),
+        (lambda d: d["subnets"][0]["hosts"][0]["services"][0].update(
+            defense_tier="extreme"),
+         ["manifest: subnets[0].hosts[0].services[0] ", "defense_tier",
+          "'extreme'"]),
+        (lambda d: d["subnets"][0].update(id=0),
+         ["manifest: subnets[0] subnet id must be positive, got 0"]),
+    ], ids=["connect-probability", "cvss-score", "defense-tier", "subnet-id"])
+    def test_out_of_range_manifest_value(self, tmp_path, capsys, edit, words):
+        """A domain type's range check fails naming the key path."""
+        doc = yaml.safe_load(
+            (DATA / "scenarios" / "tiny_topology.yaml").read_text())
+        edit(doc)
+        path = tmp_path / "net.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        rc = run(["validate", "--topology", str(path)])
+        assert_invalid(rc, capsys, *words)
+
+
 class TestGenerate:
     def test_happy_path(self, tmp_path):
         cfg = tmp_path / "gen.yaml"

@@ -1,5 +1,6 @@
 """Golden digests of the seeded tiny CLI chain, of the enterprise101
-manifest, and of pruning a committed traces file.
+manifest, of a scripted attacker on enterprise101, and of pruning a
+committed traces file.
 
     train --scenario tiny --seed 7 --total-steps 8192
     -> eval --n 20 --seed 3
@@ -24,12 +25,15 @@ changed.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from c2sim import cli, scenarios
+from c2sim.c2_env import C2Env
 from c2sim.net_model import load_topology, save_topology
 
 RECORDED_BUILD = {
@@ -80,6 +84,10 @@ DIGESTS = {
 # Traces 8 and 11 of the chain's eval/traces.jsonl (one complete, one with
 # two emergencies), as write_traces_jsonl writes them.
 TRACES_FIXTURE = Path(__file__).parent / "data" / "traces.jsonl"
+
+# The benchmark's enterprise-campaign attacker, read from its own file so
+# that the digest below follows the code the benchmark runs.
+ATTACKER_PY = Path(__file__).parents[1] / "perfbench" / "attacker.py"
 
 
 def current_build() -> dict:
@@ -165,3 +173,35 @@ def test_prune_of_committed_traces_is_byte_identical(tmp_path):
     assert pruned == DIGESTS["analyze/pruned_best.jsonl"]
     assert sha256((out / "summary.csv").read_bytes()) == (
         "e0beb229f705a8845e14a7ec17d84506ffcd80f9aaaf8c90b77227ac0bae09d2")
+
+
+def _scripted_attacker_class():
+    spec = importlib.util.spec_from_file_location("_perfbench_attacker", ATTACKER_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.ScriptedAttacker
+
+
+def test_enterprise101_scripted_attacker_is_byte_identical():
+    """Two seeded 1,500-step episodes of the benchmark's scripted attacker on
+    the reloaded enterprise101 manifest: every observation, reward, done
+    flag and info dict. The env does no BLAS work, so the digest is a hard
+    assert on every build."""
+    generated, scenario = scenarios.enterprise101()
+    env = C2Env(load_topology(save_topology(generated)), scenario)
+    attacker = _scripted_attacker_class()(
+        env.actions, scenario.initial_foothold, scenario.payload_size_mb,
+        np.random.default_rng(5))
+    digest = hashlib.sha256()
+    for episode in range(2):
+        digest.update(env.reset(seed=episode))
+        attacker.reset()
+        for _ in range(1_500):
+            obs, reward, done, info = env.step(attacker.act())
+            attacker.observe(info)
+            digest.update(obs)  # its bytes, without a copy
+            digest.update(json.dumps([reward, done, info]).encode())
+            if done:
+                break
+    assert digest.hexdigest() == (
+        "ac5317bb00e309b88bcea133319a660b85a19185472f08272f59cd246f1c1138")

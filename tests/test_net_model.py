@@ -4,6 +4,8 @@ import collections
 import gc
 import hashlib
 import math
+import re
+from importlib import resources
 
 import pytest
 import yaml
@@ -108,8 +110,44 @@ hosts:
 """
 
 
+class PurePythonManifestLoader(yaml.SafeLoader):
+    """The manifest loader's event builder on PyYAML's pure-Python parser,
+    which it reads when PyYAML is built without libyaml."""
+
+    get_single_data = net_model._ManifestLoader.get_single_data
+
+
+MANIFEST_LOADERS = [net_model._ManifestLoader, PurePythonManifestLoader]
+LOADER_IDS = ["manifest-loader", "pure-python-parser"]
+
+EVENT_BUILDER_DOCUMENTS = {
+    "merge-sequence-overlap": """
+a: &a {x: 1, y: 2}
+b: &b {y: 3, z: 4, x: 0}
+first: {<<: [*a, *b], w: 5}
+second: {<<: [*b, *a]}
+own-wins: {y: 9, <<: [*a, *b]}
+""",
+    "two-merge-keys": """
+a: &a {x: 1, y: 1}
+b: &b {x: 2, z: 2}
+m: {<<: *a, q: 0, <<: *b, y: 7}
+nested: {<<: {p: 1, <<: *b}, x: 3}
+""",
+    "value-key": "{=: 1, b: =x, c: [{=: 2}]}",
+    "explicit-tags": (
+        "!!map {a: !!seq [1, !!str 2, ! 3], !!str 4: !!map {b: !!str yes}}"),
+    "duplicate-keys": "{1: a, true: b, 1.0: c, k: 1, k: 2}",
+    "shared-collections": "base: &b {x: [1, 2]}\nm: {<<: *b}\ns: [*b, *b]\n",
+    "explicit-empty-document": "--- \n...\n",
+    "empty-stream": "",
+    "comment-only-stream": "# only a comment\n",
+    "crafted": CRAFTED_DOCUMENT,
+}
+
+
 class TestManifestLoader:
-    """The manifest loader's memos give exactly what yaml.SafeLoader gives."""
+    """The manifest loader builds exactly what yaml.SafeLoader builds."""
 
     def test_no_path_resolvers(self):
         # the memos key a tag on the scalar's text alone, which is exact only
@@ -130,6 +168,80 @@ class TestManifestLoader:
             "0o17", 15, 90)
         assert [math.copysign(1.0, x) for x in ours["floats"][4:8]] == [
             1.0, -1.0, 1.0, -1.0]
+
+    @pytest.mark.parametrize("loader", MANIFEST_LOADERS, ids=LOADER_IDS)
+    @pytest.mark.parametrize("name", sorted(EVENT_BUILDER_DOCUMENTS))
+    def test_document_loads_as_safe_loader_loads_it(self, loader, name):
+        text = EVENT_BUILDER_DOCUMENTS[name]
+        assert_same_document(yaml.load(text, Loader=loader),
+                             yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_merges_follow_flatten_mapping(self):
+        doc = yaml.load(EVENT_BUILDER_DOCUMENTS["merge-sequence-overlap"],
+                        Loader=net_model._ManifestLoader)
+        # merged pairs come first, a list merges in reverse (its first
+        # mapping wins), and the mapping's own keys win over merged ones
+        assert list(doc["first"].items()) == [("y", 2), ("z", 4), ("x", 1), ("w", 5)]
+        assert doc["second"] == {"x": 0, "y": 3, "z": 4}
+        assert list(doc["own-wins"].items()) == [("y", 9), ("z", 4), ("x", 1)]
+        doc = yaml.load(EVENT_BUILDER_DOCUMENTS["two-merge-keys"],
+                        Loader=net_model._ManifestLoader)
+        assert doc["m"] == {"x": 2, "y": 7, "z": 2, "q": 0}
+        assert doc["nested"] == {"x": 3, "z": 2, "p": 1}
+        doc = yaml.load(EVENT_BUILDER_DOCUMENTS["shared-collections"],
+                        Loader=net_model._ManifestLoader)
+        assert doc["m"]["x"] is doc["base"]["x"] and doc["s"][1] is doc["base"]
+
+    @pytest.mark.parametrize("loader", MANIFEST_LOADERS, ids=LOADER_IDS)
+    def test_self_references_are_the_collection_itself(self, loader):
+        seq = yaml.load("&a [*a, 1]", Loader=loader)
+        assert len(seq) == 2 and seq[0] is seq and seq[1] == 1
+        mapping = yaml.load("&m {k: *m, j: [*m]}", Loader=loader)
+        assert list(mapping) == ["k", "j"]
+        assert mapping["k"] is mapping and mapping["j"][0] is mapping
+
+    @pytest.mark.parametrize("text, problem, safe_loader_rejects", [
+        ("a: &x 1\nb: &x 2\n", "duplicate anchor", True),
+        ("a: *nowhere\n", "undefined alias", True),
+        ("? [1]\n: 2\n", "unhashable key", True),
+        ("a: &s [1]\nb: {*s : 2}\n", "unhashable key", True),
+        ("a: 1\n---\nb: 2\n", "single document", True),
+        ("{<<: 5}", "for merging", True),
+        ("{<<: [{a: 1}, 5]}", "for merging", True),
+        ("a: <<\n", "merge", True),
+        ("x: !unknown {a: 1}", "!unknown", True),
+        ("!!set {a, b}", "tag:yaml.org,2002:set", False),
+        ("x: !!omap [a: 1]", "tag:yaml.org,2002:omap", False),
+        ("x: !!pairs [a: 1]", "tag:yaml.org,2002:pairs", False),
+        ("&m {<<: *m}", "merge", False),
+    ], ids=["duplicate-anchor", "undefined-alias", "unhashable-key",
+            "unhashable-alias-key", "second-document", "merge-of-scalar",
+            "merge-list-with-scalar", "merge-key-as-value", "unknown-tag",
+            "set", "omap", "pairs", "recursive-merge"])
+    def test_bad_document_raises(self, text, problem, safe_loader_rejects):
+        for loader in MANIFEST_LOADERS:
+            with pytest.raises(yaml.YAMLError, match=re.escape(problem)) as exc:
+                yaml.load(text, Loader=loader)
+            assert exc.value.problem_mark is not None
+        with pytest.raises(ManifestParseError, match=re.escape(problem)) as exc:
+            load_topology(text)
+        assert "line " in str(exc.value)
+        if safe_loader_rejects:
+            with pytest.raises(yaml.YAMLError):
+                yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_no_node_graph(self, monkeypatch, tiny_inputs):
+        """The tiny manifest (whose four firewalls share ``&fwparams``)
+        loads with PyYAML's composer and constructor passes disabled."""
+        def disabled(*args, **kwargs):
+            raise AssertionError("a manifest load composed a node graph")
+
+        for name in ("get_single_node", "construct_document"):
+            monkeypatch.setattr(net_model._ManifestLoader, name, disabled)
+        text = (resources.files("c2sim") / "data" / "scenarios"
+                / "tiny_topology.yaml").read_text()
+        assert "&fwparams" in text
+        assert load_topology(text) == tiny_inputs[0]
 
 
 class TestLoadTopology:

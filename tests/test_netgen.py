@@ -238,6 +238,42 @@ class TestAssignCves:
         with pytest.raises(ReferenceDataError, match="missing"):
             CveDatabase.from_yaml("cpes:\n  'cpe:/a:x:y:1':\n    - id: CVE-1\n")
 
+    def test_snapshot_score_out_of_range_names_the_record(self):
+        with pytest.raises(ReferenceDataError) as exc:
+            CveDatabase.from_yaml(
+                "cpes:\n  'cpe:/a:x:y:1':\n    - {id: CVE-1, cvss_score: 11, "
+                "cvss_vector: v}\n")
+        assert str(exc.value) == (
+            "CVE snapshot: cpes.cpe:/a:x:y:1[0] CVE-1: cvss_score must be in "
+            "[0, 10], got 11.0")
+
+    def test_snapshot_reads_yaml_1_2_floats(self):
+        db = CveDatabase.from_yaml(
+            "cpes:\n  'cpe:/a:x:y:1':\n    - {id: CVE-1, cvss_score: 75e-1, "
+            "cvss_vector: v}\n")
+        assert db.lookup("cpe:/a:x:y:1")[0].cvss_score == 7.5
+
+
+class TestDefenseTiers:
+    def test_bundled_tiers(self, refs):
+        assert refs.tiers["ssh"] == "high" and refs.tiers["http"] == "medium"
+        assert set(refs.tiers.values()) == {"high", "medium", "low"}
+
+    @pytest.mark.parametrize("text, words", [
+        ("tiers:\n  ssh: extreme\n", ["defense tiers: tiers.ssh", "'extreme'"]),
+        ("tiers:\n  ssh: [high]\n", ["tiers.ssh", "'high' or 'medium' or 'low'"]),
+        ("tiers: [ssh]\n", ["tiers", "mapping"]),
+        ("tier:\n  ssh: high\n", ["unknown", "tier"]),
+    ], ids=["unknown-tier", "list-tier", "list-document", "misspelt-key"])
+    def test_bad_tier_file_fails_at_load(self, monkeypatch, text, words):
+        data_text = netgen._data_text
+        monkeypatch.setattr(netgen, "_data_text", lambda name: (
+            text if name == "defense_tiers.yaml" else data_text(name)))
+        with pytest.raises(ReferenceDataError) as exc:
+            netgen.load_default_references()
+        for word in words:
+            assert word in str(exc.value)
+
 
 def test_security_product_hosts_get_high_tiers(refs):
     cfg = GenConfig(total_ips=30, num_subnets=3, min_ips_per_subnet=8,
