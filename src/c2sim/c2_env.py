@@ -14,11 +14,10 @@ connections from hosts compromised before it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-import yaml
 
 from .net_model import (
     Address,
@@ -26,7 +25,7 @@ from .net_model import (
     NetworkTopology,
     build_config,
     firewall_path,
-    load_config_yaml,
+    load_yaml,
     vuln_applies,
 )
 
@@ -159,21 +158,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
-        doc = load_config_yaml(text)
+        doc = load_yaml(text, ScenarioError)
         if isinstance(doc, dict):
             build_config(Literal[1], doc.pop("schema_version", 1), ScenarioError,
                          "scenario schema_version")
         return build_config(cls, doc, ScenarioError, "scenario")
-
-    def to_yaml(self) -> str:
-        fields = asdict(self)
-        fields["initial_foothold"] = list(self.initial_foothold)
-        fields["sensitive_hosts"] = [list(a) for a in self.sensitive_hosts]
-        topology = fields.pop("topology_ref")
-        doc = {"schema_version": 1, **fields}
-        if topology:
-            doc["topology"] = topology
-        return yaml.safe_dump(doc, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

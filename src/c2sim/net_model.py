@@ -9,13 +9,11 @@ environment instances.
 from __future__ import annotations
 
 import functools
-import gc
 import math
 import re
 import types
 import typing
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import (
     MISSING, asdict, dataclass, field, fields, is_dataclass, replace)
 from typing import Literal
@@ -46,30 +44,25 @@ if yaml.__with_libyaml__:
 else:
     SafeLoader, SafeDumper = yaml.SafeLoader, yaml.SafeDumper
 
-
-class _ConfigLoader(SafeLoader):
-    """SafeLoader that also reads YAML 1.2 floats such as ``3e-5`` and
-    ``1.5e3``, which YAML 1.1 (a dot and a signed exponent required) leaves
-    as strings. Integers and every other scalar resolve as before."""
-
-
-_ConfigLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."))
+# A YAML 1.2 float with an exponent but no dot or no exponent sign, such as
+# ``3e-5`` or ``1e3``, which YAML 1.1 reads as a string.
+_FLOAT_1_2 = re.compile(
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
 
 
-def load_config_yaml(text: str):
-    """Parse a scenario, generator or trainer config document; raises
-    ValueError, in one line, on malformed YAML."""
+def load_yaml(text: str, error: type[Exception]):
+    """The document in ``text``, read as described in ``_ManifestLoader``.
+    Malformed YAML raises ``error`` in one line:
+    ``malformed YAML at line L, column C: <context>, <problem>``."""
     try:
-        return yaml.load(text, Loader=_ConfigLoader)
+        return yaml.load(text, Loader=_ManifestLoader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = (getattr(exc, "problem", None) or " ".join(str(exc).split())
-                   or type(exc).__name__)
-        raise ValueError(f"malformed YAML{where}: {problem}") from None
+        problem = ", ".join(filter(None, (getattr(exc, "context", None),
+                                          getattr(exc, "problem", None))))
+        raise error(f"malformed YAML{where}: "
+                    f"{problem or ' '.join(str(exc).split())}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -682,43 +675,10 @@ def firewall_path(t: NetworkTopology, from_subnet: int) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# YAML manifest serialization
-
-
-@contextmanager
-def _gc_paused():
-    """Run the block with the cyclic garbage collector off.
-
-    A manifest document holds no reference cycles, so reference counting
-    frees it. But while it grows, the collections its allocations trigger
-    rescan it again and again. With the ~600k-node YAML graph that loading
-    used to compose, load took about twice as long with the collector on.
-    Now that load builds no graph, the pause gains little: over 10
-    alternating pairs on enterprise101 (2-vCPU VM), load and save with the
-    collector on took 1.04x as long as with it paused (per-pair medians;
-    1.7-1.8 s and ~1.0 s), less than the host's run-to-run noise. It stays
-    because it costs nothing. The collector is process-wide; it is turned
-    back on only if it was on.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
+# YAML documents and manifest serialization
 
 
 _MAP_TAG, _SEQ_TAG = "tag:yaml.org,2002:map", "tag:yaml.org,2002:seq"
-_MERGE_TAG, _VALUE_TAG = "tag:yaml.org,2002:merge", "tag:yaml.org,2002:value"
-
-# Stands in the builder's items for a mapping's merge key ``<<``.
-_MERGE = object()
-
-
-def _node_id(value) -> str:
-    return ("mapping" if type(value) is dict else
-            "sequence" if type(value) is list else "scalar")
 
 
 def _anchor(anchors, event, value) -> None:
@@ -730,70 +690,15 @@ def _anchor(anchors, event, value) -> None:
     anchors[name] = (value, event.start_mark)
 
 
-def _undefined_tag(event, tag):
-    raise ConstructorError(
-        None, None, f"could not determine a constructor for the tag {tag!r}",
-        event.start_mark)
-
-
 def _unhashable_key(stack, event):
     raise ConstructorError("while constructing a mapping", stack[-1][3].start_mark,
                            "found unhashable key", event.start_mark)
 
 
-def _key_scalar(loader, event, tag, items, in_map, merges):
-    """A scalar tagged merge (``<<``) or value (``=``), which only a
-    mapping key may be, as SafeConstructor's ``flatten_mapping`` reads
-    them: ``=`` is the string, and ``<<`` marks a merge of its value, whose
-    mark is kept for ``_merge``'s errors."""
-    if not in_map or len(items) & 1:
-        _undefined_tag(event, tag)
-    if tag == _VALUE_TAG:
-        return event.value
-    merges.setdefault(id(items), []).append(loader.peek_event().start_mark)
-    return _MERGE
-
-
-def _merge(container, items, start, marks, stack) -> None:
-    """Fill ``container`` from a mapping's keys and values, some of them
-    merge keys, as ``flatten_mapping`` does: the merged pairs first, in the
-    order of the merge keys (the mappings of a list merged in reverse),
-    then the mapping's own, so its own keys win."""
-    merged, own = [], []
-    marks = iter(marks)
-    pairs = iter(items)
-    for key, value in zip(pairs, pairs):
-        if key is not _MERGE:
-            own.append((key, value))
-            continue
-        mark = next(marks)
-        if type(value) is dict:
-            sources = [value]
-        elif type(value) is list:
-            for source in value:
-                if type(source) is not dict:
-                    raise ConstructorError(
-                        "while constructing a mapping", start.start_mark,
-                        f"expected a mapping for merging, but found "
-                        f"{_node_id(source)}", mark)
-            sources = value[::-1]
-        else:
-            raise ConstructorError(
-                "while constructing a mapping", start.start_mark,
-                "expected a mapping or list of mappings for merging, but "
-                "found scalar", mark)
-        for source in sources:
-            if source is container or any(source is f[2] for f in stack):
-                raise ConstructorError(
-                    "while constructing a mapping", start.start_mark,
-                    "found a merge of a mapping this one sits in", mark)
-            merged.extend(source.items())
-    container.update(merged)
-    container.update(own)
-
-
 class _ManifestLoader(SafeLoader):
-    """SafeLoader that builds the document straight from the parser's events.
+    """The loader of every c2sim document (configs, manifests, the CVE
+    snapshot and the defense tiers): SafeLoader's scalars plus YAML 1.2
+    floats, built straight from the parser's events.
 
     PyYAML composes a node graph of the whole stream (for enterprise101,
     ~600k ScalarNode and MappingNode objects, each with two marks) and only
@@ -801,21 +706,18 @@ class _ManifestLoader(SafeLoader):
     the dicts and lists as their events arrive, so no graph is ever held,
     and it resolves and constructs each distinct scalar once per load. The
     memos are exact. A tag depends only on the text and the implicit flags,
-    since the safe resolver has no path resolvers. The safe scalar
-    constructors are pure functions of ``(tag, text)`` and return immutable
-    values, so one object can stand for every equal scalar, as an alias of
-    one node already does.
+    since the resolver has no path resolvers. The safe scalar constructors
+    are pure functions of ``(tag, text)`` and return immutable values, so
+    one object can stand for every equal scalar, as an alias of one node
+    already does.
 
-    The document is the one ``yaml.SafeLoader`` gives: anchors, aliases
-    (also of a collection inside itself), merge keys and the ``=`` key
-    behave as there. The two differ only in what they reject. A collection
-    tagged ``!!set``, ``!!omap``, ``!!pairs`` or any tag but the plain
-    mapping and sequence ones raises ConstructorError naming the tag (no
-    manifest holds one), and so does a mapping that merges a collection it
-    sits in, which SafeLoader reads in a way that depends on its
-    construction order. A document with several faults reports the first
-    one the parser reaches, where SafeLoader reports YAML syntax faults
-    before construction faults.
+    Anchors and aliases (also of a collection inside itself) behave as in
+    ``yaml.SafeLoader``. A merge key (``<<``) and the value key (``=``)
+    raise ConstructorError naming their tag, as any tag with no constructor
+    does, and so does a collection tagged ``!!set``, ``!!omap``, ``!!pairs``
+    or any tag but the plain mapping and sequence ones. A document with
+    several faults reports the first one the parser reaches, where
+    SafeLoader reports YAML syntax faults before construction faults.
     """
 
     def get_single_data(self):
@@ -827,11 +729,8 @@ class _ManifestLoader(SafeLoader):
         untagged = {}  # (text, implicit) -> value of an untagged scalar
         scalars = {}   # (tag, text) -> constructed value
         anchors = {}   # anchor -> (value, mark)
-        merges = {}    # id(items) of a mapping with merge keys -> value marks
 
-        def scalar(tag, event, items, in_map):
-            if tag == _MERGE_TAG or tag == _VALUE_TAG:
-                return _key_scalar(self, event, tag, items, in_map, merges)
+        def scalar(tag, event):
             key = (tag, event.value)
             try:
                 return scalars[key]
@@ -856,12 +755,10 @@ class _ManifestLoader(SafeLoader):
                     try:
                         value = untagged[key]
                     except KeyError:
-                        tag = resolve(ScalarNode, event.value, event.implicit)
-                        value = scalar(tag, event, items, in_map)
-                        if tag != _MERGE_TAG and tag != _VALUE_TAG:
-                            untagged[key] = value
+                        value = untagged[key] = scalar(
+                            resolve(ScalarNode, event.value, event.implicit), event)
                 else:
-                    value = scalar(tag, event, items, in_map)
+                    value = scalar(tag, event)
                 if event.anchor is not None:
                     _anchor(anchors, event, value)
                 items.append(value)
@@ -875,9 +772,10 @@ class _ManifestLoader(SafeLoader):
                 tag = event.tag
                 if not (tag is None or tag == "!" or tag == plain_tag):
                     raise ConstructorError(
-                        None, None, f"found a {_node_id(container)} tagged "
-                        f"{tag!r}; only plain mappings and sequences are read",
-                        event.start_mark)
+                        None, None, f"found a "
+                        f"{'mapping' if kind is MappingStartEvent else 'sequence'}"
+                        f" tagged {tag!r}; only plain mappings and sequences are "
+                        f"read", event.start_mark)
                 if in_map and not len(items) & 1:
                     _unhashable_key(stack, event)
                 stack.append((items, in_map, container, event))
@@ -886,14 +784,10 @@ class _ManifestLoader(SafeLoader):
                 else:
                     items, in_map = container, False
             elif kind is MappingEndEvent:
-                parent, parent_in_map, container, start = stack.pop()
-                marks = merges.pop(id(items), None) if merges else None
-                if marks is None:
-                    pairs = iter(items)
-                    container.update(zip(pairs, pairs))
-                else:
-                    _merge(container, items, start, marks, stack)
-                items, in_map = parent, parent_in_map
+                parent, in_map, container, _ = stack.pop()
+                pairs = iter(items)
+                container.update(zip(pairs, pairs))
+                items = parent
                 items.append(container)
             elif kind is SequenceEndEvent:
                 items, in_map, container, _ = stack.pop()
@@ -908,8 +802,6 @@ class _ManifestLoader(SafeLoader):
                 if (in_map and not len(items) & 1
                         and (type(value) is dict or type(value) is list)):
                     _unhashable_key(stack, event)
-                if value is _MERGE:  # an alias of an anchored ``<<``
-                    _key_scalar(self, event, _MERGE_TAG, items, in_map, merges)
                 items.append(value)
             else:  # DocumentEndEvent: the root is complete
                 break
@@ -920,6 +812,17 @@ class _ManifestLoader(SafeLoader):
                 "expected a single document in the stream", first_mark,
                 "but found another document", event.start_mark)
         return root[0]
+
+
+class _ManifestDumper(SafeDumper):
+    """SafeDumper that quotes a string ``_ManifestLoader`` would read as a
+    YAML 1.2 float, such as the label ``1e3``."""
+
+
+_ManifestLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float", _FLOAT_1_2, list("-+0123456789."))
+_ManifestDumper.add_implicit_resolver(
+    "tag:yaml.org,2002:float", _FLOAT_1_2, list("-+0123456789."))
 
 
 @dataclass(slots=True)
@@ -963,18 +866,14 @@ class _Manifest:
     security_products: tuple[Address, ...] = ()
 
 
-@_gc_paused()
 def load_topology(yaml_text: str) -> NetworkTopology:
     """Parse and validate a YAML manifest.
 
     Raises ManifestParseError naming the key (as ``subnets[0].hosts[2].os``)
     when an entry has the wrong shape or type, and TopologyError when the
     network breaks an invariant."""
-    try:
-        doc = yaml.load(yaml_text, Loader=_ManifestLoader)
-    except yaml.YAMLError as exc:
-        raise ManifestParseError(f"malformed YAML: {exc}") from exc
-    manifest = build_config(_Manifest, doc, ManifestParseError, "manifest")
+    manifest = build_config(_Manifest, load_yaml(yaml_text, ManifestParseError),
+                            ManifestParseError, "manifest")
 
     rules_by_subnet: dict[int, list[AllowRule]] = {}
     # (peer, port) -> AllowRule: equal rules share one immutable object, as
@@ -1014,16 +913,15 @@ def load_topology(yaml_text: str) -> NetworkTopology:
     )
 
 
-@_gc_paused()
 def save_topology(t: NetworkTopology) -> str:
     """Serialize a topology to manifest YAML. load_topology round-trips it.
 
-    The text is exactly ``yaml.dump(_manifest_doc(t), Dumper=SafeDumper,
-    sort_keys=False, allow_unicode=True, width=100)``, made without the
-    representation graph that yaml.dump builds first (see
-    ``_manifest_events``)."""
-    return yaml.emit(_manifest_events(_manifest_doc(t), SafeDumper(None)),
-                     Dumper=SafeDumper, allow_unicode=True, width=100)
+    The text is exactly ``yaml.dump(_manifest_doc(t),
+    Dumper=_ManifestDumper, sort_keys=False, allow_unicode=True,
+    width=100)``, made without the representation graph that yaml.dump
+    builds first (see ``_manifest_events``)."""
+    return yaml.emit(_manifest_events(_manifest_doc(t), _ManifestDumper(None)),
+                     Dumper=_ManifestDumper, allow_unicode=True, width=100)
 
 
 def _manifest_doc(t: NetworkTopology) -> dict:

@@ -26,7 +26,7 @@ from .net_model import (
     Subnet,
     Vulnerability,
     build_config,
-    load_config_yaml,
+    load_yaml,
 )
 
 BUCKETS = ("high", "moderate", "low", "rare")
@@ -157,7 +157,8 @@ class CveDatabase:
 
     @classmethod
     def from_yaml(cls, text: str) -> "CveDatabase":
-        snapshot = build_config(_CveSnapshot, load_config_yaml(text),
+        snapshot = build_config(_CveSnapshot,
+                                load_yaml(text, ReferenceDataError),
                                 ReferenceDataError, "CVE snapshot")
         return cls(by_cpe=snapshot.cpes)
 
@@ -194,7 +195,8 @@ def _data_text(name: str) -> str:
 def load_default_references() -> References:
     """The reference tables shipped with the package."""
     tiers = build_config(_DefenseTiers,
-                         load_config_yaml(_data_text("defense_tiers.yaml")),
+                         load_yaml(_data_text("defense_tiers.yaml"),
+                                   ReferenceDataError),
                          ReferenceDataError, "defense tiers").tiers
     return References(
         ports=PortProbabilityTable.from_csv(_data_text("port_probabilities.csv")),
@@ -245,8 +247,8 @@ class GenConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "GenConfig":
-        return build_config(cls, load_config_yaml(text), GenerationError,
-                            "generator config")
+        return build_config(cls, load_yaml(text, GenerationError),
+                            GenerationError, "generator config")
 
 
 def assign_ports(rng: np.random.Generator, max_open_ports: int,

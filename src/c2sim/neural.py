@@ -233,12 +233,6 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
     return z
 
 
-def entropy(scores: np.ndarray) -> np.ndarray:
-    """Entropy of the categorical distribution for each score row."""
-    logp = log_softmax(scores)
-    return -np.sum(np.exp(logp) * logp, axis=-1)
-
-
 def categorical_sample(scores: np.ndarray, rng: np.random.Generator):
     """Sample from softmax(scores) by inverse CDF, one uniform per row.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import neural
 from .c2_env import C2Env, ScenarioConfig
-from .net_model import NetworkTopology, build_config, load_config_yaml
+from .net_model import NetworkTopology, build_config, load_yaml
 from .neural import MlpParams, OptimizerState
 
 
@@ -69,7 +69,7 @@ class PpoConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "PpoConfig":
-        doc = load_config_yaml(text)
+        doc = load_yaml(text, ValueError)
         return build_config(cls, {} if doc is None else doc, ValueError, "PPO config")
 
 

@@ -65,6 +65,17 @@ class TestValidate:
         assert run(["validate", "--topology", str(path)]) == cli.EXIT_INVALID
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "subnets: [unclosed", "schema_version: 1\n---\nschema_version: 1\n",
+    ], ids=["unclosed-sequence", "two-documents"])
+    def test_malformed_yaml_is_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "net.yaml"
+        path.write_text(text)
+        assert run(["validate", "--topology", str(path)]) == cli.EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed YAML at line"), err
+        assert err.count("\n") == 1, err
+
     def test_missing_file(self, tmp_path):
         assert run(["validate", "--topology",
                     str(tmp_path / "nope.yaml")]) == cli.EXIT_IO
@@ -310,10 +321,13 @@ class TestConfigErrors:
         (PPO_SMALL + "actor_lr: .nan\n", ["actor_lr", "number", "nan"]),
         (PPO_SMALL + "stop_reward: .NaN\n", ["stop_reward", "number", "nan"]),
         (PPO_SMALL + "actor_lr: .inf\n", ["actor_lr", "finite", "inf"]),
+        ("defaults: &d {horizon: 128}\n<<: *d\n",
+         ["malformed YAML at line 2", "merge"]),
     ], ids=["list-document", "integer-key", "string-horizon", "string-rate",
             "list-stop-reward", "integer-flag", "malformed-yaml",
             "fractional-horizon", "boolean-seed", "boolean-rate", "string-flag",
-            "string-width", "nan-rate", "nan-stop-reward", "infinite-rate"])
+            "string-width", "nan-rate", "nan-stop-reward", "infinite-rate",
+            "merge-key"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
         cfg.write_text(text)

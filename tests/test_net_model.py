@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import collections
-import gc
 import hashlib
 import math
 import re
@@ -88,9 +87,6 @@ CRAFTED_DOCUMENT = """
 base: &base {port: 80, name: http, cpe: ""}
 shared: &shared [1, 2, 3]
 again: *shared
-merged:
-  <<: *base
-  name: https
 blob: !!binary aGVsbG8gd29ybGQ=
 stamp: 2001-12-14t21:59:43.10-05:00
 day: 2002-12-14
@@ -110,7 +106,18 @@ hosts:
 """
 
 
-class PurePythonManifestLoader(yaml.SafeLoader):
+class ReferenceLoader(yaml.SafeLoader):
+    """yaml.SafeLoader reading YAML 1.2 floats (``1e3``, ``3e-5``) as every
+    c2sim document is read."""
+
+
+ReferenceLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+0123456789."))
+
+
+class PurePythonManifestLoader(ReferenceLoader):
     """The manifest loader's event builder on PyYAML's pure-Python parser,
     which it reads when PyYAML is built without libyaml."""
 
@@ -121,24 +128,10 @@ MANIFEST_LOADERS = [net_model._ManifestLoader, PurePythonManifestLoader]
 LOADER_IDS = ["manifest-loader", "pure-python-parser"]
 
 EVENT_BUILDER_DOCUMENTS = {
-    "merge-sequence-overlap": """
-a: &a {x: 1, y: 2}
-b: &b {y: 3, z: 4, x: 0}
-first: {<<: [*a, *b], w: 5}
-second: {<<: [*b, *a]}
-own-wins: {y: 9, <<: [*a, *b]}
-""",
-    "two-merge-keys": """
-a: &a {x: 1, y: 1}
-b: &b {x: 2, z: 2}
-m: {<<: *a, q: 0, <<: *b, y: 7}
-nested: {<<: {p: 1, <<: *b}, x: 3}
-""",
-    "value-key": "{=: 1, b: =x, c: [{=: 2}]}",
     "explicit-tags": (
         "!!map {a: !!seq [1, !!str 2, ! 3], !!str 4: !!map {b: !!str yes}}"),
     "duplicate-keys": "{1: a, true: b, 1.0: c, k: 1, k: 2}",
-    "shared-collections": "base: &b {x: [1, 2]}\nm: {<<: *b}\ns: [*b, *b]\n",
+    "shared-collections": "base: &b {x: [1, 2]}\ns: [*b, *b]\n",
     "explicit-empty-document": "--- \n...\n",
     "empty-stream": "",
     "comment-only-stream": "# only a comment\n",
@@ -147,7 +140,8 @@ nested: {<<: {p: 1, <<: *b}, x: 3}
 
 
 class TestManifestLoader:
-    """The manifest loader builds exactly what yaml.SafeLoader builds."""
+    """The manifest loader builds exactly what yaml.SafeLoader with YAML 1.2
+    floats builds, and rejects merge keys and the value key."""
 
     def test_no_path_resolvers(self):
         # the memos key a tag on the scalar's text alone, which is exact only
@@ -157,11 +151,10 @@ class TestManifestLoader:
 
     def test_crafted_document_loads_as_safe_loader_loads_it(self):
         ours = yaml.load(CRAFTED_DOCUMENT, Loader=net_model._ManifestLoader)
-        ref = yaml.load(CRAFTED_DOCUMENT, Loader=yaml.SafeLoader)
+        ref = yaml.load(CRAFTED_DOCUMENT, Loader=ReferenceLoader)
         assert_same_document(ours, ref)
         for doc in (ours, ref):  # an alias is the anchored object itself
             assert doc["again"] is doc["shared"]
-        assert ours["merged"] == {"port": 80, "name": "https", "cpe": ""}
         assert ours["blob"] == b"hello world"
         assert ours["flags"] == [True, True, False, False, True, "y", "n"]
         assert (ours["octal"], ours["old_octal"], ours["sexagesimal"]) == (
@@ -174,23 +167,7 @@ class TestManifestLoader:
     def test_document_loads_as_safe_loader_loads_it(self, loader, name):
         text = EVENT_BUILDER_DOCUMENTS[name]
         assert_same_document(yaml.load(text, Loader=loader),
-                             yaml.load(text, Loader=yaml.SafeLoader))
-
-    def test_merges_follow_flatten_mapping(self):
-        doc = yaml.load(EVENT_BUILDER_DOCUMENTS["merge-sequence-overlap"],
-                        Loader=net_model._ManifestLoader)
-        # merged pairs come first, a list merges in reverse (its first
-        # mapping wins), and the mapping's own keys win over merged ones
-        assert list(doc["first"].items()) == [("y", 2), ("z", 4), ("x", 1), ("w", 5)]
-        assert doc["second"] == {"x": 0, "y": 3, "z": 4}
-        assert list(doc["own-wins"].items()) == [("y", 9), ("z", 4), ("x", 1)]
-        doc = yaml.load(EVENT_BUILDER_DOCUMENTS["two-merge-keys"],
-                        Loader=net_model._ManifestLoader)
-        assert doc["m"] == {"x": 2, "y": 7, "z": 2, "q": 0}
-        assert doc["nested"] == {"x": 3, "z": 2, "p": 1}
-        doc = yaml.load(EVENT_BUILDER_DOCUMENTS["shared-collections"],
-                        Loader=net_model._ManifestLoader)
-        assert doc["m"]["x"] is doc["base"]["x"] and doc["s"][1] is doc["base"]
+                             yaml.load(text, Loader=ReferenceLoader))
 
     @pytest.mark.parametrize("loader", MANIFEST_LOADERS, ids=LOADER_IDS)
     def test_self_references_are_the_collection_itself(self, loader):
@@ -206,18 +183,27 @@ class TestManifestLoader:
         ("? [1]\n: 2\n", "unhashable key", True),
         ("a: &s [1]\nb: {*s : 2}\n", "unhashable key", True),
         ("a: 1\n---\nb: 2\n", "single document", True),
-        ("{<<: 5}", "for merging", True),
-        ("{<<: [{a: 1}, 5]}", "for merging", True),
+        ("{<<: 5}", "merge", True),
+        ("{<<: [{a: 1}, 5]}", "merge", True),
         ("a: <<\n", "merge", True),
         ("x: !unknown {a: 1}", "!unknown", True),
         ("!!set {a, b}", "tag:yaml.org,2002:set", False),
         ("x: !!omap [a: 1]", "tag:yaml.org,2002:omap", False),
         ("x: !!pairs [a: 1]", "tag:yaml.org,2002:pairs", False),
         ("&m {<<: *m}", "merge", False),
+        ("a: &a {x: 1, y: 2}\nb: &b {y: 3, z: 4, x: 0}\n"
+         "first: {<<: [*a, *b], w: 5}\n", "merge", False),
+        ("a: &a {x: 1, y: 1}\nb: &b {x: 2, z: 2}\n"
+         "m: {<<: *a, q: 0, <<: *b, y: 7}\n", "merge", False),
+        ("base: &b {x: [1, 2]}\nm: {<<: *b}\n", "merge", False),
+        ("base: &base {port: 80, name: http, cpe: ''}\n"
+         "merged:\n  <<: *base\n  name: https\n", "merge", False),
     ], ids=["duplicate-anchor", "undefined-alias", "unhashable-key",
             "unhashable-alias-key", "second-document", "merge-of-scalar",
             "merge-list-with-scalar", "merge-key-as-value", "unknown-tag",
-            "set", "omap", "pairs", "recursive-merge"])
+            "set", "omap", "pairs", "recursive-merge", "merge-sequence-overlap",
+            "two-merge-keys", "shared-collections-merge",
+            "crafted-merge"])
     def test_bad_document_raises(self, text, problem, safe_loader_rejects):
         for loader in MANIFEST_LOADERS:
             with pytest.raises(yaml.YAMLError, match=re.escape(problem)) as exc:
@@ -228,7 +214,18 @@ class TestManifestLoader:
         assert "line " in str(exc.value)
         if safe_loader_rejects:
             with pytest.raises(yaml.YAMLError):
-                yaml.load(text, Loader=yaml.SafeLoader)
+                yaml.load(text, Loader=ReferenceLoader)
+
+    @pytest.mark.parametrize("loader", MANIFEST_LOADERS, ids=LOADER_IDS)
+    def test_value_key_raises(self, loader):
+        # yaml.SafeLoader reads ``=`` as the value key; c2sim rejects it
+        text = "{=: 1, b: =x, c: [{=: 2}]}"
+        with pytest.raises(yaml.YAMLError, match="value") as exc:
+            yaml.load(text, Loader=loader)
+        assert exc.value.problem_mark is not None
+        with pytest.raises(ManifestParseError, match="value") as exc:
+            load_topology(text)
+        assert "line " in str(exc.value)
 
     def test_no_node_graph(self, monkeypatch, tiny_inputs):
         """The tiny manifest (whose four firewalls share ``&fwparams``)
@@ -301,47 +298,18 @@ firewalls:
         with pytest.raises(ManifestParseError):
             load_topology("subnets: [unclosed")
 
+    def test_yaml_1_2_float(self):
+        # YAML 1.1 reads an exponent without a dot as a string
+        t = load_topology(MINIMAL_MANIFEST.replace(
+            "{id: fw-i-1, edge: [internet, 1]}",
+            "{id: fw-i-1, edge: [internet, 1], params: {max_upload_volume: 5e3}}"))
+        volume = t.firewall_on_edge("internet", 1).params.max_upload_volume
+        assert type(volume) is float and volume == 5000.0
+
     def test_wrong_schema_version(self):
         with pytest.raises(ManifestParseError, match="schema_version"):
             load_topology(MINIMAL_MANIFEST.replace(
                 "schema_version: 1", "schema_version: 99"))
-
-
-class TestCollectorState:
-    """Manifest I/O pauses the cyclic collector and restores it as found."""
-
-    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
-    def caller_gc(self, request):
-        was_enabled = gc.isenabled()
-        (gc.enable if request.param else gc.disable)()
-        yield request.param
-        (gc.enable if was_enabled else gc.disable)()
-
-    def test_load_and_save_restore_collector(self, caller_gc):
-        t = load_topology(MINIMAL_MANIFEST)
-        assert gc.isenabled() is caller_gc
-        assert load_topology(save_topology(t)) == t
-        assert gc.isenabled() is caller_gc
-
-    def test_collector_paused_inside_manifest_io(self, caller_gc, monkeypatch):
-        seen = []
-
-        def recording(real):
-            def call(*args, **kwargs):
-                seen.append((real.__name__, gc.isenabled()))
-                return real(*args, **kwargs)
-            return call
-
-        monkeypatch.setattr(yaml, "load", recording(yaml.load))
-        monkeypatch.setattr(yaml, "emit", recording(yaml.emit))
-        save_topology(load_topology(MINIMAL_MANIFEST))
-        assert seen == [("load", False), ("emit", False)]
-        assert gc.isenabled() is caller_gc
-
-    def test_parse_error_restores_collector(self, caller_gc):
-        with pytest.raises(ManifestParseError):
-            load_topology("subnets: [unclosed")
-        assert gc.isenabled() is caller_gc
 
 
 class TestValidation:
@@ -475,6 +443,20 @@ class TestRoundTrip:
             host = back.host(address)
             assert (math.copysign(1.0, host.discovery_value),
                     math.copysign(1.0, host.infection_value)) == signs
+
+    def test_float_like_labels_round_trip(self):
+        """Strings that read as YAML 1.2 floats are saved quoted."""
+        host = Host(
+            address=(1, 0), os="linux", open_ports=frozenset({80}),
+            services=(ServiceBinding(port=80, service_name="3e-5", cpe="+1E9"),),
+        )
+        t = NetworkTopology(
+            subnets=(Subnet(id=1, hosts=(host,)),),
+            firewalls=(Firewall(id="1e3", edge=("internet", 1)),),
+            internet_gateway_subnets=frozenset({1}),
+            adjacency=(),
+        )
+        assert load_topology(save_topology(t)) == t
 
     def test_unicode_labels_round_trip(self):
         host = Host(

@@ -192,7 +192,7 @@ class TestPpoLoss:
             ratio = np.exp(logp - logp_old)
             clipped = np.clip(ratio, 1 - cfg.clip_epsilon, 1 + cfg.clip_epsilon)
             objective = np.minimum(ratio * adv, clipped * adv)
-            ent = neural.entropy(logits).mean()
+            ent = -(np.exp(logp_all) * logp_all).sum(axis=1).mean()
             return -objective.mean() - cfg.entropy_coef * ent
 
         _, _, _, grads, _ = ppo_loss(actor, critic, obs, actions, logp_old, adv,
