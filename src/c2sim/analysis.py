@@ -145,14 +145,13 @@ def _check_replayable(env: C2Env, actions: list) -> None:
     topology, a CVE no host in it has or an upload rate its scenario lacks.
     A known CVE aimed at a host without it is a failed exploit, not an error."""
     rates = env.scenario.upload_rates
-    cves = {a.cve_id for a in env.actions if isinstance(a, Exploit)}
     for idx, action in enumerate(actions):
         host = getattr(action, "host", None)
         if host is not None and host not in env.host_index:
             raise TraceReplayError(
                 f"step {idx}: {action.kind} targets host {host}, which is not "
                 f"in the topology")
-        if isinstance(action, Exploit) and action.cve_id not in cves:
+        if isinstance(action, Exploit) and action.cve_id not in env.cve_ids:
             raise TraceReplayError(
                 f"step {idx}: exploit names {action.cve_id}, which no host in "
                 f"the topology has")

@@ -36,6 +36,8 @@ NOT_CONNECTED = "not_connected"
 CONNECTED = "connected"
 ISOLATED = "isolated"
 CONNECTION_STATUSES = (NOT_CONNECTED, CONNECTED, ISOLATED)
+_STATUS_ONE_HOT = {s: tuple(float(s == t) for t in CONNECTION_STATUSES)
+                   for s in CONNECTION_STATUSES}
 
 # Connect attempt outcomes.
 OUTCOME_CONNECTED = "connected"
@@ -244,12 +246,19 @@ class C2Env:
 
     One instance is single-threaded; run several instances with separate
     seeds for parallel rollouts. The topology is never mutated; everything
-    a step needs from it is tabulated once, in ``__init__``.
+    a step needs from it (scan reveals, firewall paths, each host's cost
+    tier, the best applicable CVSS per host and CVE) is tabulated once, in
+    ``__init__``, so a step costs the same at any network size.
 
     Each instance owns one observation buffer, rewritten in place by every
     ``reset`` and ``step``. The observation they return is a read-only view
     of it, valid until that instance's next ``reset`` or ``step``; a caller
-    that keeps an observation longer copies it.
+    that keeps an observation longer copies it. The hosts' discovered and
+    infected bits in it are written by ``reset`` and by the scan or exploit
+    that sets them, so they are episode state as much as ``state`` is: a
+    snapshot of the episode must save the buffer too, and a caller that
+    writes ``state.discovered`` or ``state.infected`` directly leaves the
+    observation's bits as they were.
     """
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
@@ -300,6 +309,22 @@ class C2Env:
 
     def _build_tables(self) -> None:
         t = self.topology
+        hosts = self._hosts.values()
+        # Per host, the defense-tier part of ``action_cost``; per (host, CVE),
+        # the best CVSS score among the host's vulnerabilities with that id
+        # that ``vuln_applies`` to it (no entry: the exploit fails).
+        self._tier_penalty = {h.address: TIER_PENALTY[h.max_defense_tier()]
+                              for h in hosts}
+        self._exploit_cvss: dict[tuple[Address, str], float] = {}
+        for h in hosts:
+            for v in h.vulnerabilities():
+                if vuln_applies(h, v):
+                    key = (h.address, v.cve_id)
+                    self._exploit_cvss[key] = max(
+                        self._exploit_cvss.get(key, v.cvss_score), v.cvss_score)
+        # The CVE ids exploit actions name: those of every host, applicable or not.
+        self.cve_ids = frozenset(a.cve_id for a in self.actions if isinstance(a, Exploit))
+
         # Hosts a scan from each subnet reveals, in discovery order: the
         # subnet's own hosts, then each neighbor's hosts with a service on a
         # port the allow rules open (any service under an all-ports rule).
@@ -354,8 +379,9 @@ class C2Env:
         self.obs_len = (len(self._addresses) * self.host_block_len
                         + len(self._sensitive) * self.sensitive_block_len)
 
-        # The static slots are written once, here; encode_observation
-        # rewrites only the status bits and the target slots.
+        # The static slots are written once, here; reset and the steps that
+        # change them write the status bits, encode_observation the target
+        # slots.
         template = np.zeros(self.obs_len, dtype=np.float64)
         # offset of each host's (value, discovered, value, infected) slots
         self._host_offsets = np.zeros(len(self._addresses), dtype=np.intp)
@@ -406,6 +432,8 @@ class C2Env:
         )
         foothold = self.host_index[self.scenario.initial_foothold]
         self.state.discovered[foothold] = self.state.infected[foothold] = True
+        self._discovered_bits[:] = self.state.discovered
+        self._infected_bits[:] = self.state.infected
         self._done = False
         return self.encode_observation()
 
@@ -437,7 +465,7 @@ class C2Env:
         self._scheduled_updates()
 
         target = getattr(action, "host", None)
-        reward = -action_cost(action, self._hosts.get(target))
+        reward = -float(BASE_COST[action.kind] + self._tier_penalty.get(target, 0))
         info = {
             "action": action.kind,
             "target": target,
@@ -481,9 +509,11 @@ class C2Env:
                 info["outcome"] = "slept"
 
         st.step_count += 1
-        self._done = self._check_done()
+        settled = self._all_targets_settled()
+        capped = st.step_count >= self.scenario.max_steps
+        self._done = settled or capped
         info["clock"] = st.clock
-        if st.step_count >= self.scenario.max_steps and not self._all_targets_settled():
+        if capped and not settled:
             info["truncated"] = True
         return self.encode_observation(), reward, self._done, info
 
@@ -524,6 +554,7 @@ class C2Env:
         reveal = self._scan_reveals[origin[0]]
         newly = reveal[~st.discovered[reveal]]
         st.discovered[newly] = True
+        self._discovered_bits[newly] = 1.0
         values = self._discovery_values[newly]
         st.accumulated_reward[newly] += values
         gained = 0.0
@@ -533,12 +564,9 @@ class C2Env:
 
     def _do_exploit(self, target: Address, cve_id: str) -> tuple[bool, float]:
         st = self.state
-        host = self._hosts[target]
-        matching = [v for v in host.vulnerabilities() if v.cve_id == cve_id]
-        applicable = [v for v in matching if vuln_applies(host, v)]
-        success = bool(applicable)
+        best = self._exploit_cvss.get((target, cve_id))
+        success = best is not None
         if success and self.scenario.cvss_scaled_exploits:
-            best = max(v.cvss_score for v in applicable)
             success = self._rng.random() < best / 10.0
         if not success:
             return False, 0.0
@@ -546,9 +574,11 @@ class C2Env:
         if st.infected[i]:
             return True, 0.0
         st.infected[i] = True
+        self._infected_bits[i] = 1.0
         st.infection_time[i] = st.clock
-        st.accumulated_reward[i] += host.infection_value
-        return True, host.infection_value
+        gained = self._hosts[target].infection_value
+        st.accumulated_reward[i] += gained
+        return True, gained
 
     def _do_connect(self, target: Address) -> tuple[str, str, float, float]:
         """Returns (outcome, attempt result, reward gained, penalty).
@@ -648,10 +678,6 @@ class C2Env:
         return all(ts.payload_remaining <= 0 or ts.connection_status == ISOLATED
                    for ts in self.state.targets.values())
 
-    def _check_done(self) -> bool:
-        return (self._all_targets_settled()
-                or self.state.step_count >= self.scenario.max_steps)
-
     def terminal_status(self, addr: Address) -> str:
         """completed | isolated | incomplete for a sensitive host."""
         ts = self.state.targets[addr]
@@ -662,24 +688,24 @@ class C2Env:
         return "incomplete"
 
     def encode_observation(self) -> np.ndarray:
-        """Write the current state into this env's observation buffer.
+        """Write the sensitive hosts' slots into this env's observation
+        buffer; the host status bits are already current, written where
+        the state changes.
 
         Returns a read-only view of the buffer, valid until this env's next
         ``reset`` or ``step``; copy it to keep it.
         """
         st = self.state
         obs = self._obs
-        self._discovered_bits[:] = st.discovered
-        self._infected_bits[:] = st.infected
         for addr, ts in st.targets.items():
             i = self.host_index[addr]
             off = self._sensitive_offsets[addr]
-            obs[off:off + 3] = 0.0  # the buffer holds the last status bit
-            obs[off + CONNECTION_STATUSES.index(ts.connection_status)] = 1.0
             since = st.clock - st.infection_time[i] if st.infected[i] else 0.0
-            obs[off + 3] = since * INFECTION_TIME_SCALE
-            obs[off + 4] = ts.payload_remaining / self.scenario.payload_size_mb
-            obs[off + 5] = ts.cum_connect_attempts
-            obs[off + 6] = ts.cum_upload_time * UPLOAD_TIME_SCALE
-            obs[off + 7] = ts.cum_upload_volume * UPLOAD_VOLUME_SCALE
+            obs[off:off + 8] = (
+                *_STATUS_ONE_HOT[ts.connection_status],
+                since * INFECTION_TIME_SCALE,
+                ts.payload_remaining / self.scenario.payload_size_mb,
+                ts.cum_connect_attempts,
+                ts.cum_upload_time * UPLOAD_TIME_SCALE,
+                ts.cum_upload_volume * UPLOAD_VOLUME_SCALE)
         return self._obs_readonly

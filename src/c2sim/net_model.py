@@ -47,7 +47,7 @@ else:
 # A YAML 1.2 float with an exponent but no dot or no exponent sign, such as
 # ``3e-5`` or ``1e3``, which YAML 1.1 reads as a string.
 _FLOAT_1_2 = re.compile(
-    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$")
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$")
 
 
 def load_yaml(text: str, error: type[Exception]):
@@ -735,10 +735,19 @@ class _ManifestLoader(SafeLoader):
             try:
                 return scalars[key]
             except KeyError:
+                pass
+            try:
                 value = scalars[key] = construct(ScalarNode(
                     tag, event.value, event.start_mark, event.end_mark,
                     style=event.style), deep=True)
-                return value
+            except (ValueError, TypeError, KeyError, AttributeError):
+                # a safe constructor's own fault on a resolved or tagged
+                # scalar it cannot read, such as month 13 or ``!!int abc``
+                raise ConstructorError(
+                    None, None, f"cannot read {event.value!r} as "
+                    f"{tag.replace('tag:yaml.org,2002:', '!!')}",
+                    event.start_mark) from None
+            return value
 
         root = items = []  # the open collection's values; a mapping's are
         in_map = False     # its keys and values in turn

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from c2sim.c2_env import (
+    BASE_COST,
     ActionTimes,
     C2Env,
     Connect,
@@ -38,6 +39,7 @@ from c2sim.net_model import (
     NetworkTopology,
     Subnet,
     firewall_path,
+    vuln_applies,
 )
 
 from conftest import chain_topology, make_host, vuln
@@ -748,6 +750,10 @@ class TestObservation:
             tracemalloc.stop()
         assert peak < obs.nbytes // 100, peak
 
+        # reset rewrites the host status bits that the episode's scans and
+        # exploits set
+        assert np.array_equal(env.reset(seed=1), oracles.reference_observation(env))
+
     def test_returned_observation_is_read_only(self, chain3):
         env = env_of(chain3)
         obs = env.reset(seed=0)
@@ -892,6 +898,32 @@ class TestPrecomputedTables:
         for s in topology.subnets:
             reveals = [env._addresses[i] for i in env._scan_reveals[s.id]]
             assert reveals == scan_walk(topology, s.id), s.id
+
+    @pytest.mark.parametrize("network", ["tiny", "enterprise101"])
+    def test_costs_and_exploit_odds_match_their_definitions(self, network, request):
+        from c2sim import scenarios
+
+        pair = (scenarios.enterprise101(request.getfixturevalue("refs"))
+                if network == "enterprise101" else request.getfixturevalue("tiny_inputs"))
+        env = C2Env(*pair)
+        topology = env.topology
+        exploits = 0
+        for action in env.actions:
+            target = getattr(action, "host", None)
+            host = topology.host(target) if target else None
+            cost = BASE_COST[action.kind] + env._tier_penalty.get(target, 0)
+            assert float(cost) == action_cost(action, host), action
+            if isinstance(action, Exploit):
+                exploits += 1
+                applicable = [v.cvss_score for v in host.vulnerabilities()
+                              if v.cve_id == action.cve_id and vuln_applies(host, v)]
+                key = (action.host, action.cve_id)
+                assert (key in env._exploit_cvss) == bool(applicable), action
+                if applicable:
+                    assert env._exploit_cvss[key] == max(applicable), action
+        assert len(env._exploit_cvss) <= exploits
+        assert env.cve_ids == {v.cve_id for h in topology.hosts()
+                               for v in h.vulnerabilities()}
 
     def test_golden_digest_of_random_episodes_on_tiny(self, tiny_inputs):
         # sha256 over every observation, reward, done flag and info dict of

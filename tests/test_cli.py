@@ -67,7 +67,10 @@ class TestValidate:
 
     @pytest.mark.parametrize("text", [
         "subnets: [unclosed", "schema_version: 1\n---\nschema_version: 1\n",
-    ], ids=["unclosed-sequence", "two-documents"])
+        "schema_version: 1\nsubnets:\n  - {id: 1, hosts: [{local_id: 0, os: 2002-13-45}]}\n",
+        'schema_version: !!int "abc"\n', "schema_version: !!float ._e3\n",
+    ], ids=["unclosed-sequence", "two-documents", "month-13-os", "tagged-int",
+            "tagged-float"])
     def test_malformed_yaml_is_one_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "net.yaml"
         path.write_text(text)
@@ -323,11 +326,20 @@ class TestConfigErrors:
         (PPO_SMALL + "actor_lr: .inf\n", ["actor_lr", "finite", "inf"]),
         ("defaults: &d {horizon: 128}\n<<: *d\n",
          ["malformed YAML at line 2", "merge"]),
+        (PPO_SMALL.replace("seed: 5", "seed: 2002-13-45"),
+         ["malformed YAML at line 7", "cannot read '2002-13-45' as !!timestamp"]),
+        (PPO_SMALL.replace("seed: 5", 'seed: !!int "abc"'),
+         ["malformed YAML at line 7", "cannot read 'abc' as !!int"]),
+        (PPO_SMALL + "actor_lr: !!float ._e3\n",
+         ["malformed YAML at line 8", "cannot read '._e3' as !!float"]),
+        # no digit after the dot: a string, as in YAML 1.1, not a float
+        (PPO_SMALL + "actor_lr: ._e3\n", ["actor_lr", "number", "'._e3'"]),
     ], ids=["list-document", "integer-key", "string-horizon", "string-rate",
             "list-stop-reward", "integer-flag", "malformed-yaml",
             "fractional-horizon", "boolean-seed", "boolean-rate", "string-flag",
             "string-width", "nan-rate", "nan-stop-reward", "infinite-rate",
-            "merge-key"])
+            "merge-key", "month-13", "tagged-int", "tagged-float",
+            "fraction-only-exponent"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
         cfg.write_text(text)

@@ -113,7 +113,7 @@ class ReferenceLoader(yaml.SafeLoader):
 
 ReferenceLoader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
     list("-+0123456789."))
 
 
@@ -198,12 +198,20 @@ class TestManifestLoader:
         ("base: &b {x: [1, 2]}\nm: {<<: *b}\n", "merge", False),
         ("base: &base {port: 80, name: http, cpe: ''}\n"
          "merged:\n  <<: *base\n  name: https\n", "merge", False),
+        # yaml.SafeLoader raises the constructor's own bare error for these
+        ("a: [1, 2002-13-45]", "cannot read '2002-13-45' as !!timestamp", False),
+        ('a: !!int "abc"', "cannot read 'abc' as !!int", False),
+        ("a: !!bool maybe", "cannot read 'maybe' as !!bool", False),
+        ("a: !!timestamp 2002-01-01x", "cannot read '2002-01-01x' as !!timestamp",
+         False),
+        ("a: !!float ._e3", "cannot read '._e3' as !!float", False),
     ], ids=["duplicate-anchor", "undefined-alias", "unhashable-key",
             "unhashable-alias-key", "second-document", "merge-of-scalar",
             "merge-list-with-scalar", "merge-key-as-value", "unknown-tag",
             "set", "omap", "pairs", "recursive-merge", "merge-sequence-overlap",
             "two-merge-keys", "shared-collections-merge",
-            "crafted-merge"])
+            "crafted-merge", "month-13", "tagged-int", "tagged-bool",
+            "tagged-timestamp", "tagged-float"])
     def test_bad_document_raises(self, text, problem, safe_loader_rejects):
         for loader in MANIFEST_LOADERS:
             with pytest.raises(yaml.YAMLError, match=re.escape(problem)) as exc:
@@ -305,6 +313,20 @@ firewalls:
             "{id: fw-i-1, edge: [internet, 1], params: {max_upload_volume: 5e3}}"))
         volume = t.firewall_on_edge("internet", 1).params.max_upload_volume
         assert type(volume) is float and volume == 5000.0
+
+    @pytest.mark.parametrize("text, value", [
+        ("._e3", "._e3"), ("._5e3", "._5e3"), (".5e3", 500.0), (".5_0e-1", 0.05),
+    ])
+    def test_fraction_only_float_needs_a_digit_after_the_dot(self, text, value):
+        # as YAML 1.1's own float rule: ``._e3`` is a string, not a float
+        # the float constructor cannot read
+        doc = net_model.load_yaml(f"a: {text}\n", ManifestParseError)
+        assert doc == {"a": value} and type(doc["a"]) is type(value)
+        host = Host(address=(1, 0), os="linux", open_ports=frozenset())
+        t = NetworkTopology(subnets=(Subnet(id=1, hosts=(host,)),), firewalls=(
+            Firewall(id=text, edge=("internet", 1)),),
+            internet_gateway_subnets=frozenset({1}), adjacency=())
+        assert load_topology(save_topology(t)) == t
 
     def test_wrong_schema_version(self):
         with pytest.raises(ManifestParseError, match="schema_version"):
