@@ -38,6 +38,7 @@ ISOLATED = "isolated"
 CONNECTION_STATUSES = (NOT_CONNECTED, CONNECTED, ISOLATED)
 _STATUS_ONE_HOT = {s: tuple(float(s == t) for t in CONNECTION_STATUSES)
                    for s in CONNECTION_STATUSES}
+_STATUS_SLOT = {s: k for k, s in enumerate(CONNECTION_STATUSES)}
 
 # Connect attempt outcomes.
 OUTCOME_CONNECTED = "connected"
@@ -246,9 +247,13 @@ class C2Env:
 
     One instance is single-threaded; run several instances with separate
     seeds for parallel rollouts. The topology is never mutated; everything
-    a step needs from it (scan reveals, firewall paths, each host's cost
-    tier, the best applicable CVSS per host and CVE) is tabulated once, in
-    ``__init__``, so a step costs the same at any network size.
+    a step needs from it (scan reveals, firewall paths, the best applicable
+    CVSS per host and CVE) is tabulated once, in ``__init__``, so a step
+    costs the same at any network size. So is a plan per action: its kind,
+    host row, cost, elapsed time and decay factor. ``step`` reads the plan
+    by index or by the action's value, and builds one for an action outside
+    the space (a replayed exploit naming a CVE its host lacks, a connect to
+    a host that is not sensitive); the plans are not episode state.
 
     Each instance owns one observation buffer, rewritten in place by every
     ``reset`` and ``step``. The observation they return is a read-only view
@@ -258,7 +263,9 @@ class C2Env:
     that sets them, so they are episode state as much as ``state`` is: a
     snapshot of the episode must save the buffer too, and a caller that
     writes ``state.discovered`` or ``state.infected`` directly leaves the
-    observation's bits as they were.
+    observation's bits as they were. A target's status one-hot is
+    rewritten only when stale, judged from the buffer itself, so it adds
+    no episode state beyond the buffer and ``state``.
     """
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
@@ -278,6 +285,13 @@ class C2Env:
 
         self._build_tables()
         self._build_obs_layout()
+        # What a step needs of each action, looked up by index or by value;
+        # an action outside the space gets its plan from ``_plan`` per step.
+        self._plans = [self._plan(a) for a in self.actions]
+        self._plan_of = {plan[0]: plan for plan in self._plans}
+        erroneous = scenario.action_times.erroneous
+        self._erroneous = (erroneous,
+                           apply_decay(1.0, erroneous, scenario.decay_factor))
         self.state: EnvState | None = None
         self._done = True
         self._rng: np.random.Generator | None = None
@@ -310,11 +324,9 @@ class C2Env:
     def _build_tables(self) -> None:
         t = self.topology
         hosts = self._hosts.values()
-        # Per host, the defense-tier part of ``action_cost``; per (host, CVE),
-        # the best CVSS score among the host's vulnerabilities with that id
-        # that ``vuln_applies`` to it (no entry: the exploit fails).
-        self._tier_penalty = {h.address: TIER_PENALTY[h.max_defense_tier()]
-                              for h in hosts}
+        # Per (host, CVE), the best CVSS score among the host's
+        # vulnerabilities with that id that ``vuln_applies`` to it (no
+        # entry: the exploit fails).
         self._exploit_cvss: dict[tuple[Address, str], float] = {}
         for h in hosts:
             for v in h.vulnerabilities():
@@ -408,6 +420,8 @@ class C2Env:
         self._infected_bits = hosts_part[status + 3::self.host_block_len]
         self._sensitive_offsets = {addr: off + k * self.sensitive_block_len
                                    for k, addr in enumerate(self._sensitive)}
+        self._target_slots = [(a, self.host_index[a], self._sensitive_offsets[a])
+                              for a in self._sensitive]
         self._obs = template
         self._obs_readonly = template.view()
         self._obs_readonly.flags.writeable = False
@@ -442,74 +456,85 @@ class C2Env:
         return self._done
 
     def step(self, action: int | Action):
-        """Apply one action. Returns (observation, reward, done, info).
+        """Apply one action, given by its index in ``actions`` or by value.
+        Returns (observation, reward, done, info).
 
         The observation is a read-only view valid until this env's next
-        ``reset`` or ``step``.
+        ``reset`` or ``step``. An index outside ``[0, n_actions)``, a host
+        outside the topology or an upload rate the scenario lacks raises
+        ValueError, and anything that is neither an index nor an action (a
+        bool included) raises TypeError, before the episode changes.
         """
         if self.state is None or self._done:
             raise EpisodeDoneError("step() after episode end; call reset()")
-        if isinstance(action, (int, np.integer)):
-            action = self.actions[int(action)]
+        if isinstance(action, (int, np.integer)) and not isinstance(action, bool):
+            if not 0 <= action < self.n_actions:
+                raise ValueError(
+                    f"action index {action} outside [0, {self.n_actions})")
+            plan = self._plans[action]
+        else:
+            plan = self._plan_of.get(action) or self._plan(action)
+        action, kind, host, row, reward, elapsed, decay = plan
 
         st = self.state
-        valid = self._is_valid(action)
-        elapsed = (self.scenario.action_times.of(action) if valid
-                   else self.scenario.action_times.erroneous)
+        valid = self._is_valid(kind, host, row)
+        if not valid:
+            elapsed, decay = self._erroneous
         st.clock += elapsed
-        decay = apply_decay(1.0, elapsed, self.scenario.decay_factor)
         for ts in st.targets.values():
             ts.cum_connect_attempts *= decay
             ts.cum_upload_time *= decay
             ts.cum_upload_volume *= decay
-        self._scheduled_updates()
+        if st.clock >= st.fw_next_due:
+            self._scheduled_updates()
 
-        target = getattr(action, "host", None)
-        reward = -float(BASE_COST[action.kind] + self._tier_penalty.get(target, 0))
         info = {
-            "action": action.kind,
-            "target": target,
+            "action": kind,
+            "target": host,
             "valid": valid,
             "elapsed": elapsed,
             "outcome": "erroneous",
             "emergency": False,
             "penalty": 0.0,
         }
-        if isinstance(action, Exploit):
+        if kind == "exploit":
             info["cve"] = action.cve_id
-        if isinstance(action, Upload):
-            info["rate"] = action.rate
-
-        if valid:
-            if isinstance(action, SubnetScan):
-                newly, gained = self._do_subnet_scan(action.host)
-                reward += gained
-                info["outcome"] = "scanned"
-                info["newly_discovered"] = newly
-            elif isinstance(action, Exploit):
-                success, gained = self._do_exploit(action.host, action.cve_id)
+            if valid:
+                success, gained = self._do_exploit(host, row, action.cve_id)
                 reward += gained
                 info["outcome"] = "exploited" if success else "exploit_failed"
-            elif isinstance(action, Connect):
-                outcome, result, gained, penalty = self._do_connect(action.host)
-                reward += gained - penalty
-                info["outcome"] = outcome
-                info["connect_result"] = result
-                info["emergency"] = outcome == OUTCOME_EMERGENCY
-                info["penalty"] = penalty
-            elif isinstance(action, Upload):
-                mb, gained, penalty, emergency = self._do_upload(
-                    action.host, action.rate)
+        elif kind == "upload":
+            info["rate"] = action.rate
+            if valid:
+                mb, gained, penalty, emergency = self._do_upload(host, row, action.rate)
                 reward += gained - penalty
                 info["outcome"] = "uploaded"
                 info["mb"] = mb
                 info["emergency"] = emergency
                 info["penalty"] = penalty
-            else:
-                info["outcome"] = "slept"
+        elif not valid:
+            pass  # an erroneous scan or connect changes nothing more
+        elif kind == "subnet_scan":
+            newly, gained = self._do_subnet_scan(host)
+            reward += gained
+            info["outcome"] = "scanned"
+            info["newly_discovered"] = newly
+        elif kind == "connect":
+            outcome, result, gained, penalty = self._do_connect(host, row)
+            reward += gained - penalty
+            info["outcome"] = outcome
+            info["connect_result"] = result
+            info["emergency"] = outcome == OUTCOME_EMERGENCY
+            info["penalty"] = penalty
+        else:
+            info["outcome"] = "slept"
 
         st.step_count += 1
-        settled = self._all_targets_settled()
+        settled = True
+        for ts in st.targets.values():
+            if ts.payload_remaining > 0 and ts.connection_status != ISOLATED:
+                settled = False
+                break
         capped = st.step_count >= self.scenario.max_steps
         self._done = settled or capped
         info["clock"] = st.clock
@@ -519,28 +544,44 @@ class C2Env:
 
     # -- action semantics ---------------------------------------------------
 
-    def _is_valid(self, action: Action) -> bool:
+    def _plan(self, action: Action) -> tuple:
+        """(action, kind, host, host row, base reward, elapsed, decay) for a
+        valid step of ``action``: the reward is ``-action_cost``, and the
+        decay is ``apply_decay(1.0, elapsed, decay_factor)``."""
+        if not isinstance(action, Action):
+            raise TypeError(f"not an action or action index: {action!r}")
+        kind = action.kind
+        host = getattr(action, "host", None)
+        row = self.host_index.get(host, -1)
+        if row < 0 and kind != "sleep":
+            raise ValueError(f"{kind} targets host {host}, which is not in the "
+                             f"topology")
+        if kind == "upload" and action.rate not in self.scenario.upload_rates:
+            raise ValueError(f"upload rate {action.rate!r} is not one of "
+                             f"{sorted(self.scenario.upload_rates)}")
+        elapsed = self.scenario.action_times.of(action)
+        return (action, kind, host, row, -action_cost(action, self._hosts.get(host)),
+                elapsed, apply_decay(1.0, elapsed, self.scenario.decay_factor))
+
+    def _is_valid(self, kind: str, host: Address | None, row: int) -> bool:
         st = self.state
-        if isinstance(action, Sleep):
+        if kind == "exploit":
+            return bool(st.discovered[row])
+        if kind == "subnet_scan":
+            return bool(st.infected[row])
+        if kind == "sleep":
             return True
-        i = self.host_index[action.host]
-        if isinstance(action, SubnetScan):
-            return bool(st.infected[i])
-        if isinstance(action, Exploit):
-            return bool(st.discovered[i])
-        ts = st.targets.get(action.host)
-        if isinstance(action, Connect):
-            return (ts is not None and bool(st.infected[i])
+        ts = st.targets.get(host)
+        if kind == "connect":
+            return (ts is not None and bool(st.infected[row])
                     and ts.connection_status != ISOLATED)
-        if isinstance(action, Upload):
-            return (ts is not None and ts.connection_status == CONNECTED
-                    and ts.payload_remaining > 0)
-        raise TypeError(f"unknown action {action!r}")
+        return (ts is not None and ts.connection_status == CONNECTED
+                and ts.payload_remaining > 0)
 
     def _scheduled_updates(self) -> None:
+        """Apply every update due by now; called once the clock reaches
+        ``fw_next_due``."""
         st = self.state
-        if st.clock < st.fw_next_due:
-            return
         last, nxt = st.fw_last_update, st.fw_next_update
         for j, period in enumerate(self._fw_periods):
             while nxt[j] <= st.clock:
@@ -562,7 +603,7 @@ class C2Env:
             gained += value
         return sorted(self._addresses[i] for i in newly.tolist()), gained
 
-    def _do_exploit(self, target: Address, cve_id: str) -> tuple[bool, float]:
+    def _do_exploit(self, target: Address, i: int, cve_id: str) -> tuple[bool, float]:
         st = self.state
         best = self._exploit_cvss.get((target, cve_id))
         success = best is not None
@@ -570,7 +611,6 @@ class C2Env:
             success = self._rng.random() < best / 10.0
         if not success:
             return False, 0.0
-        i = self.host_index[target]
         if st.infected[i]:
             return True, 0.0
         st.infected[i] = True
@@ -580,7 +620,7 @@ class C2Env:
         st.accumulated_reward[i] += gained
         return True, gained
 
-    def _do_connect(self, target: Address) -> tuple[str, str, float, float]:
+    def _do_connect(self, target: Address, i: int) -> tuple[str, str, float, float]:
         """Returns (outcome, attempt result, reward gained, penalty).
 
         The attempt result records how the attempt itself resolved even when
@@ -589,7 +629,6 @@ class C2Env:
         st = self.state
         ts = st.targets[target]
         ts.cum_connect_attempts += 1.0
-        i = self.host_index[target]
 
         gained = 0.0
         if ts.connection_status == CONNECTED:
@@ -612,7 +651,8 @@ class C2Env:
             outcome = OUTCOME_EMERGENCY
         return outcome, result, gained, penalty
 
-    def _do_upload(self, target: Address, rate: str) -> tuple[float, float, float, bool]:
+    def _do_upload(self, target: Address, i: int,
+                   rate: str) -> tuple[float, float, float, bool]:
         """Returns (mb uploaded, reward gained, emergency penalty, emergency)."""
         st = self.state
         ts = st.targets[target]
@@ -623,7 +663,7 @@ class C2Env:
         ts.cum_upload_time += self.scenario.action_times.upload
 
         gained = self.scenario.rewards.upload_per_mb * mb
-        st.accumulated_reward[self.host_index[target]] += gained
+        st.accumulated_reward[i] += gained
         if ts.payload_remaining <= 0.0:
             ts.payload_remaining = 0.0
             # Completion bonus is never part of the per-host accumulation,
@@ -674,10 +714,6 @@ class C2Env:
 
     # -- termination & encoding ---------------------------------------------
 
-    def _all_targets_settled(self) -> bool:
-        return all(ts.payload_remaining <= 0 or ts.connection_status == ISOLATED
-                   for ts in self.state.targets.values())
-
     def terminal_status(self, addr: Address) -> str:
         """completed | isolated | incomplete for a sensitive host."""
         ts = self.state.targets[addr]
@@ -692,20 +728,27 @@ class C2Env:
         buffer; the host status bits are already current, written where
         the state changes.
 
+        Each target's five per-step slots (time since infection, payload
+        fraction, the three decayed counters) are written every call. Its
+        status one-hot is rewritten only when stale, that is when the
+        buffer's slot for the current ``connection_status`` is not 1.0: the
+        buffer is its own cache, and the env keeps no other state for it.
+
         Returns a read-only view of the buffer, valid until this env's next
         ``reset`` or ``step``; copy it to keep it.
         """
         st = self.state
         obs = self._obs
-        for addr, ts in st.targets.items():
-            i = self.host_index[addr]
-            off = self._sensitive_offsets[addr]
-            since = st.clock - st.infection_time[i] if st.infected[i] else 0.0
-            obs[off:off + 8] = (
-                *_STATUS_ONE_HOT[ts.connection_status],
-                since * INFECTION_TIME_SCALE,
-                ts.payload_remaining / self.scenario.payload_size_mb,
-                ts.cum_connect_attempts,
-                ts.cum_upload_time * UPLOAD_TIME_SCALE,
-                ts.cum_upload_volume * UPLOAD_VOLUME_SCALE)
+        payload = self.scenario.payload_size_mb
+        for addr, i, off in self._target_slots:
+            ts = st.targets[addr]
+            status = ts.connection_status
+            if obs[off + _STATUS_SLOT[status]] != 1.0:
+                obs[off:off + 3] = _STATUS_ONE_HOT[status]
+            obs[off + 3] = ((st.clock - st.infection_time[i]) * INFECTION_TIME_SCALE
+                            if st.infected[i] else 0.0)
+            obs[off + 4] = ts.payload_remaining / payload
+            obs[off + 5] = ts.cum_connect_attempts
+            obs[off + 6] = ts.cum_upload_time * UPLOAD_TIME_SCALE
+            obs[off + 7] = ts.cum_upload_volume * UPLOAD_VOLUME_SCALE
         return self._obs_readonly

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from c2sim.c2_env import (
-    BASE_COST,
     ActionTimes,
     C2Env,
     Connect,
@@ -169,6 +168,128 @@ class TestActionSpace:
         assert isinstance(actions[-1], Sleep)
         # stable across construction
         assert actions == build_action_space(topology, scenario)
+
+
+def fresh(action):
+    """An action equal to ``action`` but built anew, as a replayed trace
+    builds its actions."""
+    if isinstance(action, Sleep):
+        return Sleep()
+    host = (action.host[0], action.host[1])
+    return dataclasses.replace(action, host=host)
+
+
+class TestActionLookup:
+    @pytest.mark.parametrize("bad, error, message", [
+        (-1, ValueError, r"action index -1 outside \[0, 18\)"),
+        (18, ValueError, r"action index 18 outside \[0, 18\)"),
+        (np.int64(18), ValueError, r"action index 18 outside"),
+        (2.0, TypeError, "2.0"),
+        ("3", TypeError, "'3'"),
+        (True, TypeError, "True"),
+        (Exploit((99, 0), "CVE-x"), ValueError, r"host \(99, 0\)"),
+        (Upload((2, 1), "medium"), ValueError, "upload rate 'medium'"),
+    ], ids=["negative", "past-end", "numpy-past-end", "float", "str", "bool",
+            "unknown-host", "unknown-rate"])
+    def test_bad_action_is_a_named_error(self, tiny_inputs, bad, error, message):
+        env = C2Env(*tiny_inputs)
+        assert env.n_actions == 18
+        before = env.reset(seed=0).copy()
+        with pytest.raises(error, match=message):
+            env.step(bad)
+        # rejected before the episode changes
+        assert env.state.clock == 0.0 and env.state.step_count == 0
+        assert np.array_equal(env.encode_observation(), before)
+        assert env.step(Sleep())[3]["outcome"] == "slept"
+
+    @staticmethod
+    def walk_in_lockstep(pair, choose, episodes):
+        """Step two envs through the same seeded walk, one by action index
+        and one by freshly built actions, and require identical output."""
+        by_index, by_value = C2Env(*pair), C2Env(*pair)
+        rng = np.random.default_rng(5)
+        infos = []
+        for ep in range(episodes):
+            assert by_index.reset(seed=ep).tobytes() == by_value.reset(seed=ep).tobytes()
+            done = False
+            while not done:
+                idx = choose(by_index, rng)
+                obs, reward, done, info = by_index.step(idx)
+                obs_v, reward_v, done_v, info_v = by_value.step(
+                    fresh(by_index.actions[idx]))
+                # bitwise, without copying the observations
+                assert np.array_equal(obs.view(np.int64), obs_v.view(np.int64))
+                assert (reward, done) == (reward_v, done_v)
+                assert list(info.items()) == list(info_v.items())
+                infos.append(info)
+        return infos
+
+    def test_by_value_steps_match_by_index_on_tiny(self, tiny_inputs):
+        infos = self.walk_in_lockstep(
+            tiny_inputs, lambda env, rng: int(rng.integers(env.n_actions)), 20)
+        assert {info["outcome"] for info in infos} >= {
+            "erroneous", "scanned", "exploited", "uploaded", OUTCOME_CONNECTED}
+
+    def test_by_value_steps_match_by_index_on_enterprise101(self, refs):
+        from c2sim import scenarios
+
+        topology, scenario = scenarios.enterprise101(refs)
+        env = C2Env(topology, scenario)
+        kinds = np.array([a.kind for a in env.actions])
+        hosts = np.array([env.host_index.get(getattr(a, "host", None), 0)
+                          for a in env.actions])
+        scan, exploit = kinds == "subnet_scan", kinds == "exploit"
+        targeted = exploit & np.isin(
+            hosts, [env.host_index[a] for a in scenario.sensitive_hosts])
+
+        def choose(e, rng):
+            # a share of uniform (mostly erroneous) picks and of channel
+            # actions (connects, uploads, sleep and exploits of discovered
+            # targets); otherwise a scan or exploit whose host precondition
+            # holds
+            u = rng.random()
+            if u < 0.1:
+                return int(rng.integers(e.n_actions))
+            st = e.state
+            if u < 0.4:
+                ok = ~(scan | exploit) | (targeted & st.discovered[hosts])
+            else:
+                ok = (scan & st.infected[hosts]) | (exploit & st.discovered[hosts])
+            choices = np.flatnonzero(ok)
+            return int(choices[rng.integers(len(choices))])
+
+        infos = self.walk_in_lockstep(
+            (topology, dataclasses.replace(scenario, max_steps=1_500)), choose, 1)
+        assert len(infos) == 1_500
+        assert {info["outcome"] for info in infos} >= {
+            "erroneous", "scanned", "exploited", "exploit_failed", "uploaded"}
+
+    def test_off_space_actions(self, tiny_inputs):
+        # actions a replayed trace may hold that the action space does not:
+        # an exploit naming a CVE its host lacks, and a connect or upload
+        # aimed at a host that is not sensitive
+        env = C2Env(*tiny_inputs)
+        env.reset(seed=0)
+        _, _, _, info = env.step(SubnetScan((1, 0)))
+        assert (2, 0) in info["newly_discovered"]
+        off_space = [
+            # (action, valid, outcome, elapsed, reward); (1, 0) and (2, 0)
+            # are medium-tier hosts: cost is the kind's base plus 1
+            (Exploit((2, 0), "CVE-2019-15920"), True, "exploit_failed", 10.0, -5.0),
+            (Connect((1, 0)), False, "erroneous", 1.0, -2.0),
+            (Upload((1, 0), "fast"), False, "erroneous", 1.0, -3.0),
+        ]
+        clock = 30.0
+        for action, valid, outcome, elapsed, reward in off_space:
+            assert action not in env.actions
+            _, got_reward, done, info = env.step(action)
+            clock += elapsed
+            assert (info["valid"], info["outcome"], info["elapsed"]) == (
+                valid, outcome, elapsed), action
+            assert got_reward == reward, action
+            assert info["clock"] == env.state.clock == clock
+            assert not done
+        assert env.state.infected.sum() == 1
 
 
 class TestStepSemantics:
@@ -907,12 +1028,18 @@ class TestPrecomputedTables:
                 if network == "enterprise101" else request.getfixturevalue("tiny_inputs"))
         env = C2Env(*pair)
         topology = env.topology
+        d = env.scenario.decay_factor
         exploits = 0
-        for action in env.actions:
+        for action, plan in zip(env.actions, env._plans):
             target = getattr(action, "host", None)
             host = topology.host(target) if target else None
-            cost = BASE_COST[action.kind] + env._tier_penalty.get(target, 0)
-            assert float(cost) == action_cost(action, host), action
+            _, kind, plan_host, row, reward, elapsed, decay = plan
+            assert env._plan_of[action] is plan
+            assert (kind, plan_host) == (action.kind, target)
+            assert row == env.host_index.get(target, -1)
+            assert reward == -action_cost(action, host), action
+            assert elapsed == env.scenario.action_times.of(action)
+            assert decay == apply_decay(1.0, elapsed, d), action
             if isinstance(action, Exploit):
                 exploits += 1
                 applicable = [v.cvss_score for v in host.vulnerabilities()
@@ -922,6 +1049,9 @@ class TestPrecomputedTables:
                 if applicable:
                     assert env._exploit_cvss[key] == max(applicable), action
         assert len(env._exploit_cvss) <= exploits
+        elapsed, decay = env._erroneous
+        assert elapsed == env.scenario.action_times.erroneous
+        assert decay == apply_decay(1.0, elapsed, d)
         assert env.cve_ids == {v.cve_id for h in topology.hosts()
                                for v in h.vulnerabilities()}
 
