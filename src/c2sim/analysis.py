@@ -118,7 +118,16 @@ def _finish_trace(env: C2Env, trace: AttackTrace) -> AttackTrace:
 
 
 def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[AttackTrace]:
-    """Run n full episodes with stochastic action draws from the actor."""
+    """Run n full episodes with stochastic action draws from the actor.
+
+    Episode k resets with the k-th seed spawned from ``seed``. The actions
+    come from one stream, seeded ``(seed, 1)``, that gives one uniform per
+    step. Paths are drawn in order, so trace k depends on the lengths of
+    traces 0..k-1. Stepping the paths side by side with batched forwards
+    would reorder that stream and change the matmul rounding, and with them
+    the seeded traces; so each step makes one single-row ``neural.forward``
+    and one single-row ``neural.categorical_sample`` call.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     episode_seeds = [
@@ -141,24 +150,19 @@ def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[Attack
 
 
 def _check_replayable(env: C2Env, actions: list) -> None:
-    """Raise TraceReplayError if an action names a host outside ``env``'s
-    topology, a CVE no host in it has or an upload rate its scenario lacks.
-    A known CVE aimed at a host without it is a failed exploit, not an error."""
-    rates = env.scenario.upload_rates
+    """Raise TraceReplayError if ``env`` cannot take an action: ``C2Env``'s
+    own check (a host outside the topology, an upload rate the scenario
+    lacks) or a CVE no host in the topology has. A known CVE aimed at a
+    host without it is a failed exploit, not an error."""
     for idx, action in enumerate(actions):
-        host = getattr(action, "host", None)
-        if host is not None and host not in env.host_index:
-            raise TraceReplayError(
-                f"step {idx}: {action.kind} targets host {host}, which is not "
-                f"in the topology")
+        try:
+            env.check_action(action)
+        except ValueError as exc:
+            raise TraceReplayError(f"step {idx}: {exc}") from None
         if isinstance(action, Exploit) and action.cve_id not in env.cve_ids:
             raise TraceReplayError(
                 f"step {idx}: exploit names {action.cve_id}, which no host in "
                 f"the topology has")
-        if isinstance(action, Upload) and action.rate not in rates:
-            raise TraceReplayError(
-                f"step {idx}: upload rate {action.rate!r} is not one of "
-                f"{sorted(rates)}")
 
 
 def replay_trace(env: C2Env, seed: int, actions: list) -> AttackTrace:
@@ -347,6 +351,11 @@ def _addr_key(addr: tuple[int, int]) -> str:
     return f"{addr[0]},{addr[1]}"
 
 
+# one encoder for every line: ``json.dumps(obj, sort_keys=True)`` builds a
+# new one per call
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
     for i, trace in enumerate(traces):
         meta = {
@@ -358,7 +367,7 @@ def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
             },
             "emergencies": trace.emergencies,
         }
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(_encode_line(meta) + "\n")
         for s in trace.steps:
             row = {
                 "record": "step",
@@ -376,7 +385,7 @@ def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
                 row["rate"] = s.rate
             if s.n_discovered is not None:
                 row["n_discovered"] = s.n_discovered
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(_encode_line(row) + "\n")
 
 
 def _address_key(key: str, lineno: int) -> tuple[int, int]:

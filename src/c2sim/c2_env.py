@@ -542,6 +542,13 @@ class C2Env:
             info["truncated"] = True
         return self.encode_observation(), reward, self._done, info
 
+    def check_action(self, action: Action) -> None:
+        """Raise as ``step(action)`` would for an action this env cannot
+        take: ValueError for a host outside the topology or an upload rate
+        the scenario lacks, TypeError for anything that is not an action."""
+        if action not in self._plan_of:
+            self._plan(action)
+
     # -- action semantics ---------------------------------------------------
 
     def _plan(self, action: Action) -> tuple:

@@ -102,26 +102,21 @@ def init_mlp(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...],
     return p
 
 
-def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass; accepts a single vector or a batch."""
-    out, _ = forward_cached(p, x)
-    return out
+def _layers(p: MlpParams, x: np.ndarray, acts: list | None) -> np.ndarray:
+    """The layer loop behind ``forward`` and ``forward_cached``.
 
-
-def forward_cached(p: MlpParams, x: np.ndarray):
-    """Forward pass returning (output, activations) for use by backward.
-
-    Each layer's matmul makes a new array that the bias add and the
-    nonlinearity then update in place, so ``x`` is never written.
+    A single row stays 1-D through every layer, and ``acts``, when given,
+    receives the input and each layer's output. Each layer's matmul makes a
+    new array that the bias add and the nonlinearity then update in place,
+    so ``x`` is never written.
     """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = x.reshape(1, -1) if single else x
-    if h.shape[1] != p.in_dim:
+    h = np.asarray(x, dtype=np.float64)
+    if h.shape[-1] != p.in_dim:
         raise ShapeMismatchError(
-            f"input dim {h.shape[1]} does not match network ({p.in_dim})"
+            f"input dim {h.shape[-1]} does not match network ({p.in_dim})"
         )
-    acts = [h]
+    if acts is not None:
+        acts.append(h)
     last = len(p.weights) - 1
     tanh = p.activation == "tanh"
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
@@ -129,8 +124,21 @@ def forward_cached(p: MlpParams, x: np.ndarray):
         h += b
         if tanh and i != last:
             np.tanh(h, out=h)
-        acts.append(h)
-    return (h[0] if single else h), acts
+        if acts is not None:
+            acts.append(h)
+    return h
+
+
+def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
+    """Deterministic forward pass; accepts a single vector or a batch."""
+    return _layers(p, x, None)
+
+
+def forward_cached(p: MlpParams, x: np.ndarray):
+    """Forward pass returning (output, activations) for use by backward:
+    the input, then each layer's output."""
+    acts: list[np.ndarray] = []
+    return _layers(p, x, acts), acts
 
 
 def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -139,7 +147,8 @@ def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     The upstream gradient must match the forward output shape for ``x``.
     Each layer's gradient is written straight into its view of the result.
     """
-    _, acts = forward_cached(p, x)
+    x = np.asarray(x, dtype=np.float64)
+    _, acts = forward_cached(p, x.reshape(1, -1) if x.ndim == 1 else x)
     g = np.asarray(upstream, dtype=np.float64)
     if g.ndim == 1 and acts[-1].shape[0] == 1:
         g = g.reshape(1, -1)
@@ -227,7 +236,16 @@ def adam_step(state: OptimizerState, p: MlpParams, grad: np.ndarray):
 
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, stabilized by max subtraction."""
+    """Row-wise log-softmax, stabilized by max subtraction.
+
+    A single row takes plain ufunc reductions, which skip the keepdims
+    bookkeeping and the ndarray method wrappers and round the same, so a
+    row gives the bits of its row in a batch.
+    """
+    if scores.ndim == 1:
+        z = scores - np.maximum.reduce(scores)
+        z -= np.log(np.add.reduce(np.exp(z)))
+        return z
     z = scores - scores.max(axis=-1, keepdims=True)
     z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
     return z
@@ -242,12 +260,13 @@ def categorical_sample(scores: np.ndarray, rng: np.random.Generator):
     n single-row calls.
     """
     logp = log_softmax(np.asarray(scores, dtype=np.float64))
-    cum = np.exp(logp).cumsum(axis=-1)
-    last = cum.shape[-1] - 1
-    if cum.ndim == 1:
+    last = logp.shape[-1] - 1
+    if logp.ndim == 1:
+        cum = np.add.accumulate(np.exp(logp))
         u = rng.random() * cum[-1]
         idx = min(int(cum.searchsorted(u, side="right")), last)
         return idx, float(logp[idx])
+    cum = np.exp(logp).cumsum(axis=-1)
     u = rng.random(len(cum))
     u *= cum[:, -1]
     # cum is non-decreasing, so counting entries <= u is searchsorted(side="right")
@@ -287,7 +306,8 @@ def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
     """Read a checkpoint; returns (nets, opts, meta).
 
     ``expect`` maps net name to a required (in_dim, out_dim); any shape
-    inconsistency raises CheckpointError instead of returning garbage.
+    inconsistency, or a NaN or infinity in a parameter or optimizer tensor,
+    raises CheckpointError instead of returning garbage.
     """
     with np.load(path) as data:
         if "manifest" not in data:
@@ -322,6 +342,12 @@ def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
                 f"optimizer state {name!r} has shapes {s.m.shape}/{s.v.shape}, "
                 f"expected {want} from its net"
             )
+    tensors = {f"{name}_theta": p.theta for name, p in nets.items()}
+    for name, s in opts.items():
+        tensors[f"{name}_m"], tensors[f"{name}_v"] = s.m, s.v
+    for key, arr in tensors.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {key} holds non-finite values")
     if expect:
         for name, (in_dim, out_dim) in expect.items():
             if name not in nets:

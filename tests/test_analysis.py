@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -244,3 +245,15 @@ class TestJsonl:
             assert rt.terminal_status == orig.terminal_status
             assert [s.outcome for s in rt.steps] == [s.outcome for s in orig.steps]
             assert rt.total_reward == pytest.approx(orig.total_reward)
+
+    def test_lines_are_sorted_key_json_dumps(self, tiny_env):
+        traces = [replay_trace(tiny_env, 0, OPTIMAL_PREFIX + OPTIMAL_UPLOADS),
+                  replay_trace(tiny_env, 0, [])]
+        buf = io.StringIO()
+        write_traces_jsonl(traces, buf)
+        lines = buf.getvalue().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert lines == [json.dumps(r, sort_keys=True) for r in records]
+        assert {"vulnerability", "rate", "n_discovered"} <= {
+            key for r in records for key in r}
+        assert [r["record"] for r in records].count("trace") == 2

@@ -202,6 +202,24 @@ class TestActionLookup:
         assert np.array_equal(env.encode_observation(), before)
         assert env.step(Sleep())[3]["outcome"] == "slept"
 
+    @pytest.mark.parametrize("bad, error, message", [
+        (Exploit((99, 0), "CVE-x"), ValueError,
+         r"^exploit targets host \(99, 0\), which is not in the topology$"),
+        (Upload((2, 1), "medium"), ValueError, "upload rate 'medium' is not one of"),
+        (3, TypeError, "not an action"),
+    ], ids=["unknown-host", "unknown-rate", "index"])
+    def test_check_action_is_a_named_error(self, tiny_inputs, bad, error, message):
+        with pytest.raises(error, match=message):
+            C2Env(*tiny_inputs).check_action(bad)
+
+    def test_check_action_accepts_takeable_actions(self, tiny_inputs):
+        env = C2Env(*tiny_inputs)
+        # in the space, built anew, and outside the space but on a known host
+        for action in (*env.actions, *map(fresh, env.actions),
+                       Exploit((2, 0), "CVE-0000-0000")):
+            assert env.check_action(action) is None
+        assert env.state is None  # checking needs no episode
+
     @staticmethod
     def walk_in_lockstep(pair, choose, episodes):
         """Step two envs through the same seeded walk, one by action index

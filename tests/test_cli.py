@@ -4,10 +4,11 @@ import hashlib
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 import yaml
 
-from c2sim import analysis, cli
+from c2sim import analysis, cli, ppo
 from c2sim.c2_env import C2Env
 from c2sim.net_model import load_topology, save_topology
 
@@ -277,6 +278,18 @@ class TestTrainEvalPipeline:
                       "upload_times.csv", "upload_gaps.csv"):
             assert ((out / "evalA" / fname).read_bytes()
                     == (out / "evalB" / fname).read_bytes())
+
+    def test_non_finite_checkpoint_rejected(self, tmp_path, capsys, tiny_inputs):
+        env = C2Env(*tiny_inputs)
+        params = ppo.init_policy(np.random.default_rng(0), env.obs_len,
+                                 env.n_actions, ppo.PpoConfig())
+        params.actor.theta[:] = np.nan
+        ckpt = tmp_path / "nan.npz"
+        ppo.save_policy(ckpt, params)
+        rc = run(["eval", "--checkpoint", str(ckpt), "--scenario", "tiny",
+                  "--n", "3", "--out-dir", str(tmp_path / "ev")])
+        assert_invalid(rc, capsys, "actor_theta", "non-finite")
+        assert not (tmp_path / "ev" / "traces.jsonl").exists()
 
     def test_checkpoint_topology_mismatch_rejected(self, train_run, tmp_path):
         out, _ = train_run

@@ -67,6 +67,19 @@ class TestForward:
         for i in range(7):
             assert batched[i] == pytest.approx(forward(p, xs[i]), abs=1e-12)
 
+    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    def test_forward_equals_forward_cached_bit_for_bit(self, activation):
+        rng = np.random.default_rng(7)
+        p = init_mlp(rng, 160, (128, 64), 18, out_gain=0.01,
+                     activation=activation)
+        for x in (rng.standard_normal(160), rng.standard_normal((8, 160)),
+                  rng.standard_normal((1, 160))):
+            out = forward(p, x)
+            cached, acts = forward_cached(p, x)
+            assert out.shape == cached.shape == x.shape[:-1] + (18,)
+            assert out.tobytes() == cached.tobytes()
+            assert acts[-1] is cached and len(acts) == 4
+
     def test_shape_mismatch_raises(self):
         p = init_mlp(np.random.default_rng(0), 4, (8,), 2)
         with pytest.raises(ShapeMismatchError):
@@ -351,6 +364,31 @@ class TestCheckpoints:
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, nets, opts, meta={})
         with pytest.raises(CheckpointError, match="optimizer state 'actor'"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("actor_theta", np.nan), ("critic_theta", -np.inf),
+        ("actor_m", np.nan), ("critic_v", np.inf),
+    ])
+    def test_non_finite_tensor_rejected(self, tmp_path, key, value):
+        rng = np.random.default_rng(5)
+        nets, opts = self._nets_and_opts(rng)
+        name, tensor = key.rsplit("_", 1)
+        arr = nets[name].theta if tensor == "theta" else getattr(opts[name], tensor)
+        arr[3] = value
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, nets, opts, meta={})
+        with pytest.raises(CheckpointError, match=f"tensor {key} holds non-finite"):
+            load_checkpoint(path)
+
+    def test_first_non_finite_tensor_named(self, tmp_path):
+        rng = np.random.default_rng(5)
+        nets, opts = self._nets_and_opts(rng)
+        nets["critic"].theta[0] = np.nan
+        opts["actor"].v[:] = np.inf
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, nets, opts, meta={})
+        with pytest.raises(CheckpointError, match="tensor critic_theta "):
             load_checkpoint(path)
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
