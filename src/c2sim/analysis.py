@@ -125,8 +125,13 @@ def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[Attack
     step. Paths are drawn in order, so trace k depends on the lengths of
     traces 0..k-1. Stepping the paths side by side with batched forwards
     would reorder that stream and change the matmul rounding, and with them
-    the seeded traces; so each step makes one single-row ``neural.forward``
-    and one single-row ``neural.categorical_sample`` call.
+    the seeded traces; so each step makes one single-row
+    ``neural.categorical_sample`` call. Its distribution comes from one
+    single-row ``neural.forward`` and ``neural.categorical``, which run only
+    when the observation's bytes differ from the previous step's. Until a
+    target is infected, an erroneous action, a failed exploit, a sleep or an
+    empty scan leaves the observation as it was, and the same bits give the
+    same distribution, so the seeded traces do not change.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -135,13 +140,17 @@ def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[Attack
     ]
     sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     traces = []
+    seen = dist = None  # the last observation's bytes and its distribution
     for ep_seed in episode_seeds:
         obs = env.reset(seed=ep_seed)
         trace = AttackTrace(seed=ep_seed)
         idx = 0
         while not env.done:
-            logits = neural.forward(actor, obs)
-            a_idx, _ = neural.categorical_sample(logits, sample_rng)
+            key = obs.tobytes()
+            if key != seen:
+                seen = key
+                dist = neural.categorical(neural.forward(actor, obs))
+            a_idx, _ = neural.categorical_sample(dist, sample_rng)
             obs, reward, _, info = env.step(a_idx)
             _record_step(trace, idx, reward, info)
             idx += 1
@@ -165,10 +174,17 @@ def _check_replayable(env: C2Env, actions: list) -> None:
                 f"the topology has")
 
 
-def replay_trace(env: C2Env, seed: int, actions: list) -> AttackTrace:
+def replay_trace(env: C2Env, seed: int, actions: list, *,
+                 checked: bool = False) -> AttackTrace:
     """Re-run a recorded action sequence on a fresh episode; raises
-    TraceReplayError on an action ``env`` cannot take."""
-    _check_replayable(env, actions)
+    TraceReplayError on an action ``env`` cannot take.
+
+    ``checked=True`` skips that check, for actions the caller has already
+    checked: ``prune_trace`` checks a trace once, then replays it ~100
+    times with steps left out.
+    """
+    if not checked:
+        _check_replayable(env, actions)
     env.reset(seed=seed)
     trace = AttackTrace(seed=seed)
     for idx, action in enumerate(actions):
@@ -209,26 +225,27 @@ def prune_trace(env: C2Env, trace: AttackTrace) -> AttackTrace:
     """
     original_status = dict(trace.terminal_status)
     steps = list(trace.steps)
+    actions = [s.to_action() for s in steps]
     # checked once up front, so that an error names the trace's own step
-    _check_replayable(env, [s.to_action() for s in steps])
+    _check_replayable(env, actions)
     changed = True
     while changed:
         changed = False
         for i in range(len(steps) - 1, -1, -1):
             if not _removable(steps, i):
                 continue
-            candidate = [s.to_action() for j, s in enumerate(steps) if j != i]
-            probe = replay_trace(env, trace.seed, candidate)
+            candidate = actions[:i] + actions[i + 1:]
+            probe = replay_trace(env, trace.seed, candidate, checked=True)
             if probe.terminal_status == original_status:
                 del steps[i]
+                del actions[i]
                 changed = True
         if changed:
             # refresh outcomes so later passes judge the shortened sequence
-            steps = replay_trace(
-                env, trace.seed, [s.to_action() for s in steps]
-            ).steps
+            steps = replay_trace(env, trace.seed, actions, checked=True).steps
+            actions = [s.to_action() for s in steps]
 
-    result = replay_trace(env, trace.seed, [s.to_action() for s in steps])
+    result = replay_trace(env, trace.seed, actions, checked=True)
     if result.terminal_status != original_status:
         raise PruneDivergenceError(
             f"pruned trace reaches {result.terminal_status}, "

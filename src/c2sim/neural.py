@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,28 +252,48 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
     return z
 
 
-def categorical_sample(scores: np.ndarray, rng: np.random.Generator):
+class Categorical(NamedTuple):
+    """One row's distribution for ``categorical_sample``."""
+
+    logp: np.ndarray  # log-probabilities
+    cum: np.ndarray   # their running sum, the inverse CDF's table
+
+
+def categorical(scores: np.ndarray) -> Categorical:
+    """The distribution softmax(scores) of one row of scores."""
+    logp = log_softmax(np.asarray(scores, dtype=np.float64))
+    return Categorical(logp, np.add.accumulate(np.exp(logp)))
+
+
+def categorical_sample(scores, rng: np.random.Generator):
     """Sample from softmax(scores) by inverse CDF, one uniform per row.
 
-    A single row of scores gives (index, log-probability) as Python
-    scalars. A 2-D batch gives (indices, log-probabilities) arrays from one
+    A single row of scores, or its ``categorical`` distribution, gives
+    (index, log-probability) as Python scalars; a caller that draws from
+    one row many times passes the distribution to skip the softmax. A 2-D
+    batch gives (indices, log-probabilities) arrays from one
     ``rng.random(n)``, which draws the same uniforms, in the same order, as
     n single-row calls.
     """
-    logp = log_softmax(np.asarray(scores, dtype=np.float64))
-    last = logp.shape[-1] - 1
-    if logp.ndim == 1:
-        cum = np.add.accumulate(np.exp(logp))
-        u = rng.random() * cum[-1]
-        idx = min(int(cum.searchsorted(u, side="right")), last)
-        return idx, float(logp[idx])
-    cum = np.exp(logp).cumsum(axis=-1)
-    u = rng.random(len(cum))
-    u *= cum[:, -1]
-    # cum is non-decreasing, so counting entries <= u is searchsorted(side="right")
-    idx = (cum <= u[:, None]).sum(axis=1)
-    np.minimum(idx, last, out=idx)
-    return idx, logp[np.arange(len(idx)), idx]
+    if type(scores) is not Categorical:
+        scores = np.asarray(scores, dtype=np.float64)
+        if scores.ndim == 1:
+            scores = categorical(scores)
+        else:
+            logp = log_softmax(scores)
+            last = logp.shape[-1] - 1
+            cum = np.exp(logp).cumsum(axis=-1)
+            u = rng.random(len(cum))
+            u *= cum[:, -1]
+            # cum is non-decreasing, so counting entries <= u is
+            # searchsorted(side="right")
+            idx = (cum <= u[:, None]).sum(axis=1)
+            np.minimum(idx, last, out=idx)
+            return idx, logp[np.arange(len(idx)), idx]
+    logp, cum = scores
+    u = rng.random() * cum[-1]
+    idx = min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
+    return idx, float(logp[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from c2sim import neural
 from c2sim.c2_env import (
     CONNECTION_STATUSES,
     INFECTION_TIME_SCALE,
@@ -162,6 +163,27 @@ def reference_observation(env):
         )
         off += 8
     return obs
+
+
+def reference_sample_paths(env, actor, n, seed):
+    """The action indices of ``analysis.sample_paths(env, actor, n, seed)``,
+    drawn with one ``neural.forward`` and one ``neural.categorical_sample``
+    on every step: [(episode seed, [action index, ...]), ...]."""
+    episode_seeds = [
+        int(s.generate_state(1)[0]) for s in np.random.SeedSequence(seed).spawn(n)
+    ]
+    sample_rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
+    paths = []
+    for ep_seed in episode_seeds:
+        obs = env.reset(seed=ep_seed)
+        taken = []
+        while not env.done:
+            a_idx, _ = neural.categorical_sample(neural.forward(actor, obs),
+                                                 sample_rng)
+            obs, _, _, _ = env.step(a_idx)
+            taken.append(a_idx)
+        paths.append((ep_seed, taken))
+    return paths
 
 
 def mc_returns(rewards, dones, gamma):

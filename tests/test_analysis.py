@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from c2sim import analysis, neural
+from c2sim import analysis, neural, ppo
 from c2sim.analysis import (
     AttackTrace,
     TraceStep,
@@ -20,6 +20,8 @@ from c2sim.analysis import (
     write_traces_jsonl,
 )
 from c2sim.c2_env import C2Env, Connect, Exploit, Sleep, SubnetScan, Upload
+
+from oracles import reference_sample_paths
 
 
 OPTIMAL_PREFIX = [
@@ -77,6 +79,33 @@ class TestSamplePaths:
     def test_n_must_be_positive(self, tiny_env):
         with pytest.raises(ValueError):
             sample_paths(tiny_env, self._uniform_actor(tiny_env), 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_a_forward_on_every_step(self, tiny_env, monkeypatch, seed):
+        actor = ppo.init_policy(np.random.default_rng([seed, 0]),
+                                tiny_env.obs_len, tiny_env.n_actions,
+                                ppo.PpoConfig()).actor
+        want = reference_sample_paths(tiny_env, actor, 40, seed)
+        forwards = []
+        real_forward = neural.forward
+
+        def counted(p, x):
+            forwards.append(1)
+            return real_forward(p, x)
+
+        monkeypatch.setattr(neural, "forward", counted)
+        traces = sample_paths(tiny_env, actor, 40, seed)
+        monkeypatch.undo()
+        assert [t.seed for t in traces] == [s for s, _ in want]
+        for trace, (ep_seed, taken) in zip(traces, want):
+            replay = replay_trace(tiny_env, ep_seed,
+                                  [tiny_env.actions[i] for i in taken])
+            assert trace.steps == replay.steps
+            assert trace.terminal_status == replay.terminal_status
+        n_steps = sum(t.n_steps for t in traces)
+        # fewer forwards than draws: a step that left the observation as it
+        # was drew from the previous step's distribution
+        assert 0 < len(forwards) < n_steps
 
 
 class TestReplay:

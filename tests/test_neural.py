@@ -284,6 +284,23 @@ class TestCategorical:
         assert logp.tobytes() == np.array([lp for _, lp in rows]).tobytes()
         assert batch_rng.bit_generator.state == row_rng.bit_generator.state
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distribution_draws_equal_row_draws_bit_for_bit(self, seed):
+        scores = np.random.default_rng(seed).standard_normal((8, 18)) * 3.0
+        scores[1] = 0.0            # uniform
+        scores[2, 5] = 1e9         # one dominant action
+        scores[3, -1] = 40.0       # nearly all mass on the last action
+        dist_rng = np.random.default_rng(100 + seed)
+        row_rng = np.random.default_rng(100 + seed)
+        for row in scores:
+            dist = neural.categorical(row)
+            for _ in range(200):
+                idx, logp = categorical_sample(dist, dist_rng)
+                want_idx, want_logp = categorical_sample(row, row_rng)
+                assert (idx, logp.hex()) == (want_idx, want_logp.hex())
+                assert type(idx) is int and type(logp) is float
+        assert dist_rng.bit_generator.state == row_rng.bit_generator.state
+
     def test_row_gives_python_scalars(self):
         idx, logp = categorical_sample(np.zeros(4), np.random.default_rng(0))
         assert type(idx) is int and type(logp) is float
