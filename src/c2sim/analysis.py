@@ -368,40 +368,37 @@ def _addr_key(addr: tuple[int, int]) -> str:
     return f"{addr[0]},{addr[1]}"
 
 
-# one encoder for every line: ``json.dumps(obj, sort_keys=True)`` builds a
-# new one per call
-_encode_line = json.JSONEncoder(sort_keys=True).encode
+# one encoder for every line; each row is built with its keys already in
+# sorted order, so a line equals ``json.dumps(row, sort_keys=True)``
+_encode_line = json.JSONEncoder().encode
 
 
 def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
     for i, trace in enumerate(traces):
         meta = {
-            "record": "trace",
-            "trace": i,
-            "seed": trace.seed,
-            "terminal_status": {
-                _addr_key(a): s for a, s in sorted(trace.terminal_status.items())
-            },
             "emergencies": trace.emergencies,
+            "record": "trace",
+            "seed": trace.seed,
+            # sorted as strings, as sort_keys would: "10,0" before "2,1"
+            "terminal_status": dict(sorted(
+                (_addr_key(a), s) for a, s in trace.terminal_status.items())),
+            "trace": i,
         }
         fh.write(_encode_line(meta) + "\n")
         for s in trace.steps:
-            row = {
-                "record": "step",
-                "trace": i,
-                "step": s.step,
-                "clock": s.clock,
-                "action": s.action,
-                "target": list(s.target) if s.target else None,
-                "reward": s.reward,
-                "outcome": s.outcome,
-            }
-            if s.vulnerability:
-                row["vulnerability"] = s.vulnerability
-            if s.rate:
-                row["rate"] = s.rate
+            row = {"action": s.action, "clock": s.clock}
             if s.n_discovered is not None:
                 row["n_discovered"] = s.n_discovered
+            row["outcome"] = s.outcome
+            if s.rate:
+                row["rate"] = s.rate
+            row["record"] = "step"
+            row["reward"] = s.reward
+            row["step"] = s.step
+            row["target"] = list(s.target) if s.target else None
+            row["trace"] = i
+            if s.vulnerability:
+                row["vulnerability"] = s.vulnerability
             fh.write(_encode_line(row) + "\n")
 
 

@@ -47,12 +47,12 @@ def layer_views(flat: np.ndarray, dims: tuple[int, ...]):
 
 @dataclass
 class MlpParams:
-    """A feed-forward net with a linear output head, stored as one float64
-    vector ``theta``; ``weights[i]`` and ``biases[i]`` are views into it."""
+    """A feed-forward net with tanh hidden layers and a linear output head,
+    stored as one float64 vector ``theta``; ``weights[i]`` and ``biases[i]``
+    are views into it."""
 
     dims: tuple[int, ...]  # layer widths, input first
     theta: np.ndarray
-    activation: str = "tanh"  # hidden-layer nonlinearity: tanh | linear
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
 
@@ -65,8 +65,6 @@ class MlpParams:
             raise ShapeMismatchError(
                 f"theta shape {self.theta.shape} does not match dims {self.dims}"
             )
-        if self.activation not in ("tanh", "linear"):
-            raise ValueError(f"unsupported activation {self.activation!r}")
         self.weights, self.biases = layer_views(self.theta, self.dims)
 
     @property
@@ -91,12 +89,11 @@ def orthogonal(rng: np.random.Generator, shape: tuple[int, int],
 
 
 def init_mlp(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...],
-             out_dim: int, out_gain: float = 1.0,
-             activation: str = "tanh") -> MlpParams:
+             out_dim: int, out_gain: float = 1.0) -> MlpParams:
     """Orthogonal initialization: gain sqrt(2) for hidden layers, a caller
     supplied gain for the output head (small for actors, 1 for critics)."""
     dims = (in_dim, *hidden, out_dim)
-    p = MlpParams(dims, np.zeros(param_count(dims)), activation)
+    p = MlpParams(dims, np.zeros(param_count(dims)))
     last = len(p.weights) - 1
     for i, w in enumerate(p.weights):
         w[...] = orthogonal(rng, w.shape, out_gain if i == last else np.sqrt(2.0))
@@ -119,11 +116,10 @@ def _layers(p: MlpParams, x: np.ndarray, acts: list | None) -> np.ndarray:
     if acts is not None:
         acts.append(h)
     last = len(p.weights) - 1
-    tanh = p.activation == "tanh"
     for i, (w, b) in enumerate(zip(p.weights, p.biases)):
         h = h @ w
         h += b
-        if tanh and i != last:
+        if i != last:
             np.tanh(h, out=h)
         if acts is not None:
             acts.append(h)
@@ -164,10 +160,9 @@ def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         np.sum(g, axis=0, out=b_grads[i])
         if i > 0:
             g = g @ p.weights[i].T
-            if p.activation == "tanh":
-                d = np.square(acts[i])
-                np.subtract(1.0, d, out=d)
-                g *= d
+            d = np.square(acts[i])
+            np.subtract(1.0, d, out=d)
+            g *= d
     return grad
 
 
@@ -303,11 +298,12 @@ def categorical_sample(scores, rng: np.random.Generator):
 def save_checkpoint(path, nets: dict[str, MlpParams],
                     opts: dict[str, OptimizerState], meta: dict) -> None:
     """Write every parameter vector plus optimizer state as a versioned npz
-    archive; the manifest records each net's layer dims."""
+    archive; the manifest records each net's layer dims and its hidden
+    nonlinearity, always ``"tanh"``."""
     arrays: dict[str, np.ndarray] = {}
     manifest: dict = {"version": CHECKPOINT_VERSION, "meta": meta, "nets": {}, "opts": {}}
     for name, p in nets.items():
-        manifest["nets"][name] = {"dims": list(p.dims), "activation": p.activation}
+        manifest["nets"][name] = {"dims": list(p.dims), "activation": "tanh"}
         arrays[f"{name}_theta"] = p.theta
     for name, s in opts.items():
         manifest["opts"][name] = {
@@ -323,10 +319,17 @@ def save_checkpoint(path, nets: dict[str, MlpParams],
         np.savez(fh, **arrays)
 
 
+def _require_keys(spec: dict, keys: tuple[str, ...], owner: str) -> None:
+    for key in keys:
+        if key not in spec:
+            raise CheckpointError(f"missing manifest key {key!r} for {owner}")
+
+
 def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
     """Read a checkpoint; returns (nets, opts, meta).
 
-    ``expect`` maps net name to a required (in_dim, out_dim); any shape
+    ``expect`` maps net name to a required (in_dim, out_dim); a missing
+    manifest key or tensor, a net whose activation is not tanh, any shape
     inconsistency, or a NaN or infinity in a parameter or optimizer tensor,
     raises CheckpointError instead of returning garbage.
     """
@@ -338,10 +341,23 @@ def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
             raise CheckpointError(
                 f"unsupported checkpoint version {manifest.get('version')}"
             )
+        _require_keys(manifest, ("meta", "nets", "opts"), "the checkpoint")
+        for name, spec in manifest["nets"].items():
+            _require_keys(spec, ("dims", "activation"), f"net {name!r}")
+            if spec["activation"] != "tanh":
+                raise CheckpointError(
+                    f"net {name!r} has activation {spec['activation']!r}; "
+                    "only 'tanh' is supported")
+        for name, spec in manifest["opts"].items():
+            _require_keys(spec, ("lr", "beta1", "beta2", "eps", "step"),
+                          f"optimizer {name!r}")
+        for key in ([f"{name}_theta" for name in manifest["nets"]]
+                    + [f"{name}_{t}" for name in manifest["opts"] for t in "mv"]):
+            if key not in data:
+                raise CheckpointError(f"missing tensor {key!r}")
         try:
             nets = {
-                name: MlpParams(spec["dims"], data[f"{name}_theta"],
-                                spec["activation"])
+                name: MlpParams(spec["dims"], data[f"{name}_theta"])
                 for name, spec in manifest["nets"].items()
             }
             opts = {
@@ -352,8 +368,6 @@ def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
                 )
                 for name, spec in manifest["opts"].items()
             }
-        except KeyError as exc:
-            raise CheckpointError(f"missing tensor: {exc}") from exc
         except ShapeMismatchError as exc:
             raise CheckpointError(str(exc)) from exc
     for name, s in opts.items():

@@ -38,13 +38,10 @@ class PpoConfig:
     clip_epsilon: float = 0.2
     entropy_coef: float = 0.001
     total_steps: int = 5_000_000
-    eval_interval: int = 0  # metric row cadence in env steps; 0 = every batch
     seed: int = 0
     num_envs: int = 8
     hidden: tuple[int, ...] = (128, 64)
     reward_scale: float = 1e-3
-    normalize_advantages: bool = True
-    grad_clip: float | None = None
     checkpoint_interval: int = 0  # env steps between checkpoints; 0 = final only
     stop_reward: float | None = None
     stop_window: int = 20
@@ -53,7 +50,7 @@ class PpoConfig:
         if not 0.0 < self.clip_epsilon < 1.0:
             raise ValueError("clip_epsilon must be in (0, 1)")
         for name in ("critic_lr", "actor_lr", "horizon", "minibatch", "epochs",
-                     "num_envs", "reward_scale"):
+                     "num_envs", "reward_scale", "stop_window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("gamma", "gae_lambda"):
@@ -256,11 +253,7 @@ def prepare_batch(batch: RolloutBatch, cfg: PpoConfig) -> None:
     scaled = batch.rewards * cfg.reward_scale
     adv = compute_gae(scaled, batch.values, batch.dones, cfg.gamma, cfg.gae_lambda)
     batch.returns = adv + batch.values[:-1]
-    if cfg.normalize_advantages:
-        mean = adv.mean()
-        std = adv.std()
-        adv = (adv - mean) / (std + 1e-8)
-    batch.advantages = adv
+    batch.advantages = (adv - adv.mean()) / (adv.std() + 1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +301,6 @@ def ppo_loss(actor: MlpParams, critic: MlpParams, obs: np.ndarray,
             neural.backward(actor, obs, dlogits), neural.backward(critic, obs, dv))
 
 
-def _clip_grads(grad: np.ndarray, max_norm: float) -> None:
-    """Scale ``grad`` in place so its norm is at most ``max_norm``."""
-    total = np.linalg.norm(grad)
-    if total > max_norm:
-        grad *= max_norm / (total + 1e-12)
-
-
 def ppo_update(params: PolicyParams, batch: RolloutBatch, cfg: PpoConfig,
                shuffle_rng: np.random.Generator) -> dict:
     """K epochs of minibatch updates over one prepared rollout batch."""
@@ -340,9 +326,6 @@ def ppo_update(params: PolicyParams, batch: RolloutBatch, cfg: PpoConfig,
                 raise TrainingDiverged(
                     f"non-finite loss: policy={p_loss} value={v_loss} entropy={ent}"
                 )
-            if cfg.grad_clip is not None:
-                _clip_grads(a_grads, cfg.grad_clip)
-                _clip_grads(c_grads, cfg.grad_clip)
             neural.adam_step(params.actor_opt, params.actor, a_grads)
             neural.adam_step(params.critic_opt, params.critic, c_grads)
             policy_losses.append(p_loss)
@@ -415,7 +398,6 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
     episodes = 0
     updates = 0
     stopped = False
-    last_emit = 0
     last_checkpoint = 0
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -446,20 +428,18 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
         recent_returns.extend(batch.episode_returns)
         del recent_returns[:-cfg.stop_window]
 
-        if cfg.eval_interval <= 0 or total_steps - last_emit >= cfg.eval_interval:
-            last_emit = total_steps
-            row = {
-                "step": total_steps,
-                "episodes": episodes,
-                "mean_reward": (float(np.mean(batch.episode_returns))
-                                if batch.episode_returns else float("nan")),
-                "mean_length": (float(np.mean(batch.episode_lengths))
-                                if batch.episode_lengths else float("nan")),
-                **stats,
-            }
-            metrics.append(row)
-            if log is not None:
-                log(row)
+        row = {
+            "step": total_steps,
+            "episodes": episodes,
+            "mean_reward": (float(np.mean(batch.episode_returns))
+                            if batch.episode_returns else float("nan")),
+            "mean_length": (float(np.mean(batch.episode_lengths))
+                            if batch.episode_lengths else float("nan")),
+            **stats,
+        }
+        metrics.append(row)
+        if log is not None:
+            log(row)
 
         if (out_path is not None and cfg.checkpoint_interval > 0
                 and total_steps - last_checkpoint >= cfg.checkpoint_interval):

@@ -286,3 +286,17 @@ class TestJsonl:
         assert {"vulnerability", "rate", "n_discovered"} <= {
             key for r in records for key in r}
         assert [r["record"] for r in records].count("trace") == 2
+
+    def test_addresses_ordered_as_strings(self):
+        # (2, 1) < (10, 0) as tuples, but "10,0" < "2,1" as keys
+        trace = AttackTrace(seed=4, terminal_status={
+            (2, 1): "exfiltrated", (10, 0): "isolated"})
+        trace.steps.append(TraceStep(
+            step=0, clock=10.0, action="upload", target=(10, 0), reward=-1.5,
+            outcome="upload", rate="fast"))
+        buf = io.StringIO()
+        write_traces_jsonl([trace], buf)
+        lines = buf.getvalue().splitlines()
+        assert lines == [json.dumps(json.loads(line), sort_keys=True)
+                         for line in lines]
+        assert list(json.loads(lines[0])["terminal_status"]) == ["10,0", "2,1"]

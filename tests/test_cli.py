@@ -291,6 +291,21 @@ class TestTrainEvalPipeline:
         assert_invalid(rc, capsys, "actor_theta", "non-finite")
         assert not (tmp_path / "ev" / "traces.jsonl").exists()
 
+    def test_non_tanh_checkpoint_rejected(self, tmp_path, capsys, tiny_inputs):
+        from test_neural import rewrite_checkpoint
+
+        env = C2Env(*tiny_inputs)
+        params = ppo.init_policy(np.random.default_rng(0), env.obs_len,
+                                 env.n_actions, ppo.PpoConfig())
+        ckpt = tmp_path / "linear.npz"
+        ppo.save_policy(ckpt, params)
+        rewrite_checkpoint(ckpt, lambda m, a: m["nets"]["actor"].update(
+            activation="linear"))
+        rc = run(["eval", "--checkpoint", str(ckpt), "--scenario", "tiny",
+                  "--n", "3", "--out-dir", str(tmp_path / "ev")])
+        assert_invalid(rc, capsys, "net 'actor'", "activation 'linear'")
+        assert not (tmp_path / "ev" / "traces.jsonl").exists()
+
     def test_checkpoint_topology_mismatch_rejected(self, train_run, tmp_path):
         out, _ = train_run
         gen_cfg = tmp_path / "gen.yaml"
@@ -327,12 +342,10 @@ class TestConfigErrors:
         (PPO_SMALL.replace("horizon: 128", "horizon: abc"), ["horizon", "integer"]),
         (PPO_SMALL + "actor_lr: fast\n", ["actor_lr", "number"]),
         (PPO_SMALL + "stop_reward: [1]\n", ["stop_reward", "number"]),
-        (PPO_SMALL + "normalize_advantages: 2\n", ["normalize_advantages"]),
         ("actor_lr: [\n", ["malformed YAML", "line 2"]),
         (PPO_SMALL.replace("horizon: 128", "horizon: 128.5"), ["horizon", "integer"]),
         (PPO_SMALL.replace("seed: 5", "seed: true"), ["seed", "integer"]),
         (PPO_SMALL + "gamma: true\n", ["gamma", "number"]),
-        (PPO_SMALL + 'normalize_advantages: "no"\n', ["normalize_advantages"]),
         (PPO_SMALL + "hidden: [64, x]\n", ["hidden[1]", "integer"]),
         (PPO_SMALL + "actor_lr: .nan\n", ["actor_lr", "number", "nan"]),
         (PPO_SMALL + "stop_reward: .NaN\n", ["stop_reward", "number", "nan"]),
@@ -347,12 +360,20 @@ class TestConfigErrors:
          ["malformed YAML at line 8", "cannot read '._e3' as !!float"]),
         # no digit after the dot: a string, as in YAML 1.1, not a float
         (PPO_SMALL + "actor_lr: ._e3\n", ["actor_lr", "number", "'._e3'"]),
+        (PPO_SMALL + "stop_window: 0\n", ["stop_window", "positive"]),
+        # gradient clipping, unnormalized advantages and a sparser metric
+        # cadence are not options: their keys are unknown like any other
+        (PPO_SMALL + "grad_clip: 0.5\n", ["unknown key", "grad_clip"]),
+        (PPO_SMALL + "normalize_advantages: false\n",
+         ["unknown key", "normalize_advantages"]),
+        (PPO_SMALL + "eval_interval: 4096\n", ["unknown key", "eval_interval"]),
     ], ids=["list-document", "integer-key", "string-horizon", "string-rate",
-            "list-stop-reward", "integer-flag", "malformed-yaml",
-            "fractional-horizon", "boolean-seed", "boolean-rate", "string-flag",
+            "list-stop-reward", "malformed-yaml",
+            "fractional-horizon", "boolean-seed", "boolean-rate",
             "string-width", "nan-rate", "nan-stop-reward", "infinite-rate",
             "merge-key", "month-13", "tagged-int", "tagged-float",
-            "fraction-only-exponent"])
+            "fraction-only-exponent", "zero-stop-window", "grad-clip-key",
+            "normalize-advantages-key", "eval-interval-key"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
         cfg.write_text(text)

@@ -17,7 +17,6 @@ from c2sim.neural import (
     forward,
     forward_cached,
     init_mlp,
-    layer_views,
     load_checkpoint,
     log_softmax,
     orthogonal,
@@ -67,11 +66,10 @@ class TestForward:
         for i in range(7):
             assert batched[i] == pytest.approx(forward(p, xs[i]), abs=1e-12)
 
-    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    @pytest.mark.parametrize("activation", ["tanh"])
     def test_forward_equals_forward_cached_bit_for_bit(self, activation):
         rng = np.random.default_rng(7)
-        p = init_mlp(rng, 160, (128, 64), 18, out_gain=0.01,
-                     activation=activation)
+        p = init_mlp(rng, 160, (128, 64), 18, out_gain=0.01)
         for x in (rng.standard_normal(160), rng.standard_normal((8, 160)),
                   rng.standard_normal((1, 160))):
             out = forward(p, x)
@@ -79,16 +77,18 @@ class TestForward:
             assert out.shape == cached.shape == x.shape[:-1] + (18,)
             assert out.tobytes() == cached.tobytes()
             assert acts[-1] is cached and len(acts) == 4
+            hidden = getattr(np, activation)(x @ p.weights[0] + p.biases[0])
+            assert acts[1].tobytes() == hidden.tobytes()
 
     def test_shape_mismatch_raises(self):
         p = init_mlp(np.random.default_rng(0), 4, (8,), 2)
         with pytest.raises(ShapeMismatchError):
             forward(p, np.zeros(5))
 
-    @pytest.mark.parametrize("activation", ["tanh", "linear"])
+    @pytest.mark.parametrize("activation", ["tanh"])
     def test_input_never_written_or_aliased(self, activation):
         rng = np.random.default_rng(6)
-        p = init_mlp(rng, 5, (6, 4), 3, activation=activation)
+        p = init_mlp(rng, 5, (6, 4), 3)
         for x in (rng.standard_normal(5), rng.standard_normal((4, 5))):
             before = x.copy()
             x.flags.writeable = False  # an in-place write would raise
@@ -157,19 +157,6 @@ class TestBackward:
         p = init_mlp(rng, 5, (6,), 3)
         grads = backward(p, rng.standard_normal(5), np.zeros(3))
         assert np.all(grads == 0.0)
-
-    def test_linear_network_closed_form(self):
-        rng = np.random.default_rng(4)
-        p = init_mlp(rng, 3, (4,), 2, activation="linear")
-        x = rng.standard_normal((6, 3))
-        upstream = rng.standard_normal((6, 2))
-        gw, gb = layer_views(backward(p, x, upstream), p.dims)
-        # linear net: dW2 = h.T @ g with h = x W1 + b1; dW1 = x.T @ (g W2.T)
-        h = x @ p.weights[0] + p.biases[0]
-        assert gw[1] == pytest.approx(h.T @ upstream, abs=1e-10)
-        assert gw[0] == pytest.approx(
-            x.T @ (upstream @ p.weights[1].T), abs=1e-10)
-        assert gb[1] == pytest.approx(upstream.sum(0), abs=1e-12)
 
     def test_upstream_shape_mismatch(self):
         p = init_mlp(np.random.default_rng(0), 3, (4,), 2)
@@ -421,3 +408,47 @@ class TestCheckpoints:
         save_checkpoint(path, nets, opts, meta={})
         with pytest.raises(CheckpointError, match="no net"):
             load_checkpoint(path, expect={"omega": (6, 3)})
+
+    def _saved(self, tmp_path):
+        nets, opts = self._nets_and_opts(np.random.default_rng(5))
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, nets, opts, meta={})
+        return path
+
+    def test_every_net_recorded_as_tanh(self, tmp_path):
+        with np.load(self._saved(tmp_path)) as data:
+            manifest = json.loads(data["manifest"].tobytes())
+        assert {spec["activation"] for spec in manifest["nets"].values()} == {"tanh"}
+
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_other_activation_rejected(self, tmp_path, activation):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: m["nets"]["critic"].update(
+            activation=activation))
+        with pytest.raises(CheckpointError,
+                           match=f"net 'critic' has activation '{activation}'"):
+            load_checkpoint(path)
+
+    def test_missing_manifest_key_named(self, tmp_path):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: m["nets"]["actor"].pop("dims"))
+        with pytest.raises(CheckpointError,
+                           match="missing manifest key 'dims' for net 'actor'"):
+            load_checkpoint(path)
+
+    def test_missing_tensor_named(self, tmp_path):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: a.pop("actor_m"))
+        with pytest.raises(CheckpointError, match="missing tensor 'actor_m'"):
+            load_checkpoint(path)
+
+
+def rewrite_checkpoint(path, edit):
+    """Rewrite a saved checkpoint: ``edit(manifest, arrays)`` changes its
+    manifest dict and tensor dict in place."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    manifest = json.loads(arrays.pop("manifest").tobytes())
+    edit(manifest, arrays)
+    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(),
+                                          dtype=np.uint8), **arrays)
