@@ -13,6 +13,7 @@ connections from hosts compromised before it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -414,10 +415,14 @@ class C2Env:
             self._host_offsets[i] = base
             off += self.host_block_len
         # Host blocks have a fixed length, so each status bit sits at a
-        # fixed stride through the host part of the buffer.
-        hosts_part = template[:off]
-        self._discovered_bits = hosts_part[status + 1::self.host_block_len]
-        self._infected_bits = hosts_part[status + 3::self.host_block_len]
+        # fixed stride through the host part of the buffer. These and the
+        # target slots after the host part are the only slots written after
+        # this point.
+        discovered = slice(status + 1, off, self.host_block_len)
+        infected = slice(status + 3, off, self.host_block_len)
+        self._dynamic_slots = (discovered, infected, slice(off, None))
+        self._discovered_bits = template[discovered]
+        self._infected_bits = template[infected]
         self._sensitive_offsets = {addr: off + k * self.sensitive_block_len
                                    for k, addr in enumerate(self._sensitive)}
         self._target_slots = [(a, self.host_index[a], self._sensitive_offsets[a])
@@ -425,6 +430,22 @@ class C2Env:
         self._obs = template
         self._obs_readonly = template.view()
         self._obs_readonly.flags.writeable = False
+
+    @functools.cached_property
+    def live_slots(self) -> np.ndarray:
+        """Sorted ``intp`` indices of the observation slots that can be
+        non-zero: the static slots set in the template (one-hots and host
+        values), every host's discovered and infected bits, and every
+        target slot. The rest are 0.0 in every state.
+
+        Computed on first use, so an env that never asks pays nothing. The
+        static slots are never written after ``__init__``, so reading them
+        from the live buffer gives the template's.
+        """
+        mask = self._obs != 0.0
+        for slots in self._dynamic_slots:
+            mask[slots] = True
+        return np.flatnonzero(mask)
 
     # -- episode control ---------------------------------------------------
 

@@ -8,10 +8,12 @@ versioned checkpoint format. No autodiff graph, everything is numpy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
+
+from .net_model import build_config
 
 CHECKPOINT_VERSION = 2
 
@@ -325,48 +327,85 @@ def _require_keys(spec: dict, keys: tuple[str, ...], owner: str) -> None:
             raise CheckpointError(f"missing manifest key {key!r} for {owner}")
 
 
+@dataclass(frozen=True)
+class _NetRecord:
+    """A net's entry in a checkpoint manifest."""
+
+    dims: tuple[int, ...]
+    activation: str
+
+
+@dataclass(frozen=True)
+class _OptRecord:
+    """An optimizer's entry in a checkpoint manifest."""
+
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    step: int
+
+
+def _mapping(manifest: dict, key: str) -> dict:
+    value = manifest[key]
+    if type(value) is not dict:
+        raise CheckpointError(f"manifest key {key!r} must be a mapping, got {value!r}")
+    return value
+
+
+def _records(manifest: dict, key: str, kind, owner: str) -> dict:
+    """Each entry of the manifest's ``key`` mapping, read as ``kind`` by
+    ``build_config``, so that a value of the wrong type is named by key."""
+    records = {}
+    for name, spec in _mapping(manifest, key).items():
+        who = f"{owner} {name!r}"
+        if type(spec) is dict:
+            _require_keys(spec, tuple(f.name for f in fields(kind)), who)
+        records[name] = build_config(kind, spec, CheckpointError, f"manifest of {who}")
+    return records
+
+
 def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
     """Read a checkpoint; returns (nets, opts, meta).
 
-    ``expect`` maps net name to a required (in_dim, out_dim); a missing
-    manifest key or tensor, a net whose activation is not tanh, any shape
+    ``expect`` maps net name to a required (in_dim, out_dim); a manifest
+    that is not JSON, a missing manifest key or tensor, a manifest value of
+    the wrong type, a net whose activation is not tanh, any shape
     inconsistency, or a NaN or infinity in a parameter or optimizer tensor,
     raises CheckpointError instead of returning garbage.
     """
     with np.load(path) as data:
         if "manifest" not in data:
             raise CheckpointError("not a checkpoint: missing manifest")
-        manifest = json.loads(bytes(data["manifest"].tobytes()).decode("utf-8"))
-        if manifest.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint version {manifest.get('version')}"
-            )
+        try:
+            manifest = json.loads(data["manifest"].tobytes().decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise CheckpointError(f"manifest is not JSON: {exc}") from None
+        version = manifest.get("version") if type(manifest) is dict else None
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
         _require_keys(manifest, ("meta", "nets", "opts"), "the checkpoint")
-        for name, spec in manifest["nets"].items():
-            _require_keys(spec, ("dims", "activation"), f"net {name!r}")
-            if spec["activation"] != "tanh":
+        meta = _mapping(manifest, "meta")
+        net_specs = _records(manifest, "nets", _NetRecord, "net")
+        opt_specs = _records(manifest, "opts", _OptRecord, "optimizer")
+        for name, spec in net_specs.items():
+            if spec.activation != "tanh":
                 raise CheckpointError(
-                    f"net {name!r} has activation {spec['activation']!r}; "
+                    f"net {name!r} has activation {spec.activation!r}; "
                     "only 'tanh' is supported")
-        for name, spec in manifest["opts"].items():
-            _require_keys(spec, ("lr", "beta1", "beta2", "eps", "step"),
-                          f"optimizer {name!r}")
-        for key in ([f"{name}_theta" for name in manifest["nets"]]
-                    + [f"{name}_{t}" for name in manifest["opts"] for t in "mv"]):
+        for key in ([f"{name}_theta" for name in net_specs]
+                    + [f"{name}_{t}" for name in opt_specs for t in "mv"]):
             if key not in data:
                 raise CheckpointError(f"missing tensor {key!r}")
         try:
-            nets = {
-                name: MlpParams(spec["dims"], data[f"{name}_theta"])
-                for name, spec in manifest["nets"].items()
-            }
+            nets = {name: MlpParams(spec.dims, data[f"{name}_theta"])
+                    for name, spec in net_specs.items()}
             opts = {
                 name: OptimizerState(
-                    lr=spec["lr"], m=data[f"{name}_m"], v=data[f"{name}_v"],
-                    beta1=spec["beta1"], beta2=spec["beta2"],
-                    eps=spec["eps"], step=spec["step"],
+                    lr=spec.lr, m=data[f"{name}_m"], v=data[f"{name}_v"],
+                    beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps, step=spec.step,
                 )
-                for name, spec in manifest["opts"].items()
+                for name, spec in opt_specs.items()
             }
         except ShapeMismatchError as exc:
             raise CheckpointError(str(exc)) from exc
@@ -392,4 +431,4 @@ def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
                 raise CheckpointError(
                     f"net {name!r} has shape {got}, expected {(in_dim, out_dim)}"
                 )
-    return nets, opts, manifest["meta"]
+    return nets, opts, meta

@@ -126,6 +126,70 @@ def load_policy(path, expect_obs_dim: int | None = None,
 
 
 # ---------------------------------------------------------------------------
+# Training on the live observation slots
+#
+# ``train`` runs on ``C2Env.live_slots``, the slots that can be non-zero. A
+# dead slot is 0.0 in every sample, so the first-layer weight rows it feeds
+# get a +-0 gradient: Adam never moves them, and their moments stay +0.0.
+# Cutting those rows out of each net and its moments leaves every other bit
+# of training as it is at full width, as long as every matmul has two or
+# more rows (numpy takes a one-row product through a matrix-vector kernel,
+# which rounds a shorter sum differently). That is checked at tiny width;
+# at enterprise101 width, where the first-layer sums are longer than the
+# BLAS's K-block, it is not.
+
+
+def _live_rows(dims: tuple[int, ...], flat: np.ndarray,
+               live: np.ndarray) -> np.ndarray:
+    """``flat``, laid out like the parameters of a net with layer widths
+    ``dims``, with its first-layer weight cut to the rows ``live``."""
+    w0 = dims[0] * dims[1]
+    rows = flat[:w0].reshape(dims[0], dims[1])[live]
+    return np.concatenate((rows.ravel(), flat[w0:]))
+
+
+def _write_live_rows(dims: tuple[int, ...], flat: np.ndarray,
+                     compact: np.ndarray, live: np.ndarray) -> None:
+    """Undo ``_live_rows``: write ``compact`` back into ``flat``, leaving
+    the first-layer rows outside ``live`` as they are."""
+    w0, c0 = dims[0] * dims[1], len(live) * dims[1]
+    flat[:w0].reshape(dims[0], dims[1])[live] = compact[:c0].reshape(-1, dims[1])
+    flat[w0:] = compact[c0:]
+
+
+def _compact_policy(params: PolicyParams, live: np.ndarray) -> PolicyParams:
+    """Copies of both nets and their optimizer states that take only the
+    observation slots ``live``."""
+    def net(p: MlpParams) -> MlpParams:
+        return MlpParams((len(live), *p.dims[1:]), _live_rows(p.dims, p.theta, live))
+
+    def opt(s: OptimizerState, p: MlpParams) -> OptimizerState:
+        return OptimizerState(
+            lr=s.lr, m=_live_rows(p.dims, s.m, live), v=_live_rows(p.dims, s.v, live),
+            beta1=s.beta1, beta2=s.beta2, eps=s.eps, step=s.step)
+
+    return PolicyParams(
+        actor=net(params.actor), critic=net(params.critic),
+        actor_opt=opt(params.actor_opt, params.actor),
+        critic_opt=opt(params.critic_opt, params.critic),
+        obs_dim=len(live), n_actions=params.n_actions,
+    )
+
+
+def _expand_policy(compact: PolicyParams, full: PolicyParams,
+                   live: np.ndarray) -> None:
+    """Write a ``_compact_policy`` copy, trained since, back into ``full``;
+    the dead first-layer rows keep ``full``'s values."""
+    pairs = ((compact.actor, compact.actor_opt, full.actor, full.actor_opt),
+             (compact.critic, compact.critic_opt, full.critic, full.critic_opt))
+    for net, opt, full_net, full_opt in pairs:
+        _write_live_rows(full_net.dims, full_net.theta, net.theta, live)
+        _write_live_rows(full_net.dims, full_opt.m, opt.m, live)
+        _write_live_rows(full_net.dims, full_opt.v, opt.v, live)
+        full_opt.step = opt.step
+
+
+# ---------------------------------------------------------------------------
 # Advantage estimation
 
 
@@ -199,16 +263,19 @@ class _EnvRunner:
 
 def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
                     critic: MlpParams, steps_per_env: int,
-                    sample_rng: np.random.Generator) -> RolloutBatch:
+                    sample_rng: np.random.Generator,
+                    slots: np.ndarray | None = None) -> RolloutBatch:
     """Advance every environment ``steps_per_env`` times under the actor.
 
     Episodes that finish mid-horizon are logged and the environment restarts
     immediately, so the batch always holds exactly horizon transitions. Each
     step makes one batched forward per network and one batched action draw.
+    With ``slots``, sorted observation indices such as ``C2Env.live_slots``,
+    the nets read and the batch stores only those columns of each
+    observation, gathered once per step.
     """
     n = len(runners)
-    obs_dim = runners[0].env.obs_len
-    obs_buf = np.zeros((steps_per_env, n, obs_dim))
+    obs_buf = np.zeros((steps_per_env, n, actor.in_dim))
     act_buf = np.zeros((steps_per_env, n), dtype=np.int64)
     logp_buf = np.zeros((steps_per_env, n))
     rew_buf = np.zeros((steps_per_env, n))
@@ -217,12 +284,20 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
     ep_returns: list[float] = []
     ep_lengths: list[int] = []
 
+    full = None if slots is None else np.empty((n, runners[0].env.obs_len))
+
+    def observe(out=None):
+        if full is None:
+            return np.stack([r.obs for r in runners], out=out)
+        np.stack([r.obs for r in runners], out=full)
+        return np.take(full, slots, axis=1, out=out)
+
     for r in runners:
         if r.obs is None or r.env.done:
             r.reset()
 
     for t in range(steps_per_env):
-        obs_mat = np.stack([r.obs for r in runners], out=obs_buf[t])
+        obs_mat = observe(obs_buf[t])
         logits = neural.forward(actor, obs_mat)
         val_buf[t] = neural.forward(critic, obs_mat)[:, 0]
         act_buf[t], logp_buf[t] = neural.categorical_sample(logits, sample_rng)
@@ -239,8 +314,7 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
             else:
                 runner.obs = next_obs
 
-    final_obs = np.stack([r.obs for r in runners])
-    val_buf[steps_per_env] = neural.forward(critic, final_obs)[:, 0]
+    val_buf[steps_per_env] = neural.forward(critic, observe())[:, 0]
     return RolloutBatch(
         obs=obs_buf, actions=act_buf, log_probs=logp_buf, rewards=rew_buf,
         values=val_buf, dones=done_buf,
@@ -374,6 +448,10 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
           out_dir=None, log=None) -> TrainResult:
     """Run the full collect/estimate/update loop.
 
+    The nets are initialized at full observation width, trained on the
+    env's ``live_slots`` only, and written back to full width for every
+    checkpoint and for the result; the dead first-layer rows keep their
+    initial values and zero moments, as full-width training leaves them.
     With ``out_dir`` set, periodic checkpoints and a final checkpoint land
     there; on divergence the last good checkpoint is preserved and
     TrainingDiverged carries its path.
@@ -389,6 +467,8 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
         runners.append(_EnvRunner(C2Env(topology, scenario), env_child))
     probe = runners[0].env
     params = init_policy(init_rng, probe.obs_len, probe.n_actions, cfg)
+    live = probe.live_slots
+    work = _compact_policy(params, live)
 
     steps_per_env = cfg.horizon // cfg.num_envs
     iterations = cfg.total_steps // cfg.horizon
@@ -407,6 +487,7 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
         if out_path is None:
             return None
         path = out_path / name
+        _expand_policy(work, params, live)
         save_policy(path, params, meta={
             "env_steps": total_steps, "episodes": episodes,
             "gradient_updates": updates, "seed": cfg.seed,
@@ -415,11 +496,11 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
 
     last_good: str | None = None
     for it in range(iterations):
-        batch = collect_rollout(runners, params.actor, params.critic,
-                                steps_per_env, sample_rng)
+        batch = collect_rollout(runners, work.actor, work.critic,
+                                steps_per_env, sample_rng, live)
         prepare_batch(batch, cfg)
         try:
-            stats = ppo_update(params, batch, cfg, shuffle_rng)
+            stats = ppo_update(work, batch, cfg, shuffle_rng)
         except TrainingDiverged as exc:
             raise TrainingDiverged(str(exc), checkpoint_path=last_good) from exc
         total_steps += cfg.horizon
@@ -453,6 +534,7 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
             break
 
     checkpoint("checkpoint_final.npz")
+    _expand_policy(work, params, live)
     if out_path is not None:
         (out_path / "metrics.csv").write_text(format_metrics_csv(metrics))
     return TrainResult(

@@ -905,6 +905,65 @@ class TestObservation:
             env.encode_observation()[-1] = 1.0
 
 
+class TestLiveSlots:
+    """``live_slots`` is the trainer's input index: an observation slot
+    outside it must be 0.0 in every state."""
+
+    @staticmethod
+    def dynamic_slots(env) -> np.ndarray:
+        """The slots an episode writes, from the layout the reference
+        encoder documents: each host block ends with (discovery value,
+        discovered, infection value, infected), and eight slots per
+        sensitive host follow the host blocks."""
+        hosts = env.topology.hosts()
+        targets = len(env.scenario.sensitive_hosts) * 8
+        block = (env.obs_len - targets) // len(hosts)
+        ends = np.arange(1, len(hosts) + 1) * block
+        return np.sort(np.concatenate((
+            ends - 3, ends - 1, np.arange(env.obs_len - targets, env.obs_len))))
+
+    @pytest.mark.parametrize("network", ["tiny", "chain3", "chain4x3"])
+    def test_observations_are_zero_outside_live_slots(self, network, request):
+        if network == "chain4x3":
+            t = chain_topology(4, hosts_per_subnet=3)
+            pair = (t, scenario_for(t))
+        else:
+            pair = request.getfixturevalue(
+                "tiny_inputs" if network == "tiny" else network)
+        env = C2Env(*pair)
+        live = env.live_slots
+        assert live.dtype == np.intp
+        assert np.array_equal(live, np.unique(live))
+        assert 0 <= live[0] and live[-1] < env.obs_len
+        assert np.isin(self.dynamic_slots(env), live).all()
+        dead = np.ones(env.obs_len, dtype=bool)
+        dead[live] = False
+        rng = np.random.default_rng(5)
+        seen = np.zeros(env.obs_len, dtype=bool)
+        for ep in range(20):
+            obs = env.reset(seed=ep)
+            while True:
+                for o in (obs, oracles.reference_observation(env)):
+                    assert not o[dead].any()
+                    seen |= o != 0.0
+                if env.done:
+                    break
+                obs, _, _, _ = env.step(int(rng.integers(env.n_actions)))
+        # the walks reach most live slots, so the check above had teeth
+        assert seen[live].mean() > 0.8
+        # asked after the walks, a new env gives the same index
+        assert np.array_equal(C2Env(*pair).live_slots, live)
+
+    def test_sizes_at_tiny_and_full_scale(self, tiny_inputs, refs):
+        from c2sim import scenarios
+
+        tiny = C2Env(*tiny_inputs)
+        assert (len(tiny.live_slots), tiny.obs_len) == (70, 160)
+        full = C2Env(*scenarios.enterprise101(refs))
+        assert (len(full.live_slots), full.obs_len) == (13_236, 241_164)
+        assert np.isin(self.dynamic_slots(full), full.live_slots).all()
+
+
 class TestInvariantsAndOracles:
     def test_eq8_and_window_triggers_match_oracles_on_random_walks(self, chain3):
         topology, scenario = chain3

@@ -306,6 +306,30 @@ class TestTrainEvalPipeline:
         assert_invalid(rc, capsys, "net 'actor'", "activation 'linear'")
         assert not (tmp_path / "ev" / "traces.jsonl").exists()
 
+    @pytest.mark.parametrize("edit, words", [
+        (lambda m: m.update(nets=[]), ["manifest key 'nets'", "mapping", "[]"]),
+        (lambda m: m["nets"]["actor"].update(dims="abc"),
+         ["net 'actor'", "dims", "list of integers", "'abc'"]),
+        (lambda m: m["opts"]["critic"].update(lr="fast"),
+         ["optimizer 'critic'", "lr", "finite number", "'fast'"]),
+        (lambda m: m["opts"]["actor"].update(step=1.5),
+         ["optimizer 'actor'", "step", "integer", "1.5"]),
+    ], ids=["nets-list", "dims-string", "lr-string", "step-float"])
+    def test_mistyped_manifest_value_rejected(self, tmp_path, capsys, tiny_inputs,
+                                              edit, words):
+        from test_neural import rewrite_checkpoint
+
+        env = C2Env(*tiny_inputs)
+        params = ppo.init_policy(np.random.default_rng(0), env.obs_len,
+                                 env.n_actions, ppo.PpoConfig())
+        ckpt = tmp_path / "mistyped.npz"
+        ppo.save_policy(ckpt, params)
+        rewrite_checkpoint(ckpt, lambda m, a: edit(m))
+        rc = run(["eval", "--checkpoint", str(ckpt), "--scenario", "tiny",
+                  "--n", "3", "--out-dir", str(tmp_path / "ev")])
+        assert_invalid(rc, capsys, *words)
+        assert not (tmp_path / "ev" / "traces.jsonl").exists()
+
     def test_checkpoint_topology_mismatch_rejected(self, train_run, tmp_path):
         out, _ = train_run
         gen_cfg = tmp_path / "gen.yaml"

@@ -427,3 +427,153 @@ class TestTrain:
         assert meta["env_steps"] == 128
         for a, b in zip(params.critic.weights, result.params.critic.weights):
             assert np.array_equal(a, b)
+
+
+def _full_width_train(topology, scenario, cfg):
+    """``train`` without the live-slot cut: the same seed streams, the
+    nets at full observation width throughout."""
+    from c2sim.c2_env import C2Env
+
+    init_seq, sample_seq, shuffle_seq, env_seq = np.random.SeedSequence(
+        cfg.seed).spawn(4)
+    runners = [_EnvRunner(C2Env(topology, scenario), child)
+               for child in env_seq.spawn(cfg.num_envs)]
+    params = init_policy(np.random.default_rng(init_seq), runners[0].env.obs_len,
+                         runners[0].env.n_actions, cfg)
+    sample_rng = np.random.default_rng(sample_seq)
+    shuffle_rng = np.random.default_rng(shuffle_seq)
+    for _ in range(cfg.total_steps // cfg.horizon):
+        batch = collect_rollout(runners, params.actor, params.critic,
+                                cfg.horizon // cfg.num_envs, sample_rng)
+        prepare_batch(batch, cfg)
+        ppo_update(params, batch, cfg, shuffle_rng)
+    return params
+
+
+def _skip_unless_recorded_build(what):
+    """Rounding can differ on a numpy/BLAS build unlike the one the golden
+    digests were recorded on; there a bit mismatch is a skip, as in
+    test_golden."""
+    from test_golden import RECORDED_BUILD, current_build
+
+    build = current_build()
+    if build != RECORDED_BUILD:
+        pytest.skip(f"{what} differ on a build unlike the recorded one "
+                    f"({build}; recorded {RECORDED_BUILD})")
+    pytest.fail(f"{what} differ on the recorded build")
+
+
+class TestLiveSlotTraining:
+    """``train`` runs on ``C2Env.live_slots`` and must give the bits of
+    full-width training at two or more rows per matmul. One-row products
+    (``num_envs: 1``, a one-row minibatch tail) round differently."""
+
+    @pytest.fixture(scope="class")
+    def walk(self, tiny_inputs):
+        """Distinct tiny observations from a seeded random walk, with the
+        env that made them."""
+        from c2sim.c2_env import C2Env
+
+        env = C2Env(*tiny_inputs)
+        rng = np.random.default_rng(2)
+        rows = []
+        for ep in range(6):
+            rows.append(env.reset(seed=ep).copy())
+            while not env.done:
+                rows.append(env.step(int(rng.integers(env.n_actions)))[0].copy())
+        obs = np.unique(np.array(rows), axis=0)
+        return env, obs[rng.permutation(len(obs))]
+
+    @pytest.mark.parametrize("rows", [2, 8, 64])
+    def test_compact_nets_give_full_width_bits(self, walk, rows):
+        env, obs = walk
+        assert len(obs) >= 64 * 3
+        live = env.live_slots
+        full = init_policy(np.random.default_rng(rows), env.obs_len,
+                           env.n_actions, PpoConfig())
+        compact = ppo._compact_policy(full, live)
+        rng = np.random.default_rng(rows)
+        dead = np.ones(env.obs_len, dtype=bool)
+        dead[live] = False
+        mismatches = []
+        for trial in range(3):
+            x = obs[trial * rows:(trial + 1) * rows]
+            for name in ("actor", "critic"):
+                f, c = getattr(full, name), getattr(compact, name)
+                out = neural.forward(f, x)
+                if not np.array_equal(neural.forward(c, x[:, live]), out):
+                    mismatches.append(f"{name} forward, {rows} rows")
+                g = rng.standard_normal(out.shape)
+                grad = neural.backward(f, x, g)
+                # the dead slots are zero, so their first-layer rows get a
+                # zero gradient ...
+                assert not x[:, dead].any()
+                assert not grad[:f.weights[0].size].reshape(
+                    f.weights[0].shape)[dead].any()
+                # ... and the rest is the compact net's gradient
+                if not np.array_equal(ppo._live_rows(f.dims, grad, live),
+                                      neural.backward(c, x[:, live], g)):
+                    mismatches.append(f"{name} gradient, {rows} rows")
+        if mismatches:
+            _skip_unless_recorded_build(mismatches)
+
+    def test_train_gives_full_width_bits(self, tiny_inputs):
+        # a 32-row minibatch tail; every matmul has at least 4 rows
+        cfg = small_cfg(horizon=128, num_envs=4, minibatch=48, epochs=2,
+                        total_steps=256, seed=3)
+        got = train(*tiny_inputs, cfg).params
+        want = _full_width_train(*tiny_inputs, cfg)
+        mismatches = []
+        for name in ("actor", "critic"):
+            for a, b, what in (
+                    (getattr(got, name).theta, getattr(want, name).theta, "theta"),
+                    (getattr(got, f"{name}_opt").m, getattr(want, f"{name}_opt").m, "m"),
+                    (getattr(got, f"{name}_opt").v, getattr(want, f"{name}_opt").v, "v")):
+                if a.tobytes() != b.tobytes():
+                    mismatches.append(f"{name} {what}")
+            assert getattr(got, f"{name}_opt").step == getattr(want, f"{name}_opt").step
+        if mismatches:
+            _skip_unless_recorded_build(mismatches)
+
+    def test_dead_rows_keep_their_initial_values(self, tiny_inputs):
+        from c2sim.c2_env import C2Env
+
+        cfg = small_cfg(horizon=128, num_envs=2, minibatch=32, epochs=2,
+                        total_steps=256, seed=4)
+        result = train(*tiny_inputs, cfg)
+        env = C2Env(*tiny_inputs)
+        dead = np.ones(env.obs_len, dtype=bool)
+        dead[env.live_slots] = False
+        fresh = init_policy(
+            np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0]),
+            env.obs_len, env.n_actions, cfg)
+        for name in ("actor", "critic"):
+            net, opt = getattr(result.params, name), getattr(result.params, f"{name}_opt")
+            assert net.dims == getattr(fresh, name).dims
+            w0 = net.weights[0]
+            assert np.array_equal(w0[dead], getattr(fresh, name).weights[0][dead])
+            assert not np.array_equal(w0[~dead], getattr(fresh, name).weights[0][~dead])
+            for moment in (opt.m, opt.v):
+                rows = moment[:w0.size].reshape(w0.shape)[dead]
+                # exactly +0.0, the sign bit clear too
+                assert not rows.any() and not np.signbit(rows).any()
+                assert moment[:w0.size].reshape(w0.shape)[~dead].any()
+
+    def test_interval_checkpoint_equals_final_of_shorter_run(self, tiny_inputs, tmp_path):
+        cfg = small_cfg(horizon=128, num_envs=2, minibatch=32, epochs=1, seed=6)
+        long_run = dataclasses.replace(cfg, total_steps=384, checkpoint_interval=128)
+        train(*tiny_inputs, long_run, out_dir=tmp_path / "long")
+        for k in (128, 256):
+            short = train(*tiny_inputs, dataclasses.replace(cfg, total_steps=k),
+                          out_dir=tmp_path / f"short{k}").params
+            with np.load(tmp_path / "long" / f"checkpoint_{k}.npz") as a, \
+                    np.load(tmp_path / f"short{k}" / "checkpoint_final.npz") as b:
+                assert sorted(a.files) == sorted(b.files)
+                for key in a.files:
+                    assert a[key].tobytes() == b[key].tobytes(), (k, key)
+                # ... and both hold the trained full-width state
+                for name in ("actor", "critic"):
+                    opt = getattr(short, f"{name}_opt")
+                    assert b[f"{name}_theta"].tobytes() == getattr(short, name).theta.tobytes()
+                    assert b[f"{name}_m"].tobytes() == opt.m.tobytes()
+                    assert b[f"{name}_v"].tobytes() == opt.v.tobytes()
