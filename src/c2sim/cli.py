@@ -21,7 +21,6 @@ from . import __version__, analysis, netgen, ppo, scenarios
 from .c2_env import C2Env, ScenarioConfig, ScenarioError
 from .net_model import TopologyError, load_topology, save_topology
 from .netgen import GenerationError, ReferenceDataError
-from .neural import CheckpointError
 
 log = logging.getLogger("c2sim")
 
@@ -144,7 +143,7 @@ def cmd_eval(args) -> int:
         args.checkpoint, expect_obs_dim=env.obs_len, expect_actions=env.n_actions)
     out_dir = Path(args.out_dir)
     manifest = _write_manifest(out_dir, "eval", args, topology, scenario=scenario)
-    traces = analysis.sample_paths(env, params.actor, args.n, args.seed or 0)
+    traces = analysis.sample_paths(env, params.actor, args.n, args.seed)
     with open(out_dir / "traces.jsonl", "w") as fh:
         analysis.write_traces_jsonl(traces, fh)
     summary = analysis.summarize(traces)
@@ -191,6 +190,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def seed(text: str) -> int:
+    """The type of --seed: argparse reports a value < 0 as a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="c2sim",
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a network manifest")
     p.add_argument("--config", required=True, help="generator config YAML")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.add_argument("--out", required=True, help="output manifest path")
     p.set_defaults(func=cmd_generate)
 
@@ -216,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario YAML, or 'tiny' for the bundled scenario")
     p.add_argument("--config", default=None, help="trainer config YAML")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed, default=None)
     p.add_argument("--total-steps", type=int, default=None,
                    help="override the configured environment-step budget")
     p.set_defaults(func=cmd_train)
@@ -227,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("analyze", help="summarize recorded traces")
@@ -250,7 +257,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (TopologyError, ScenarioError, GenerationError, ReferenceDataError,
-            CheckpointError, analysis.PruneDivergenceError, ValueError) as exc:
+            ppo.CheckpointError, analysis.PruneDivergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

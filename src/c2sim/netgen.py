@@ -221,6 +221,8 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.num_subnets < 1:
             raise GenerationError("num_subnets must be >= 1")
+        if self.seed < 0:
+            raise GenerationError("seed must be >= 0")
         if self.min_ips_per_subnet > self.max_ips_per_subnet:
             raise GenerationError(
                 f"min_ips_per_subnet {self.min_ips_per_subnet} exceeds "

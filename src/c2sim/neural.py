@@ -1,28 +1,19 @@
 """Small feed-forward networks with hand-written gradients.
 
 Enough machinery for the 128/64 actor-critic pair: tanh MLPs, analytic
-backprop, adaptive-moment updates, stabilized categorical sampling, and a
-versioned checkpoint format. No autodiff graph, everything is numpy.
+backprop, adaptive-moment updates and stabilized categorical sampling. No
+autodiff graph, everything is numpy.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .net_model import build_config
-
-CHECKPOINT_VERSION = 2
-
 
 class ShapeMismatchError(Exception):
-    pass
-
-
-class CheckpointError(Exception):
     pass
 
 
@@ -291,144 +282,3 @@ def categorical_sample(scores, rng: np.random.Generator):
     u = rng.random() * cum[-1]
     idx = min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
     return idx, float(logp[idx])
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-
-
-def save_checkpoint(path, nets: dict[str, MlpParams],
-                    opts: dict[str, OptimizerState], meta: dict) -> None:
-    """Write every parameter vector plus optimizer state as a versioned npz
-    archive; the manifest records each net's layer dims and its hidden
-    nonlinearity, always ``"tanh"``."""
-    arrays: dict[str, np.ndarray] = {}
-    manifest: dict = {"version": CHECKPOINT_VERSION, "meta": meta, "nets": {}, "opts": {}}
-    for name, p in nets.items():
-        manifest["nets"][name] = {"dims": list(p.dims), "activation": "tanh"}
-        arrays[f"{name}_theta"] = p.theta
-    for name, s in opts.items():
-        manifest["opts"][name] = {
-            "lr": s.lr, "beta1": s.beta1, "beta2": s.beta2,
-            "eps": s.eps, "step": s.step,
-        }
-        arrays[f"{name}_m"] = s.m
-        arrays[f"{name}_v"] = s.v
-    arrays["manifest"] = np.frombuffer(
-        json.dumps(manifest, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def _require_keys(spec: dict, keys: tuple[str, ...], owner: str) -> None:
-    for key in keys:
-        if key not in spec:
-            raise CheckpointError(f"missing manifest key {key!r} for {owner}")
-
-
-@dataclass(frozen=True)
-class _NetRecord:
-    """A net's entry in a checkpoint manifest."""
-
-    dims: tuple[int, ...]
-    activation: str
-
-
-@dataclass(frozen=True)
-class _OptRecord:
-    """An optimizer's entry in a checkpoint manifest."""
-
-    lr: float
-    beta1: float
-    beta2: float
-    eps: float
-    step: int
-
-
-def _mapping(manifest: dict, key: str) -> dict:
-    value = manifest[key]
-    if type(value) is not dict:
-        raise CheckpointError(f"manifest key {key!r} must be a mapping, got {value!r}")
-    return value
-
-
-def _records(manifest: dict, key: str, kind, owner: str) -> dict:
-    """Each entry of the manifest's ``key`` mapping, read as ``kind`` by
-    ``build_config``, so that a value of the wrong type is named by key."""
-    records = {}
-    for name, spec in _mapping(manifest, key).items():
-        who = f"{owner} {name!r}"
-        if type(spec) is dict:
-            _require_keys(spec, tuple(f.name for f in fields(kind)), who)
-        records[name] = build_config(kind, spec, CheckpointError, f"manifest of {who}")
-    return records
-
-
-def load_checkpoint(path, expect: dict[str, tuple[int, int]] | None = None):
-    """Read a checkpoint; returns (nets, opts, meta).
-
-    ``expect`` maps net name to a required (in_dim, out_dim); a manifest
-    that is not JSON, a missing manifest key or tensor, a manifest value of
-    the wrong type, a net whose activation is not tanh, any shape
-    inconsistency, or a NaN or infinity in a parameter or optimizer tensor,
-    raises CheckpointError instead of returning garbage.
-    """
-    with np.load(path) as data:
-        if "manifest" not in data:
-            raise CheckpointError("not a checkpoint: missing manifest")
-        try:
-            manifest = json.loads(data["manifest"].tobytes().decode("utf-8"))
-        except ValueError as exc:  # UnicodeDecodeError included
-            raise CheckpointError(f"manifest is not JSON: {exc}") from None
-        version = manifest.get("version") if type(manifest) is dict else None
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}")
-        _require_keys(manifest, ("meta", "nets", "opts"), "the checkpoint")
-        meta = _mapping(manifest, "meta")
-        net_specs = _records(manifest, "nets", _NetRecord, "net")
-        opt_specs = _records(manifest, "opts", _OptRecord, "optimizer")
-        for name, spec in net_specs.items():
-            if spec.activation != "tanh":
-                raise CheckpointError(
-                    f"net {name!r} has activation {spec.activation!r}; "
-                    "only 'tanh' is supported")
-        for key in ([f"{name}_theta" for name in net_specs]
-                    + [f"{name}_{t}" for name in opt_specs for t in "mv"]):
-            if key not in data:
-                raise CheckpointError(f"missing tensor {key!r}")
-        try:
-            nets = {name: MlpParams(spec.dims, data[f"{name}_theta"])
-                    for name, spec in net_specs.items()}
-            opts = {
-                name: OptimizerState(
-                    lr=spec.lr, m=data[f"{name}_m"], v=data[f"{name}_v"],
-                    beta1=spec.beta1, beta2=spec.beta2, eps=spec.eps, step=spec.step,
-                )
-                for name, spec in opt_specs.items()
-            }
-        except ShapeMismatchError as exc:
-            raise CheckpointError(str(exc)) from exc
-    for name, s in opts.items():
-        want = nets[name].theta.shape if name in nets else None
-        if s.m.shape != want or s.v.shape != want:
-            raise CheckpointError(
-                f"optimizer state {name!r} has shapes {s.m.shape}/{s.v.shape}, "
-                f"expected {want} from its net"
-            )
-    tensors = {f"{name}_theta": p.theta for name, p in nets.items()}
-    for name, s in opts.items():
-        tensors[f"{name}_m"], tensors[f"{name}_v"] = s.m, s.v
-    for key, arr in tensors.items():
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"tensor {key} holds non-finite values")
-    if expect:
-        for name, (in_dim, out_dim) in expect.items():
-            if name not in nets:
-                raise CheckpointError(f"checkpoint has no net {name!r}")
-            got = (nets[name].in_dim, nets[name].out_dim)
-            if got != (in_dim, out_dim):
-                raise CheckpointError(
-                    f"net {name!r} has shape {got}, expected {(in_dim, out_dim)}"
-                )
-    return nets, opts, meta

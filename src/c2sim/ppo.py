@@ -8,9 +8,13 @@ sequentially-stepped environment instances with independent seed streams.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -56,8 +60,9 @@ class PpoConfig:
         for name in ("gamma", "gae_lambda"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be >= 0")
+        for name in ("total_steps", "seed", "checkpoint_interval"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.horizon % self.num_envs != 0:
             raise ValueError("horizon must be divisible by num_envs")
         if not all(w > 0 for w in self.hidden):
@@ -78,51 +83,146 @@ class PolicyParams:
     critic: MlpParams
     actor_opt: OptimizerState
     critic_opt: OptimizerState
-    obs_dim: int
-    n_actions: int
+
+    def tensors(self) -> list[tuple[str, MlpParams, np.ndarray]]:
+        """The six tensors of a checkpoint, weights first, as (member name,
+        the net whose ``theta`` it is laid out like, tensor)."""
+        a, c = self.actor, self.critic
+        return [("actor_theta", a, a.theta), ("critic_theta", c, c.theta),
+                ("actor_m", a, self.actor_opt.m), ("actor_v", a, self.actor_opt.v),
+                ("critic_m", c, self.critic_opt.m), ("critic_v", c, self.critic_opt.v)]
 
 
 def init_policy(rng: np.random.Generator, obs_dim: int, n_actions: int,
                 cfg: PpoConfig) -> PolicyParams:
     actor = neural.init_mlp(rng, obs_dim, cfg.hidden, n_actions, out_gain=0.01)
     critic = neural.init_mlp(rng, obs_dim, cfg.hidden, 1, out_gain=1.0)
-    return PolicyParams(
-        actor=actor,
-        critic=critic,
-        actor_opt=neural.adam_init(actor, cfg.actor_lr),
-        critic_opt=neural.adam_init(critic, cfg.critic_lr),
-        obs_dim=obs_dim,
-        n_actions=n_actions,
-    )
+    return PolicyParams(actor, critic, neural.adam_init(actor, cfg.actor_lr),
+                        neural.adam_init(critic, cfg.critic_lr))
 
 
-def save_policy(path, params: PolicyParams, meta: dict | None = None) -> None:
-    meta = dict(meta or {})
-    meta.update({"obs_dim": params.obs_dim, "n_actions": params.n_actions})
-    neural.save_checkpoint(
-        path,
-        nets={"actor": params.actor, "critic": params.critic},
-        opts={"actor": params.actor_opt, "critic": params.critic_opt},
-        meta=meta,
-    )
+# ---------------------------------------------------------------------------
+# Checkpoints
+#
+# A checkpoint is an npz archive of the six ``PolicyParams.tensors`` and a
+# ``manifest`` member, sorted-key UTF-8 JSON of a ``_Manifest``.
+
+CHECKPOINT_VERSION = 2
 
 
-def load_policy(path, expect_obs_dim: int | None = None,
-                expect_actions: int | None = None) -> tuple[PolicyParams, dict]:
-    expect = None
-    if expect_obs_dim is not None and expect_actions is not None:
-        expect = {"actor": (expect_obs_dim, expect_actions),
-                  "critic": (expect_obs_dim, 1)}
-    nets, opts, meta = neural.load_checkpoint(path, expect=expect)
-    for key in ("actor", "critic"):
-        if key not in nets or key not in opts:
-            raise neural.CheckpointError(f"checkpoint missing {key!r}")
-    params = PolicyParams(
-        actor=nets["actor"], critic=nets["critic"],
-        actor_opt=opts["actor"], critic_opt=opts["critic"],
-        obs_dim=nets["actor"].in_dim, n_actions=nets["actor"].out_dim,
-    )
-    return params, meta
+class CheckpointError(Exception):
+    """A file that ``load_policy`` cannot read as a policy."""
+
+
+@dataclass(frozen=True)
+class _NetEntry:
+    dims: tuple[int, ...]  # layer widths, input first
+    activation: Literal["tanh"]
+
+
+@dataclass(frozen=True)
+class _OptEntry:
+    lr: float
+    beta1: float
+    beta2: float
+    eps: float
+    step: int
+
+
+@dataclass(frozen=True)
+class _Nets:
+    actor: _NetEntry
+    critic: _NetEntry
+
+
+@dataclass(frozen=True)
+class _Opts:
+    actor: _OptEntry
+    critic: _OptEntry
+
+
+@dataclass(frozen=True)
+class _Manifest:
+    """A checkpoint's manifest; ``meta`` adds obs_dim and n_actions."""
+
+    version: int
+    meta: dict[str, int]
+    nets: _Nets
+    opts: _Opts
+
+
+def _blank_policy(nets, opts, obs_dim: int) -> PolicyParams:
+    """A policy whose (actor, critic) nets have the layer widths of ``nets``
+    but a first layer ``obs_dim`` wide, and whose optimizers have the
+    settings and step of ``opts``: ``MlpParams`` and ``OptimizerState``
+    pairs, or the manifest's entries. ``tensors`` fills in its tensors."""
+    actor, critic = (MlpParams(dims, np.empty(neural.param_count(dims)))
+                     for dims in ((obs_dim, *net.dims[1:]) for net in nets))
+    return PolicyParams(actor, critic, *(
+        OptimizerState(s.lr, np.empty_like(p.theta), np.empty_like(p.theta),
+                       s.beta1, s.beta2, s.eps, s.step)
+        for p, s in zip((actor, critic), opts)))
+
+
+def save_policy(path, params: PolicyParams, meta: dict[str, int] | None = None) -> None:
+    manifest = _Manifest(
+        CHECKPOINT_VERSION,
+        {**(meta or {}), "obs_dim": params.actor.in_dim,
+         "n_actions": params.actor.out_dim},
+        _Nets(*(_NetEntry(p.dims, "tanh") for p in (params.actor, params.critic))),
+        _Opts(*(_OptEntry(s.lr, s.beta1, s.beta2, s.eps, s.step)
+                for s in (params.actor_opt, params.critic_opt))))
+    arrays = {key: tensor for key, _, tensor in params.tensors()}
+    arrays["manifest"] = np.frombuffer(json.dumps(
+        dataclasses.asdict(manifest), sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_policy(path, expect_obs_dim: int,
+                expect_actions: int) -> tuple[PolicyParams, dict[str, int]]:
+    """Read a checkpoint; returns (params, meta). A file that is not an
+    intact npz archive, a manifest that is not JSON, of another version or
+    that does not fit ``_Manifest`` (named by key path), nets that do not
+    fit the expected widths, or a tensor that is missing, does not fit its
+    net or holds a NaN or infinity, raises CheckpointError."""
+    try:
+        with np.lib.npyio.NpzFile(path) as data:
+            # a member that is not an .npy array reads as its raw bytes
+            members = {key: np.asarray(data[key]) for key in data.files}
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"not a checkpoint: {path}: {exc}") from None
+    if "manifest" not in members:
+        raise CheckpointError("not a checkpoint: missing manifest")
+    try:
+        doc = json.loads(members.pop("manifest").tobytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise CheckpointError(f"manifest is not JSON: {exc}") from None
+    version = doc.get("version") if type(doc) is dict else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}")
+    manifest = build_config(_Manifest, doc, CheckpointError, "checkpoint manifest")
+    nets = (manifest.nets.actor, manifest.nets.critic)
+    shapes = [net.dims[:1] + net.dims[-1:] for net in nets]
+    want = [(expect_obs_dim, expect_actions), (expect_obs_dim, 1)]
+    if shapes != want:
+        raise CheckpointError(f"actor and critic have shapes {shapes}, expected {want}")
+    try:
+        params = _blank_policy(nets, (manifest.opts.actor, manifest.opts.critic),
+                               expect_obs_dim)
+    except (neural.ShapeMismatchError, ValueError, MemoryError) as exc:
+        raise CheckpointError(f"checkpoint manifest: {exc}") from None
+    for key, _, tensor in params.tensors():
+        if key not in members:
+            raise CheckpointError(f"missing tensor {key!r}")
+        got = members.pop(key)
+        if (got.dtype, got.shape) != (tensor.dtype, tensor.shape):
+            raise CheckpointError(f"tensor {key} is {got.dtype} {got.shape}, expected "
+                                  f"{tensor.dtype} {tensor.shape} from its net's dims")
+        tensor[...] = got
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"tensor {key} holds non-finite values")
+    return params, manifest.meta
 
 
 # ---------------------------------------------------------------------------
@@ -143,50 +243,31 @@ def _live_rows(dims: tuple[int, ...], flat: np.ndarray,
                live: np.ndarray) -> np.ndarray:
     """``flat``, laid out like the parameters of a net with layer widths
     ``dims``, with its first-layer weight cut to the rows ``live``."""
-    w0 = dims[0] * dims[1]
-    rows = flat[:w0].reshape(dims[0], dims[1])[live]
-    return np.concatenate((rows.ravel(), flat[w0:]))
-
-
-def _write_live_rows(dims: tuple[int, ...], flat: np.ndarray,
-                     compact: np.ndarray, live: np.ndarray) -> None:
-    """Undo ``_live_rows``: write ``compact`` back into ``flat``, leaving
-    the first-layer rows outside ``live`` as they are."""
-    w0, c0 = dims[0] * dims[1], len(live) * dims[1]
-    flat[:w0].reshape(dims[0], dims[1])[live] = compact[:c0].reshape(-1, dims[1])
-    flat[w0:] = compact[c0:]
+    w0 = neural.layer_views(flat, dims)[0][0]
+    return np.concatenate((w0[live].ravel(), flat[w0.size:]))
 
 
 def _compact_policy(params: PolicyParams, live: np.ndarray) -> PolicyParams:
     """Copies of both nets and their optimizer states that take only the
     observation slots ``live``."""
-    def net(p: MlpParams) -> MlpParams:
-        return MlpParams((len(live), *p.dims[1:]), _live_rows(p.dims, p.theta, live))
-
-    def opt(s: OptimizerState, p: MlpParams) -> OptimizerState:
-        return OptimizerState(
-            lr=s.lr, m=_live_rows(p.dims, s.m, live), v=_live_rows(p.dims, s.v, live),
-            beta1=s.beta1, beta2=s.beta2, eps=s.eps, step=s.step)
-
-    return PolicyParams(
-        actor=net(params.actor), critic=net(params.critic),
-        actor_opt=opt(params.actor_opt, params.actor),
-        critic_opt=opt(params.critic_opt, params.critic),
-        obs_dim=len(live), n_actions=params.n_actions,
-    )
+    compact = _blank_policy((params.actor, params.critic),
+                            (params.actor_opt, params.critic_opt), len(live))
+    for (_, _, tensor), (_, net, full) in zip(compact.tensors(), params.tensors()):
+        tensor[...] = _live_rows(net.dims, full, live)
+    return compact
 
 
 def _expand_policy(compact: PolicyParams, full: PolicyParams,
                    live: np.ndarray) -> None:
     """Write a ``_compact_policy`` copy, trained since, back into ``full``;
     the dead first-layer rows keep ``full``'s values."""
-    pairs = ((compact.actor, compact.actor_opt, full.actor, full.actor_opt),
-             (compact.critic, compact.critic_opt, full.critic, full.critic_opt))
-    for net, opt, full_net, full_opt in pairs:
-        _write_live_rows(full_net.dims, full_net.theta, net.theta, live)
-        _write_live_rows(full_net.dims, full_opt.m, opt.m, live)
-        _write_live_rows(full_net.dims, full_opt.v, opt.v, live)
-        full_opt.step = opt.step
+    for (_, net, tensor), (_, full_net, into) in zip(compact.tensors(), full.tensors()):
+        w0 = neural.layer_views(into, full_net.dims)[0][0]
+        c0 = neural.layer_views(tensor, net.dims)[0][0]
+        w0[live] = c0
+        into[w0.size:] = tensor[c0.size:]
+    full.actor_opt.step = compact.actor_opt.step
+    full.critic_opt.step = compact.critic_opt.step
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from importlib import resources
 
 import numpy as np
@@ -193,9 +194,10 @@ class TestGenerate:
          ["total_ips", "integer"]),
         (GEN_CONFIG + "graph_shape: 5\n", ["graph_shape", "string"]),
         ("", ["generator config", "mapping"]),
+        (GEN_CONFIG.replace("seed: 4", "seed: -1"), ["seed must be >= 0"]),
     ], ids=["unknown-key", "not-a-mapping", "missing-key", "string-count",
             "boolean-seed", "malformed-yaml", "fractional-count",
-            "integer-shape", "empty-document"])
+            "integer-shape", "empty-document", "negative-seed"])
     def test_bad_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "gen.yaml"
         cfg.write_text(text)
@@ -292,7 +294,7 @@ class TestTrainEvalPipeline:
         assert not (tmp_path / "ev" / "traces.jsonl").exists()
 
     def test_non_tanh_checkpoint_rejected(self, tmp_path, capsys, tiny_inputs):
-        from test_neural import rewrite_checkpoint
+        from test_ppo import rewrite_checkpoint
 
         env = C2Env(*tiny_inputs)
         params = ppo.init_policy(np.random.default_rng(0), env.obs_len,
@@ -303,21 +305,23 @@ class TestTrainEvalPipeline:
             activation="linear"))
         rc = run(["eval", "--checkpoint", str(ckpt), "--scenario", "tiny",
                   "--n", "3", "--out-dir", str(tmp_path / "ev")])
-        assert_invalid(rc, capsys, "net 'actor'", "activation 'linear'")
+        assert_invalid(rc, capsys, "checkpoint manifest: nets.actor.activation",
+                       "must be 'tanh'", "got 'linear'")
         assert not (tmp_path / "ev" / "traces.jsonl").exists()
 
     @pytest.mark.parametrize("edit, words", [
-        (lambda m: m.update(nets=[]), ["manifest key 'nets'", "mapping", "[]"]),
+        (lambda m: m.update(nets=[]),
+         ["checkpoint manifest: nets must be a mapping, got []"]),
         (lambda m: m["nets"]["actor"].update(dims="abc"),
-         ["net 'actor'", "dims", "list of integers", "'abc'"]),
+         ["checkpoint manifest: nets.actor.dims must be a list of integers, got 'abc'"]),
         (lambda m: m["opts"]["critic"].update(lr="fast"),
-         ["optimizer 'critic'", "lr", "finite number", "'fast'"]),
+         ["checkpoint manifest: opts.critic.lr must be a finite number, got 'fast'"]),
         (lambda m: m["opts"]["actor"].update(step=1.5),
-         ["optimizer 'actor'", "step", "integer", "1.5"]),
+         ["checkpoint manifest: opts.actor.step must be an integer, got 1.5"]),
     ], ids=["nets-list", "dims-string", "lr-string", "step-float"])
     def test_mistyped_manifest_value_rejected(self, tmp_path, capsys, tiny_inputs,
                                               edit, words):
-        from test_neural import rewrite_checkpoint
+        from test_ppo import rewrite_checkpoint
 
         env = C2Env(*tiny_inputs)
         params = ppo.init_policy(np.random.default_rng(0), env.obs_len,
@@ -328,6 +332,36 @@ class TestTrainEvalPipeline:
         rc = run(["eval", "--checkpoint", str(ckpt), "--scenario", "tiny",
                   "--n", "3", "--out-dir", str(tmp_path / "ev")])
         assert_invalid(rc, capsys, *words)
+        assert not (tmp_path / "ev" / "traces.jsonl").exists()
+
+    @pytest.mark.parametrize("damage", ["empty", "npy", "truncated", "flipped", "text"])
+    def test_file_that_is_not_a_checkpoint_rejected(self, tmp_path, capsys,
+                                                    tiny_inputs, damage):
+        env = C2Env(*tiny_inputs)
+        good = tmp_path / "good.npz"
+        ppo.save_policy(good, ppo.init_policy(np.random.default_rng(0), env.obs_len,
+                                              env.n_actions, ppo.PpoConfig()))
+        raw = bytearray(good.read_bytes())
+        ckpt = tmp_path / "damaged.npz"
+        if damage == "empty":
+            ckpt.write_bytes(b"")
+        elif damage == "npy":
+            with open(ckpt, "wb") as fh:
+                np.save(fh, np.zeros(3))
+        elif damage == "truncated":
+            ckpt.write_bytes(raw[:2000])
+        elif damage == "flipped":
+            # one byte in the middle of a member's data: its CRC fails as
+            # the member is read
+            with zipfile.ZipFile(good) as zf:
+                info = zf.getinfo("actor_m.npy")
+            raw[info.header_offset + info.file_size // 2] ^= 0xFF
+            ckpt.write_bytes(raw)
+        else:
+            ckpt.write_text("this is not a checkpoint\n")
+        rc = run(["eval", "--checkpoint", str(ckpt), "--scenario", "tiny",
+                  "--n", "3", "--out-dir", str(tmp_path / "ev")])
+        assert_invalid(rc, capsys, "not a checkpoint: ")
         assert not (tmp_path / "ev" / "traces.jsonl").exists()
 
     def test_checkpoint_topology_mismatch_rejected(self, train_run, tmp_path):
@@ -385,6 +419,9 @@ class TestConfigErrors:
         # no digit after the dot: a string, as in YAML 1.1, not a float
         (PPO_SMALL + "actor_lr: ._e3\n", ["actor_lr", "number", "'._e3'"]),
         (PPO_SMALL + "stop_window: 0\n", ["stop_window", "positive"]),
+        (PPO_SMALL.replace("seed: 5", "seed: -1"), ["seed must be >= 0"]),
+        (PPO_SMALL + "checkpoint_interval: -64\n",
+         ["checkpoint_interval must be >= 0"]),
         # gradient clipping, unnormalized advantages and a sparser metric
         # cadence are not options: their keys are unknown like any other
         (PPO_SMALL + "grad_clip: 0.5\n", ["unknown key", "grad_clip"]),
@@ -396,7 +433,8 @@ class TestConfigErrors:
             "fractional-horizon", "boolean-seed", "boolean-rate",
             "string-width", "nan-rate", "nan-stop-reward", "infinite-rate",
             "merge-key", "month-13", "tagged-int", "tagged-float",
-            "fraction-only-exponent", "zero-stop-window", "grad-clip-key",
+            "fraction-only-exponent", "zero-stop-window", "negative-seed",
+            "negative-checkpoint-interval", "grad-clip-key",
             "normalize-advantages-key", "eval-interval-key"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
@@ -404,6 +442,22 @@ class TestConfigErrors:
         rc = run(["train", "--scenario", "tiny", "--config", str(cfg),
                   "--out-dir", str(tmp_path / "out")])
         assert_invalid(rc, capsys, *words)
+
+    @pytest.mark.parametrize("command, seed", [
+        ("generate", "-3"), ("train", "-1"), ("eval", "-2")])
+    def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, command, seed):
+        cfg = tmp_path / "gen.yaml"
+        cfg.write_text(GEN_CONFIG)
+        out = tmp_path / "out"
+        argv = {"generate": ["--config", str(cfg), "--out", str(out)],
+                "train": ["--scenario", "tiny", "--out-dir", str(out)],
+                "eval": ["--checkpoint", str(tmp_path / "ckpt.npz"),
+                         "--scenario", "tiny", "--out-dir", str(out)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, *argv, "--seed", seed])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"argument --seed: must be >= 0, got {seed}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, words", [
         ("just a string\n", ["mapping"]),

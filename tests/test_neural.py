@@ -1,13 +1,10 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from c2sim import neural
 from c2sim.neural import (
-    CheckpointError,
     MlpParams,
     ShapeMismatchError,
     adam_init,
@@ -17,10 +14,8 @@ from c2sim.neural import (
     forward,
     forward_cached,
     init_mlp,
-    load_checkpoint,
     log_softmax,
     orthogonal,
-    save_checkpoint,
 )
 
 
@@ -307,148 +302,3 @@ class TestOrthogonalInit:
         w = orthogonal(rng, (64, 16), gain=gain)
         gram = w.T @ w / gain**2
         assert gram == pytest.approx(np.eye(16), abs=1e-10)
-
-
-class TestCheckpoints:
-    def _nets_and_opts(self, rng):
-        actor = init_mlp(rng, 6, (8, 4), 3, out_gain=0.01)
-        critic = init_mlp(rng, 6, (8, 4), 1)
-        opts = {"actor": adam_init(actor, 3e-5), "critic": adam_init(critic, 3e-4)}
-        return {"actor": actor, "critic": critic}, opts
-
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(5)
-        nets, opts = self._nets_and_opts(rng)
-        opts["actor"].step = 17
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, nets, opts, meta={"env_steps": 123})
-        nets2, opts2, meta = load_checkpoint(path)
-        assert meta["env_steps"] == 123
-        assert opts2["actor"].step == 17
-        assert opts2["critic"].lr == 3e-4
-        for name in nets:
-            for w1, w2 in zip(nets[name].weights, nets2[name].weights):
-                assert np.array_equal(w1, w2)
-            assert np.array_equal(nets[name].theta, nets2[name].theta)
-            assert np.array_equal(opts[name].m, opts2[name].m)
-            assert np.array_equal(opts[name].v, opts2[name].v)
-
-    def test_adam_step_on_loaded_checkpoint_changes_forward(self, tmp_path):
-        rng = np.random.default_rng(5)
-        nets, opts = self._nets_and_opts(rng)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, nets, opts, meta={})
-        nets2, opts2, _ = load_checkpoint(path)
-        actor = nets2["actor"]
-        x = rng.standard_normal((4, 6))
-        before = forward(actor, x)
-        grad = backward(actor, x, np.ones((4, 3)))
-        adam_step(opts2["actor"], actor, grad)
-        assert not np.allclose(forward(actor, x), before, rtol=0, atol=1e-6)
-
-    def test_version_1_rejected(self, tmp_path):
-        manifest = json.dumps({"version": 1, "meta": {}, "nets": {}, "opts": {}})
-        path = tmp_path / "old.npz"
-        np.savez(path, manifest=np.frombuffer(manifest.encode(), dtype=np.uint8))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
-            load_checkpoint(path)
-
-    def test_expected_shape_mismatch_rejected(self, tmp_path):
-        rng = np.random.default_rng(5)
-        nets, opts = self._nets_and_opts(rng)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, nets, opts, meta={})
-        with pytest.raises(CheckpointError, match="shape"):
-            load_checkpoint(path, expect={"actor": (6, 4), "critic": (6, 1)})
-
-    def test_truncated_optimizer_state_rejected(self, tmp_path):
-        rng = np.random.default_rng(5)
-        nets, opts = self._nets_and_opts(rng)
-        opts["actor"].m = opts["actor"].m[:-1]
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, nets, opts, meta={})
-        with pytest.raises(CheckpointError, match="optimizer state 'actor'"):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("key, value", [
-        ("actor_theta", np.nan), ("critic_theta", -np.inf),
-        ("actor_m", np.nan), ("critic_v", np.inf),
-    ])
-    def test_non_finite_tensor_rejected(self, tmp_path, key, value):
-        rng = np.random.default_rng(5)
-        nets, opts = self._nets_and_opts(rng)
-        name, tensor = key.rsplit("_", 1)
-        arr = nets[name].theta if tensor == "theta" else getattr(opts[name], tensor)
-        arr[3] = value
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, nets, opts, meta={})
-        with pytest.raises(CheckpointError, match=f"tensor {key} holds non-finite"):
-            load_checkpoint(path)
-
-    def test_first_non_finite_tensor_named(self, tmp_path):
-        rng = np.random.default_rng(5)
-        nets, opts = self._nets_and_opts(rng)
-        nets["critic"].theta[0] = np.nan
-        opts["actor"].v[:] = np.inf
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, nets, opts, meta={})
-        with pytest.raises(CheckpointError, match="tensor critic_theta "):
-            load_checkpoint(path)
-
-    def test_not_a_checkpoint_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez(path, foo=np.zeros(3))
-        with pytest.raises(CheckpointError, match="manifest"):
-            load_checkpoint(path)
-
-    def test_missing_net_rejected(self, tmp_path):
-        rng = np.random.default_rng(5)
-        nets, opts = self._nets_and_opts(rng)
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, nets, opts, meta={})
-        with pytest.raises(CheckpointError, match="no net"):
-            load_checkpoint(path, expect={"omega": (6, 3)})
-
-    def _saved(self, tmp_path):
-        nets, opts = self._nets_and_opts(np.random.default_rng(5))
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, nets, opts, meta={})
-        return path
-
-    def test_every_net_recorded_as_tanh(self, tmp_path):
-        with np.load(self._saved(tmp_path)) as data:
-            manifest = json.loads(data["manifest"].tobytes())
-        assert {spec["activation"] for spec in manifest["nets"].values()} == {"tanh"}
-
-    @pytest.mark.parametrize("activation", ["linear", "relu"])
-    def test_other_activation_rejected(self, tmp_path, activation):
-        path = self._saved(tmp_path)
-        rewrite_checkpoint(path, lambda m, a: m["nets"]["critic"].update(
-            activation=activation))
-        with pytest.raises(CheckpointError,
-                           match=f"net 'critic' has activation '{activation}'"):
-            load_checkpoint(path)
-
-    def test_missing_manifest_key_named(self, tmp_path):
-        path = self._saved(tmp_path)
-        rewrite_checkpoint(path, lambda m, a: m["nets"]["actor"].pop("dims"))
-        with pytest.raises(CheckpointError,
-                           match="missing manifest key 'dims' for net 'actor'"):
-            load_checkpoint(path)
-
-    def test_missing_tensor_named(self, tmp_path):
-        path = self._saved(tmp_path)
-        rewrite_checkpoint(path, lambda m, a: a.pop("actor_m"))
-        with pytest.raises(CheckpointError, match="missing tensor 'actor_m'"):
-            load_checkpoint(path)
-
-
-def rewrite_checkpoint(path, edit):
-    """Rewrite a saved checkpoint: ``edit(manifest, arrays)`` changes its
-    manifest dict and tensor dict in place."""
-    with np.load(path) as data:
-        arrays = {key: data[key] for key in data.files}
-    manifest = json.loads(arrays.pop("manifest").tobytes())
-    edit(manifest, arrays)
-    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(),
-                                          dtype=np.uint8), **arrays)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from c2sim import neural, ppo
 from c2sim.ppo import (
+    CheckpointError,
     PpoConfig,
     RolloutBatch,
     _EnvRunner,
@@ -17,9 +20,11 @@ from c2sim.ppo import (
     compute_gae,
     format_metrics_csv,
     init_policy,
+    load_policy,
     ppo_loss,
     ppo_update,
     prepare_batch,
+    save_policy,
     train,
 )
 
@@ -57,6 +62,10 @@ class TestConfig:
         for window in (0, -3):
             with pytest.raises(ValueError, match="stop_window"):
                 PpoConfig(stop_window=window)
+        for name in ("total_steps", "seed", "checkpoint_interval"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+                PpoConfig(**{name: -64})
+        assert PpoConfig(checkpoint_interval=0, seed=0).checkpoint_interval == 0
 
     def test_readme_trainer_table_lists_every_field_and_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -388,7 +397,7 @@ class TestTrain:
         result = train(topology, scenario, cfg)
         fresh = init_policy(
             np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0]),
-            result.params.obs_dim, result.params.n_actions, cfg)
+            result.params.actor.in_dim, result.params.actor.out_dim, cfg)
         for a, b in zip(result.params.actor.weights, fresh.actor.weights):
             assert np.array_equal(a, b)
         assert result.metrics == []
@@ -422,11 +431,218 @@ class TestTrain:
         result = train(topology, scenario, cfg, out_dir=tmp_path)
         params, meta = ppo.load_policy(
             tmp_path / "checkpoint_final.npz",
-            expect_obs_dim=result.params.obs_dim,
-            expect_actions=result.params.n_actions)
+            expect_obs_dim=result.params.actor.in_dim,
+            expect_actions=result.params.actor.out_dim)
         assert meta["env_steps"] == 128
         for a, b in zip(params.critic.weights, result.params.critic.weights):
             assert np.array_equal(a, b)
+
+
+def rewrite_checkpoint(path, edit):
+    """Rewrite a saved checkpoint: ``edit(manifest, arrays)`` changes its
+    manifest dict and tensor dict in place."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    manifest = json.loads(arrays.pop("manifest").tobytes())
+    edit(manifest, arrays)
+    np.savez(path, manifest=np.frombuffer(json.dumps(manifest).encode(),
+                                          dtype=np.uint8), **arrays)
+
+
+TENSORS = ("actor_theta", "critic_theta", "actor_m", "actor_v", "critic_m", "critic_v")
+
+
+class TestCheckpoints:
+    @staticmethod
+    def _policy(hidden=(8, 4), seed=5):
+        """A policy of 6 inputs and 3 actions, as ``_load`` expects."""
+        return init_policy(np.random.default_rng(seed), 6, 3, PpoConfig(hidden=hidden))
+
+    @staticmethod
+    def _load(path):
+        return load_policy(path, expect_obs_dim=6, expect_actions=3)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        save_policy(path, self._policy())
+        return path
+
+    def test_round_trip(self, tmp_path):
+        params = self._policy()
+        params.actor_opt.step = 17
+        path = tmp_path / "ckpt.npz"
+        save_policy(path, params, meta={"env_steps": 123})
+        loaded, meta = self._load(path)
+        assert meta == {"env_steps": 123, "obs_dim": 6, "n_actions": 3}
+        assert loaded.actor_opt.step == 17
+        assert loaded.critic_opt.lr == 3e-4
+        for name in ("actor", "critic"):
+            for w1, w2 in zip(getattr(params, name).weights, getattr(loaded, name).weights):
+                assert np.array_equal(w1, w2)
+        for (key, _, a), (_, _, b) in zip(params.tensors(), loaded.tensors()):
+            assert np.array_equal(a, b), key
+
+    @settings(max_examples=12, deadline=None)
+    @given(hidden=st.lists(st.integers(1, 9), max_size=3),
+           steps=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_save_load_save_gives_identical_members(self, tmp_path_factory,
+                                                    hidden, steps, seed):
+        params = self._policy(tuple(hidden), seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(steps):
+            for net, opt in ((params.actor, params.actor_opt),
+                             (params.critic, params.critic_opt)):
+                neural.adam_step(opt, net, rng.standard_normal(net.theta.shape))
+        out = tmp_path_factory.mktemp("round_trip")
+        save_policy(out / "a.npz", params, meta={"env_steps": steps})
+        loaded, meta = self._load(out / "a.npz")
+        save_policy(out / "b.npz", loaded, meta=meta)
+        with zipfile.ZipFile(out / "a.npz") as a, zipfile.ZipFile(out / "b.npz") as b:
+            # exactly the seven members, the weights first
+            assert a.namelist() == b.namelist() == [
+                f"{key}.npy" for key in (*TENSORS, "manifest")]
+            for name in a.namelist():
+                assert a.read(name) == b.read(name), name
+        assert loaded.actor_opt.step == loaded.critic_opt.step == steps
+
+    def test_adam_step_on_loaded_checkpoint_changes_forward(self, tmp_path):
+        rng = np.random.default_rng(5)
+        loaded, _ = self._load(self._saved(tmp_path))
+        actor = loaded.actor
+        x = rng.standard_normal((4, 6))
+        before = neural.forward(actor, x)
+        grad = neural.backward(actor, x, np.ones((4, 3)))
+        neural.adam_step(loaded.actor_opt, actor, grad)
+        assert not np.allclose(neural.forward(actor, x), before, rtol=0, atol=1e-6)
+
+    def test_version_1_rejected(self, tmp_path):
+        manifest = json.dumps({"version": 1, "meta": {}, "nets": {}, "opts": {}})
+        path = tmp_path / "old.npz"
+        np.savez(path, manifest=np.frombuffer(manifest.encode(), dtype=np.uint8))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+            self._load(path)
+
+    def test_expected_shape_mismatch_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        with pytest.raises(CheckpointError, match="shape"):
+            load_policy(path, expect_obs_dim=6, expect_actions=4)
+
+    def test_truncated_optimizer_state_rejected(self, tmp_path):
+        params = self._policy()
+        params.actor_opt.m = params.actor_opt.m[:-1]
+        path = tmp_path / "ckpt.npz"
+        save_policy(path, params)
+        with pytest.raises(CheckpointError,
+                           match=r"tensor actor_m is float64 \(106,\), expected "
+                                 r"float64 \(107,\)"):
+            self._load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("actor_theta", np.nan), ("critic_theta", -np.inf),
+        ("actor_m", np.nan), ("critic_v", np.inf),
+    ])
+    def test_non_finite_tensor_rejected(self, tmp_path, key, value):
+        params = self._policy()
+        {k: t for k, _, t in params.tensors()}[key][3] = value
+        path = tmp_path / "ckpt.npz"
+        save_policy(path, params)
+        with pytest.raises(CheckpointError, match=f"tensor {key} holds non-finite"):
+            self._load(path)
+
+    def test_first_non_finite_tensor_named(self, tmp_path):
+        params = self._policy()
+        params.critic.theta[0] = np.nan
+        params.actor_opt.v[:] = np.inf
+        path = tmp_path / "ckpt.npz"
+        save_policy(path, params)
+        with pytest.raises(CheckpointError, match="tensor critic_theta "):
+            self._load(path)
+
+    def test_not_a_checkpoint_rejected(self, tmp_path):
+        path = tmp_path / "junk.npz"
+        np.savez(path, foo=np.zeros(3))
+        with pytest.raises(CheckpointError, match="manifest"):
+            self._load(path)
+
+    def test_missing_net_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: m["nets"].pop("actor"))
+        with pytest.raises(CheckpointError,
+                           match="checkpoint manifest: nets is missing actor"):
+            self._load(path)
+
+    @pytest.mark.parametrize("table", ["nets", "opts"])
+    def test_manifest_without_critic_rejected(self, tmp_path, table):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: m[table].pop("critic"))
+        with pytest.raises(CheckpointError,
+                           match=f"checkpoint manifest: {table} is missing critic"):
+            self._load(path)
+
+    @pytest.mark.parametrize("table", ["nets", "opts"])
+    def test_third_net_rejected_as_unknown_key(self, tmp_path, table):
+        path = self._saved(tmp_path)
+
+        def add_omega(m, a):
+            m[table]["omega"] = m[table]["actor"]
+            a.update(omega_theta=a["actor_theta"], omega_m=a["actor_m"],
+                     omega_v=a["actor_v"])
+
+        rewrite_checkpoint(path, add_omega)
+        with pytest.raises(CheckpointError, match=f"checkpoint manifest: {table} "
+                                                  "has unknown key\\(s\\): omega"):
+            self._load(path)
+
+    @pytest.mark.parametrize("width", [0, 10**15, 10**20])
+    def test_impossible_layer_width_rejected(self, tmp_path, width):
+        # 10**15 and 10**20 are refused by the allocator before any memory
+        # is taken
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: m["nets"]["critic"].update(
+            dims=[6, width, 1]))
+        with pytest.raises(CheckpointError, match="checkpoint manifest: "):
+            self._load(path)
+
+    @pytest.mark.parametrize("member, message", [
+        ("actor_theta", r"tensor actor_theta is \|S2 \(\), expected float64"),
+        ("manifest", "unsupported checkpoint version None")])
+    def test_member_that_is_not_an_array_rejected(self, tmp_path, member, message):
+        # NpzFile gives a member without the .npy magic as its raw bytes
+        saved = self._saved(tmp_path)
+        path = tmp_path / "raw.npz"
+        with zipfile.ZipFile(saved) as src, zipfile.ZipFile(path, "w") as dst:
+            for name in src.namelist():
+                dst.writestr(name, b"{}" if name == f"{member}.npy" else src.read(name))
+        with pytest.raises(CheckpointError, match=message):
+            self._load(path)
+
+    def test_every_net_recorded_as_tanh(self, tmp_path):
+        with np.load(self._saved(tmp_path)) as data:
+            manifest = json.loads(data["manifest"].tobytes())
+        assert {spec["activation"] for spec in manifest["nets"].values()} == {"tanh"}
+
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_other_activation_rejected(self, tmp_path, activation):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: m["nets"]["critic"].update(
+            activation=activation))
+        with pytest.raises(CheckpointError,
+                           match=f"checkpoint manifest: nets.critic.activation "
+                                 f"must be 'tanh', got '{activation}'"):
+            self._load(path)
+
+    def test_missing_manifest_key_named(self, tmp_path):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: m["nets"]["actor"].pop("dims"))
+        with pytest.raises(CheckpointError,
+                           match="checkpoint manifest: nets.actor is missing dims"):
+            self._load(path)
+
+    def test_missing_tensor_named(self, tmp_path):
+        path = self._saved(tmp_path)
+        rewrite_checkpoint(path, lambda m, a: a.pop("actor_m"))
+        with pytest.raises(CheckpointError, match="missing tensor 'actor_m'"):
+            self._load(path)
 
 
 def _full_width_train(topology, scenario, cfg):
