@@ -272,7 +272,6 @@ def _stats(values) -> dict[str, float]:
 
 @dataclass
 class PathSummary:
-    per_trace: list[dict]
     steps: dict[str, float]
     duration_minutes: dict[str, float]
     rewards: dict[str, float]
@@ -301,7 +300,6 @@ class PathSummary:
                 counts[kind] = {"mean": float("nan"), "std": float("nan"),
                                 "min": float("nan"), "max": float("nan")}
         return cls(
-            per_trace=per_trace,
             steps=_stats([r["steps"] for r in per_trace]),
             duration_minutes=_stats([r["duration_minutes"] for r in per_trace]),
             rewards=_stats([r["reward"] for r in per_trace]),

@@ -13,7 +13,6 @@ connections from hosts compromised before it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -159,6 +158,9 @@ class ScenarioConfig:
         for rate in ("fast", "slow"):
             if not self.upload_rates.get(rate, 0) > 0:
                 raise ScenarioError(f"upload_rates.{rate} must be positive")
+        unknown = sorted(str(k) for k in self.upload_rates.keys() - {"fast", "slow"})
+        if unknown:
+            raise ScenarioError("upload_rates has unknown key(s): " + ", ".join(unknown))
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
@@ -188,7 +190,8 @@ class TargetState:
 @dataclass
 class EnvState:
     """One episode. Host arrays are indexed by ``C2Env.host_index``; the
-    firewall update times follow ``topology.firewalls``."""
+    firewall update times follow ``topology.firewalls``. ``discovered`` and
+    ``infected`` are 0.0/1.0 views of the env's observation buffer."""
 
     discovered: np.ndarray
     infected: np.ndarray
@@ -260,13 +263,12 @@ class C2Env:
     ``reset`` and ``step``. The observation they return is a read-only view
     of it, valid until that instance's next ``reset`` or ``step``; a caller
     that keeps an observation longer copies it. The hosts' discovered and
-    infected bits in it are written by ``reset`` and by the scan or exploit
-    that sets them, so they are episode state as much as ``state`` is: a
-    snapshot of the episode must save the buffer too, and a caller that
-    writes ``state.discovered`` or ``state.infected`` directly leaves the
-    observation's bits as they were. A target's status one-hot is
-    rewritten only when stale, judged from the buffer itself, so it adds
-    no episode state beyond the buffer and ``state``.
+    infected status has one copy, the buffer's bits: ``state.discovered``
+    and ``state.infected`` are float 0.0/1.0 views of them, valid until the
+    next ``reset``. ``dynamic_index`` names every slot an episode writes;
+    the rest keep the values set in ``__init__``. A target's status one-hot
+    is rewritten only when stale, judged from the buffer itself, so it adds
+    no episode state beyond ``state``.
     """
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
@@ -387,20 +389,17 @@ class C2Env:
         n_sub = len(subnet_ids)
         n_svc = len(service_vocab)
         status = n_sub + max_local + 2 + n_svc
-        self.host_block_len = status + 4
-        self.sensitive_block_len = 3 + 5
-        self.obs_len = (len(self._addresses) * self.host_block_len
-                        + len(self._sensitive) * self.sensitive_block_len)
+        block = status + 4
+        hosts_end = len(self._addresses) * block
+        self.obs_len = hosts_end + len(self._sensitive) * 8
 
         # The static slots are written once, here; reset and the steps that
         # change them write the status bits, encode_observation the target
         # slots.
         template = np.zeros(self.obs_len, dtype=np.float64)
-        # offset of each host's (value, discovered, value, infected) slots
-        self._host_offsets = np.zeros(len(self._addresses), dtype=np.intp)
-        off = 0
         for i, addr in enumerate(self._addresses):
             h = self._hosts[addr]
+            off = i * block
             template[off + subnet_index[h.subnet_id]] = 1.0
             base = off + n_sub
             template[base + local_index[addr]] = 1.0
@@ -409,43 +408,29 @@ class C2Env:
             base += 2
             for b in h.services:
                 template[base + svc_index[b.service_name]] = 1.0
-            base += n_svc
-            template[base + 0] = h.discovery_value * VALUE_SCALE
-            template[base + 2] = h.infection_value * VALUE_SCALE
-            self._host_offsets[i] = base
-            off += self.host_block_len
-        # Host blocks have a fixed length, so each status bit sits at a
-        # fixed stride through the host part of the buffer. These and the
-        # target slots after the host part are the only slots written after
-        # this point.
-        discovered = slice(status + 1, off, self.host_block_len)
-        infected = slice(status + 3, off, self.host_block_len)
-        self._dynamic_slots = (discovered, infected, slice(off, None))
-        self._discovered_bits = template[discovered]
-        self._infected_bits = template[infected]
-        self._sensitive_offsets = {addr: off + k * self.sensitive_block_len
-                                   for k, addr in enumerate(self._sensitive)}
-        self._target_slots = [(a, self.host_index[a], self._sensitive_offsets[a])
-                              for a in self._sensitive]
+            template[off + status] = h.discovery_value * VALUE_SCALE
+            template[off + status + 2] = h.infection_value * VALUE_SCALE
+        # Each host block ends with (discovery value, discovered, infection
+        # value, infected), so each status bit sits at a fixed stride; the
+        # targets' 8 slots each follow the host blocks. dynamic_index names
+        # every slot written after this point, in that order: the
+        # discovered bits by host row, the infected bits by host row, then
+        # the targets' slots in sorted address order.
+        values = np.arange(status, hosts_end, block, dtype=np.intp)
+        self.dynamic_index = np.concatenate(
+            (values + 1, values + 3, np.arange(hosts_end, self.obs_len, dtype=np.intp)))
+        # The slots that can be non-zero, the rest being 0.0 in every state
+        # (a mask, as np.union1d imports numpy.ma, ~1.5 MB, on first use).
+        live = template != 0.0
+        live[self.dynamic_index] = True
+        self.live_slots = np.flatnonzero(live)
+        self._discovered_bits = template[status + 1:hosts_end:block]
+        self._infected_bits = template[status + 3:hosts_end:block]
+        self._target_slots = [(a, self.host_index[a], hosts_end + 8 * k)
+                              for k, a in enumerate(self._sensitive)]
         self._obs = template
         self._obs_readonly = template.view()
         self._obs_readonly.flags.writeable = False
-
-    @functools.cached_property
-    def live_slots(self) -> np.ndarray:
-        """Sorted ``intp`` indices of the observation slots that can be
-        non-zero: the static slots set in the template (one-hots and host
-        values), every host's discovered and infected bits, and every
-        target slot. The rest are 0.0 in every state.
-
-        Computed on first use, so an env that never asks pays nothing. The
-        static slots are never written after ``__init__``, so reading them
-        from the live buffer gives the template's.
-        """
-        mask = self._obs != 0.0
-        for slots in self._dynamic_slots:
-            mask[slots] = True
-        return np.flatnonzero(mask)
 
     # -- episode control ---------------------------------------------------
 
@@ -454,9 +439,13 @@ class C2Env:
         view valid until this env's next ``reset`` or ``step``."""
         self._rng = np.random.default_rng(seed)
         n = len(self._addresses)
+        discovered, infected = self._discovered_bits, self._infected_bits
+        discovered[:] = infected[:] = 0.0
+        foothold = self.host_index[self.scenario.initial_foothold]
+        discovered[foothold] = infected[foothold] = 1.0
         self.state = EnvState(
-            discovered=np.zeros(n, dtype=bool),
-            infected=np.zeros(n, dtype=bool),
+            discovered=discovered,
+            infected=infected,
             infection_time=np.zeros(n),
             accumulated_reward=np.zeros(n),
             targets={addr: TargetState(self.scenario.payload_size_mb)
@@ -465,10 +454,6 @@ class C2Env:
             fw_next_update=list(self._fw_periods),
             fw_next_due=min(self._fw_periods, default=math.inf),
         )
-        foothold = self.host_index[self.scenario.initial_foothold]
-        self.state.discovered[foothold] = self.state.infected[foothold] = True
-        self._discovered_bits[:] = self.state.discovered
-        self._infected_bits[:] = self.state.infected
         self._done = False
         return self.encode_observation()
 
@@ -621,9 +606,8 @@ class C2Env:
         """Discover same-subnet hosts plus allow-rule-visible neighbors."""
         st = self.state
         reveal = self._scan_reveals[origin[0]]
-        newly = reveal[~st.discovered[reveal]]
-        st.discovered[newly] = True
-        self._discovered_bits[newly] = 1.0
+        newly = reveal[st.discovered[reveal] == 0.0]
+        st.discovered[newly] = 1.0
         values = self._discovery_values[newly]
         st.accumulated_reward[newly] += values
         gained = 0.0
@@ -641,8 +625,7 @@ class C2Env:
             return False, 0.0
         if st.infected[i]:
             return True, 0.0
-        st.infected[i] = True
-        self._infected_bits[i] = 1.0
+        st.infected[i] = 1.0
         st.infection_time[i] = st.clock
         gained = self._hosts[target].infection_value
         st.accumulated_reward[i] += gained

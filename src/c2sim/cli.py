@@ -190,12 +190,21 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
 def seed(text: str) -> int:
     """The type of --seed: argparse reports a value < 0 as a usage error."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return _at_least(0, text)
+
+
+def paths(text: str) -> int:
+    """The type of eval's --n: argparse reports a value < 1 as a usage error."""
+    return _at_least(1, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--topology", default=None)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=paths, default=100)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=seed, default=0)
     p.set_defaults(func=cmd_eval)

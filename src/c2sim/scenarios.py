@@ -11,7 +11,7 @@ from importlib import resources
 
 from .c2_env import ScenarioConfig
 from .net_model import NetworkTopology, load_topology, vuln_applies
-from .netgen import GenConfig, References, generate, load_default_references
+from .netgen import GenConfig, generate, load_default_references
 
 
 def _scenario_text(name: str) -> str:
@@ -34,7 +34,7 @@ def enterprise_gen_config() -> GenConfig:
 _ENTERPRISE_CACHE: NetworkTopology | None = None
 
 
-def enterprise101(refs: References | None = None) -> tuple[NetworkTopology, ScenarioConfig]:
+def enterprise101() -> tuple[NetworkTopology, ScenarioConfig]:
     """Full-scale reference network with a paper-style two-target scenario.
 
     Target selection is deterministic: the first windows host past subnet 20
@@ -43,9 +43,8 @@ def enterprise101(refs: References | None = None) -> tuple[NetworkTopology, Scen
     """
     global _ENTERPRISE_CACHE
     if _ENTERPRISE_CACHE is None:
-        _ENTERPRISE_CACHE = generate(
-            enterprise_gen_config(), refs or load_default_references()
-        )
+        _ENTERPRISE_CACHE = generate(enterprise_gen_config(),
+                                     load_default_references())
     topology = _ENTERPRISE_CACHE
 
     def exploitable(host) -> bool:

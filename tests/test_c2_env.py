@@ -119,10 +119,10 @@ class TestReset:
             assert env.obs_len == expected
             assert env.reset(seed=0).shape == (expected,)
 
-    def test_observation_length_formula_at_full_scale(self, refs):
+    def test_observation_length_formula_at_full_scale(self):
         from c2sim import scenarios
 
-        topology, scenario = scenarios.enterprise101(refs)
+        topology, scenario = scenarios.enterprise101()
         env = C2Env(topology, scenario)
         n_hosts = len(topology.hosts())
         assert n_hosts == 1444
@@ -135,8 +135,11 @@ class TestReset:
         assert env.obs_len == expected
         obs = env.reset(seed=0)
         assert obs.shape == (expected,)
-        foothold_base = env._host_offsets[env.host_index[scenario.initial_foothold]]
-        assert obs[foothold_base + 1] == 1.0 and obs[foothold_base + 3] == 1.0
+        # dynamic_index lists the discovered bits by host row, then the
+        # infected bits
+        foothold = env.host_index[scenario.initial_foothold]
+        assert obs[env.dynamic_index[foothold]] == 1.0
+        assert obs[env.dynamic_index[n_hosts + foothold]] == 1.0
 
     def test_scenario_mismatch_rejected(self, chain3):
         topology, scenario = chain3
@@ -248,10 +251,10 @@ class TestActionLookup:
         assert {info["outcome"] for info in infos} >= {
             "erroneous", "scanned", "exploited", "uploaded", OUTCOME_CONNECTED}
 
-    def test_by_value_steps_match_by_index_on_enterprise101(self, refs):
+    def test_by_value_steps_match_by_index_on_enterprise101(self):
         from c2sim import scenarios
 
-        topology, scenario = scenarios.enterprise101(refs)
+        topology, scenario = scenarios.enterprise101()
         env = C2Env(topology, scenario)
         kinds = np.array([a.kind for a in env.actions])
         hosts = np.array([env.host_index.get(getattr(a, "host", None), 0)
@@ -268,11 +271,11 @@ class TestActionLookup:
             u = rng.random()
             if u < 0.1:
                 return int(rng.integers(e.n_actions))
-            st = e.state
+            discovered = e.state.discovered[hosts] == 1.0
             if u < 0.4:
-                ok = ~(scan | exploit) | (targeted & st.discovered[hosts])
+                ok = ~(scan | exploit) | (targeted & discovered)
             else:
-                ok = (scan & st.infected[hosts]) | (exploit & st.discovered[hosts])
+                ok = (scan & (e.state.infected[hosts] == 1.0)) | (exploit & discovered)
             choices = np.flatnonzero(ok)
             return int(choices[rng.integers(len(choices))])
 
@@ -799,10 +802,8 @@ class TestObservation:
     def test_fresh_reset_has_two_status_bits(self, tiny_inputs):
         env = C2Env(*tiny_inputs)
         obs = env.reset(seed=0)
-        bits = 0
-        for base in env._host_offsets:
-            bits += obs[base + 1] + obs[base + 3]
-        assert bits == 2.0
+        n_hosts = len(env.topology.hosts())
+        assert obs[env.dynamic_index[:2 * n_hosts]].sum() == 2.0
 
     def test_discovery_flips_exactly_one_host_bit(self, tiny_inputs):
         env = C2Env(*tiny_inputs)
@@ -810,7 +811,7 @@ class TestObservation:
         after, _, _, info = env.step(SubnetScan((1, 0)))
         newly = set(info["newly_discovered"])
         for addr, i in env.host_index.items():
-            base = env._host_offsets[i]
+            base = env.dynamic_index[i] - 1  # the host's discovery value
             block_before = before[base:base + 4]
             block_after = after[base:base + 4]
             if addr in newly:
@@ -824,11 +825,21 @@ class TestObservation:
         prepare_connected(env, connect=False)
         env.state.targets[(3, 0)].connection_status = ISOLATED
         obs = env.encode_observation()
-        off = env._sensitive_offsets[(3, 0)]
+        off = env.dynamic_index[2 * len(env.topology.hosts())]  # the one target
         assert obs[off:off + 3].tolist() == [0.0, 0.0, 1.0]
         env.state.targets[(3, 0)].connection_status = NOT_CONNECTED
         obs = env.encode_observation()
         assert obs[off:off + 3].tolist() == [1.0, 0.0, 0.0]
+
+    def test_direct_state_write_shows_in_the_observation(self, chain3):
+        # the status bits have one copy, so the next observation shows a
+        # host that ``infect`` marks discovered and infected
+        env = env_of(chain3)
+        env.reset(seed=0)
+        infect(env, (3, 0))
+        obs = env.encode_observation()
+        assert np.array_equal(obs, oracles.reference_observation(env))
+        assert obs[env.dynamic_index[env.host_index[(3, 0)]]] == 1.0
 
     @pytest.mark.parametrize("network", ["chain3", "tiny"])
     def test_matches_reference_encoder_on_random_walks(self, network, request):
@@ -852,10 +863,10 @@ class TestObservation:
                     status[addr] = ts.connection_status
         assert isolations_after_connect > 0  # the one-hot moved off "connected"
 
-    def test_matches_reference_encoder_at_full_scale(self, refs):
+    def test_matches_reference_encoder_at_full_scale(self):
         from c2sim import scenarios
 
-        env = C2Env(*scenarios.enterprise101(refs))
+        env = C2Env(*scenarios.enterprise101())
         # a seeded walk over the actions whose host precondition holds; a
         # uniform walk would be almost all erroneous steps
         kinds = np.array([a.kind for a in env.actions])
@@ -868,8 +879,8 @@ class TestObservation:
         steps = 0
         while not env.done:
             st = env.state
-            ok = ~(scan | exploit) | (scan & st.infected[hosts]) | (
-                exploit & st.discovered[hosts])
+            ok = ~(scan | exploit) | (scan & (st.infected[hosts] == 1.0)) | (
+                exploit & (st.discovered[hosts] == 1.0))
             choices = np.flatnonzero(ok)
             obs, _, _, _ = env.step(int(choices[rng.integers(len(choices))]))
             steps += 1
@@ -905,31 +916,53 @@ class TestObservation:
             env.encode_observation()[-1] = 1.0
 
 
+def network_pair(network, request):
+    """(topology, scenario) of tiny, chain3, chain4x3 or enterprise101."""
+    from c2sim import scenarios
+
+    if network == "chain4x3":
+        t = chain_topology(4, hosts_per_subnet=3)
+        return t, scenario_for(t)
+    if network == "enterprise101":
+        return scenarios.enterprise101()
+    return request.getfixturevalue("tiny_inputs" if network == "tiny" else network)
+
+
 class TestLiveSlots:
     """``live_slots`` is the trainer's input index: an observation slot
-    outside it must be 0.0 in every state."""
+    outside it must be 0.0 in every state. ``dynamic_index`` names the
+    slots an episode writes: every other slot keeps its value."""
 
     @staticmethod
     def dynamic_slots(env) -> np.ndarray:
-        """The slots an episode writes, from the layout the reference
-        encoder documents: each host block ends with (discovery value,
-        discovered, infection value, infected), and eight slots per
-        sensitive host follow the host blocks."""
+        """The slots an episode writes, in ``dynamic_index``'s documented
+        order, from the layout the reference encoder documents: each host
+        block ends with (discovery value, discovered, infection value,
+        infected), and eight slots per sensitive host follow the host
+        blocks. The discovered bits come first, then the infected bits,
+        each by host row, then the target slots."""
         hosts = env.topology.hosts()
         targets = len(env.scenario.sensitive_hosts) * 8
         block = (env.obs_len - targets) // len(hosts)
         ends = np.arange(1, len(hosts) + 1) * block
-        return np.sort(np.concatenate((
-            ends - 3, ends - 1, np.arange(env.obs_len - targets, env.obs_len))))
+        return np.concatenate((
+            ends - 3, ends - 1, np.arange(env.obs_len - targets, env.obs_len)))
+
+    @pytest.mark.parametrize("network", ["tiny", "chain3", "chain4x3", "enterprise101"])
+    def test_dynamic_index_is_the_documented_layout(self, network, request):
+        env = C2Env(*network_pair(network, request))
+        assert env.dynamic_index.dtype == np.intp
+        assert np.array_equal(env.dynamic_index, self.dynamic_slots(env))
+        # the status views are the buffer's bits at those slots
+        n = len(env.host_index)
+        obs = env.reset(seed=0)
+        assert np.shares_memory(env.state.discovered, obs)
+        assert np.array_equal(env.state.discovered, obs[env.dynamic_index[:n]])
+        assert np.array_equal(env.state.infected, obs[env.dynamic_index[n:2 * n]])
 
     @pytest.mark.parametrize("network", ["tiny", "chain3", "chain4x3"])
     def test_observations_are_zero_outside_live_slots(self, network, request):
-        if network == "chain4x3":
-            t = chain_topology(4, hosts_per_subnet=3)
-            pair = (t, scenario_for(t))
-        else:
-            pair = request.getfixturevalue(
-                "tiny_inputs" if network == "tiny" else network)
+        pair = network_pair(network, request)
         env = C2Env(*pair)
         live = env.live_slots
         assert live.dtype == np.intp
@@ -938,6 +971,9 @@ class TestLiveSlots:
         assert np.isin(self.dynamic_slots(env), live).all()
         dead = np.ones(env.obs_len, dtype=bool)
         dead[live] = False
+        static = np.ones(env.obs_len, dtype=bool)
+        static[env.dynamic_index] = False
+        fixed = env.reset(seed=0)[static].copy()
         rng = np.random.default_rng(5)
         seen = np.zeros(env.obs_len, dtype=bool)
         for ep in range(20):
@@ -945,6 +981,7 @@ class TestLiveSlots:
             while True:
                 for o in (obs, oracles.reference_observation(env)):
                     assert not o[dead].any()
+                    assert np.array_equal(o[static], fixed)
                     seen |= o != 0.0
                 if env.done:
                     break
@@ -954,12 +991,12 @@ class TestLiveSlots:
         # asked after the walks, a new env gives the same index
         assert np.array_equal(C2Env(*pair).live_slots, live)
 
-    def test_sizes_at_tiny_and_full_scale(self, tiny_inputs, refs):
+    def test_sizes_at_tiny_and_full_scale(self, tiny_inputs):
         from c2sim import scenarios
 
         tiny = C2Env(*tiny_inputs)
         assert (len(tiny.live_slots), tiny.obs_len) == (70, 160)
-        full = C2Env(*scenarios.enterprise101(refs))
+        full = C2Env(*scenarios.enterprise101())
         assert (len(full.live_slots), full.obs_len) == (13_236, 241_164)
         assert np.isin(self.dynamic_slots(full), full.live_slots).all()
 
@@ -1084,14 +1121,7 @@ def scan_walk(topology, sid):
 class TestPrecomputedTables:
     @pytest.mark.parametrize("network", ["chain3", "tiny", "enterprise101"])
     def test_scan_reveals_match_topology_walk(self, network, request):
-        from c2sim import scenarios
-
-        if network == "enterprise101":
-            pair = scenarios.enterprise101(request.getfixturevalue("refs"))
-        else:
-            pair = request.getfixturevalue(
-                "tiny_inputs" if network == "tiny" else network)
-        env = C2Env(*pair)
+        env = C2Env(*network_pair(network, request))
         topology = env.topology
         for s in topology.subnets:
             reveals = [env._addresses[i] for i in env._scan_reveals[s.id]]
@@ -1099,11 +1129,7 @@ class TestPrecomputedTables:
 
     @pytest.mark.parametrize("network", ["tiny", "enterprise101"])
     def test_costs_and_exploit_odds_match_their_definitions(self, network, request):
-        from c2sim import scenarios
-
-        pair = (scenarios.enterprise101(request.getfixturevalue("refs"))
-                if network == "enterprise101" else request.getfixturevalue("tiny_inputs"))
-        env = C2Env(*pair)
+        env = C2Env(*network_pair(network, request))
         topology = env.topology
         d = env.scenario.decay_factor
         exploits = 0

@@ -459,6 +459,16 @@ class TestConfigErrors:
         assert f"argument --seed: must be >= 0, got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_eval_n_below_one_is_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["eval", "--checkpoint", str(tmp_path / "ckpt.npz"),
+                 "--scenario", "tiny", "--n", n, "--out-dir", str(out)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"argument --n: must be >= 1, got {n}" in capsys.readouterr().err
+        assert not (out / "run_manifest.json").exists()
+
     @pytest.mark.parametrize("text, words", [
         ("just a string\n", ["mapping"]),
         ("initial_foothold: 5\nsensitive_hosts: [[1, 0]]\n",
@@ -484,6 +494,8 @@ class TestConfigErrors:
         (SCENARIO + "payload_size_mb: abc\n", ["payload_size_mb", "number"]),
         (SCENARIO + "upload_rates: {fast: abc, slow: 1}\n",
          ["upload_rates.fast", "number"]),
+        (SCENARIO + "upload_rates: {fast: 1000, slow: 10, turbo: 5000}\n",
+         ["upload_rates", "unknown", "turbo"]),
         (SCENARIO + "bogus: 1\n", ["unknown", "bogus"]),
         (SCENARIO + "schema_version: 2\n", ["schema_version", "1"]),
         (SCENARIO + "topology: 5\n", ["topology", "string"]),
@@ -495,8 +507,8 @@ class TestConfigErrors:
             "scalar-upload-rates", "malformed-yaml", "string-action-time",
             "list-decay", "string-reward", "fractional-max-steps",
             "boolean-max-steps", "string-flag", "string-payload",
-            "string-upload-rate", "unknown-key", "schema-version-2",
-            "integer-topology",
+            "string-upload-rate", "unknown-upload-rate", "unknown-key",
+            "schema-version-2", "integer-topology",
             "nan-payload", "nan-action-time", "infinite-payload"])
     def test_bad_scenario_document(self, tmp_path, capsys, text, words):
         scenario = tmp_path / "scenario.yaml"

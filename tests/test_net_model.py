@@ -277,8 +277,8 @@ firewalls:
         with pytest.raises(TopologyError, match="cpe count exceeds open ports"):
             load_topology(bad)
 
-    def test_bundled_enterprise_network_has_1444_hosts(self, refs):
-        topology, scenario = scenarios.enterprise101(refs)
+    def test_bundled_enterprise_network_has_1444_hosts(self):
+        topology, scenario = scenarios.enterprise101()
         manifest = save_topology(topology).encode()
         assert len(manifest) == 3_626_704
         assert hashlib.sha256(manifest).hexdigest() == (
