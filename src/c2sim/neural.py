@@ -93,8 +93,8 @@ def init_mlp(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...],
     return p
 
 
-def _layers(p: MlpParams, x: np.ndarray, acts: list | None) -> np.ndarray:
-    """The layer loop behind ``forward`` and ``forward_cached``.
+def forward(p: MlpParams, x: np.ndarray, acts: list | None = None) -> np.ndarray:
+    """Deterministic forward pass; accepts a single vector or a batch.
 
     A single row stays 1-D through every layer, and ``acts``, when given,
     receives the input and each layer's output. Each layer's matmul makes a
@@ -119,32 +119,33 @@ def _layers(p: MlpParams, x: np.ndarray, acts: list | None) -> np.ndarray:
     return h
 
 
-def forward(p: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Deterministic forward pass; accepts a single vector or a batch."""
-    return _layers(p, x, None)
-
-
 def forward_cached(p: MlpParams, x: np.ndarray):
     """Forward pass returning (output, activations) for use by backward:
     the input, then each layer's output."""
     acts: list[np.ndarray] = []
-    return _layers(p, x, acts), acts
+    return forward(p, x, acts), acts
 
 
-def backward(p: MlpParams, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Analytic dLoss/dtheta given dLoss/dOutput, laid out like ``p.theta``.
+def backward(p: MlpParams, x: np.ndarray, upstream) -> np.ndarray:
+    """Analytic dLoss/dtheta, laid out like ``p.theta``; makes the only
+    forward pass it needs.
 
-    The upstream gradient must match the forward output shape for ``x``.
-    Each layer's gradient is written straight into its view of the result.
+    ``upstream`` is dLoss/dOutput, which must match the forward output
+    shape for ``x``, or a loss head: a callable that takes the forward
+    output and returns dLoss/dOutput, so a caller that needs the output
+    for its loss need not run the forward pass again. A 1-D ``x`` is one
+    row, and its head receives a ``(1, out_dim)`` output. Each layer's
+    gradient is written straight into its view of the result.
     """
     x = np.asarray(x, dtype=np.float64)
-    _, acts = forward_cached(p, x.reshape(1, -1) if x.ndim == 1 else x)
-    g = np.asarray(upstream, dtype=np.float64)
-    if g.ndim == 1 and acts[-1].shape[0] == 1:
+    out, acts = forward_cached(p, x.reshape(1, -1) if x.ndim == 1 else x)
+    g = np.asarray(upstream(out) if callable(upstream) else upstream,
+                   dtype=np.float64)
+    if g.ndim == 1 and out.shape[0] == 1:
         g = g.reshape(1, -1)
-    if g.shape != acts[-1].shape:
+    if g.shape != out.shape:
         raise ShapeMismatchError(
-            f"upstream shape {g.shape} does not match output {acts[-1].shape}"
+            f"upstream shape {g.shape} does not match output {out.shape}"
         )
     grad = np.empty_like(p.theta)
     w_grads, b_grads = layer_views(grad, p.dims)

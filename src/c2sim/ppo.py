@@ -60,7 +60,7 @@ class PpoConfig:
         for name in ("gamma", "gae_lambda"):
             if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
-        for name in ("total_steps", "seed", "checkpoint_interval"):
+        for name in ("entropy_coef", "total_steps", "seed", "checkpoint_interval"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.horizon % self.num_envs != 0:
@@ -423,37 +423,45 @@ def ppo_loss(actor: MlpParams, critic: MlpParams, obs: np.ndarray,
     Returns (policy loss, value loss, entropy, actor gradient, critic
     gradient). The actor gradient is that of policy loss - entropy_coef *
     entropy, the critic gradient that of the value loss; both are laid out
-    like the networks' ``theta``.
+    like the networks' ``theta``. Each net makes one forward pass, inside
+    ``neural.backward``, whose output the loss heads below read.
     """
-    logits = neural.forward(actor, obs)
-    logp_all = neural.log_softmax(logits)
-    probs = np.exp(logp_all)
-    n, n_actions = logits.shape
-    rows = np.arange(n)
-    logp = logp_all[rows, actions]
-    ratio = np.exp(logp - logp_old)
-    surr1 = ratio * advantages
-    surr2 = ratio.clip(1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
-    surr2 *= advantages
-    policy_loss = -np.minimum(surr1, surr2).mean()
-    row_entropy = -(probs * logp_all).sum(axis=1)
-    ent = row_entropy.mean()
+    pieces = []
 
-    # d(-objective)/dlogits: gradient flows only where the unclipped branch
-    # is active (ties included, where both branches coincide).
-    active = (surr1 <= surr2).astype(np.float64)
-    coeff = -(active * ratio * advantages) / n
-    one_hot = np.zeros((n, n_actions))
-    one_hot[rows, actions] = 1.0
-    dlogits = coeff[:, None] * (one_hot - probs)
-    # entropy bonus: loss includes -beta * H
-    dlogits += cfg.entropy_coef * probs * (logp_all + row_entropy[:, None]) / n
+    def policy_head(logits):
+        logp_all = neural.log_softmax(logits)
+        probs = np.exp(logp_all)
+        n, n_actions = logits.shape
+        rows = np.arange(n)
+        logp = logp_all[rows, actions]
+        ratio = np.exp(logp - logp_old)
+        surr1 = ratio * advantages
+        surr2 = ratio.clip(1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
+        surr2 *= advantages
+        pieces.append(-np.minimum(surr1, surr2).mean())
+        row_entropy = -(probs * logp_all).sum(axis=1)
+        pieces.append(row_entropy.mean())
 
-    err = neural.forward(critic, obs)[:, 0] - returns
-    value_loss = (err ** 2).mean()
-    dv = (2.0 * err / len(returns))[:, None]
-    return (float(policy_loss), float(value_loss), float(ent),
-            neural.backward(actor, obs, dlogits), neural.backward(critic, obs, dv))
+        # d(-objective)/dlogits: gradient flows only where the unclipped
+        # branch is active (ties included, where both branches coincide).
+        active = (surr1 <= surr2).astype(np.float64)
+        coeff = -(active * ratio * advantages) / n
+        one_hot = np.zeros((n, n_actions))
+        one_hot[rows, actions] = 1.0
+        dlogits = coeff[:, None] * (one_hot - probs)
+        # entropy bonus: loss includes -beta * H
+        dlogits += cfg.entropy_coef * probs * (logp_all + row_entropy[:, None]) / n
+        return dlogits
+
+    def value_head(values):
+        err = values[:, 0] - returns
+        pieces.append((err ** 2).mean())
+        return (2.0 * err / len(returns))[:, None]
+
+    a_grads = neural.backward(actor, obs, policy_head)
+    c_grads = neural.backward(critic, obs, value_head)
+    policy_loss, ent, value_loss = pieces
+    return float(policy_loss), float(value_loss), float(ent), a_grads, c_grads
 
 
 def ppo_update(params: PolicyParams, batch: RolloutBatch, cfg: PpoConfig,

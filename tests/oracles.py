@@ -196,3 +196,39 @@ def mc_returns(rewards, dones, gamma):
         running = rewards[t] + gamma * running
         out[t] = running
     return out
+
+
+def reference_ppo_loss(actor, critic, obs, actions, logp_old, advantages,
+                       returns, cfg):
+    """The two-pass clipped-surrogate loss: each net's forward pass runs
+    here for the loss and again inside ``neural.backward`` for the
+    gradient. Returns what ``ppo.ppo_loss`` returns."""
+    logits = neural.forward(actor, obs)
+    logp_all = neural.log_softmax(logits)
+    probs = np.exp(logp_all)
+    n, n_actions = logits.shape
+    rows = np.arange(n)
+    logp = logp_all[rows, actions]
+    ratio = np.exp(logp - logp_old)
+    surr1 = ratio * advantages
+    surr2 = ratio.clip(1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
+    surr2 *= advantages
+    policy_loss = -np.minimum(surr1, surr2).mean()
+    row_entropy = -(probs * logp_all).sum(axis=1)
+    ent = row_entropy.mean()
+
+    # d(-objective)/dlogits: gradient flows only where the unclipped branch
+    # is active (ties included, where both branches coincide).
+    active = (surr1 <= surr2).astype(np.float64)
+    coeff = -(active * ratio * advantages) / n
+    one_hot = np.zeros((n, n_actions))
+    one_hot[rows, actions] = 1.0
+    dlogits = coeff[:, None] * (one_hot - probs)
+    # entropy bonus: loss includes -beta * H
+    dlogits += cfg.entropy_coef * probs * (logp_all + row_entropy[:, None]) / n
+
+    err = neural.forward(critic, obs)[:, 0] - returns
+    value_loss = (err ** 2).mean()
+    dv = (2.0 * err / len(returns))[:, None]
+    return (float(policy_loss), float(value_loss), float(ent),
+            neural.backward(actor, obs, dlogits), neural.backward(critic, obs, dv))

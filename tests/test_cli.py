@@ -422,6 +422,7 @@ class TestConfigErrors:
         (PPO_SMALL.replace("seed: 5", "seed: -1"), ["seed must be >= 0"]),
         (PPO_SMALL + "checkpoint_interval: -64\n",
          ["checkpoint_interval must be >= 0"]),
+        (PPO_SMALL + "entropy_coef: -1.0\n", ["entropy_coef must be >= 0"]),
         # gradient clipping, unnormalized advantages and a sparser metric
         # cadence are not options: their keys are unknown like any other
         (PPO_SMALL + "grad_clip: 0.5\n", ["unknown key", "grad_clip"]),
@@ -434,7 +435,7 @@ class TestConfigErrors:
             "string-width", "nan-rate", "nan-stop-reward", "infinite-rate",
             "merge-key", "month-13", "tagged-int", "tagged-float",
             "fraction-only-exponent", "zero-stop-window", "negative-seed",
-            "negative-checkpoint-interval", "grad-clip-key",
+            "negative-checkpoint-interval", "negative-entropy-coef", "grad-clip-key",
             "normalize-advantages-key", "eval-interval-key"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"
@@ -442,6 +443,7 @@ class TestConfigErrors:
         rc = run(["train", "--scenario", "tiny", "--config", str(cfg),
                   "--out-dir", str(tmp_path / "out")])
         assert_invalid(rc, capsys, *words)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, seed", [
         ("generate", "-3"), ("train", "-1"), ("eval", "-2")])

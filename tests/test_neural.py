@@ -157,6 +157,37 @@ class TestBackward:
         p = init_mlp(np.random.default_rng(0), 3, (4,), 2)
         with pytest.raises(ShapeMismatchError):
             backward(p, np.zeros((5, 3)), np.zeros((5, 3)))
+        with pytest.raises(ShapeMismatchError):
+            backward(p, np.zeros((5, 3)), lambda out: np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("rows", [None, 1, 8, 64])
+    def test_head_gives_the_bits_of_its_upstream(self, monkeypatch, rows):
+        """A loss head of the output gives, bit for bit, the gradient of the
+        dLoss/dOutput it returns, from one forward pass; a 1-D row's head
+        sees a (1, out_dim) output."""
+        rng = np.random.default_rng(rows or 0)
+        p = init_mlp(rng, 70, (128, 64), 18, out_gain=0.5)
+        x = rng.standard_normal(70 if rows is None else (rows, 70))
+        scale = rng.standard_normal(18)
+        seen = []
+
+        def head(out):
+            seen.append(out.shape)
+            return np.tanh(out) * scale
+
+        want = backward(p, x, head(forward(p, x)))
+        calls = []
+        inner = neural.forward
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "forward", counted)
+        got = backward(p, x, head)
+        assert got.tobytes() == want.tobytes()
+        assert seen[-1] == (rows or 1, 18)
+        assert calls == [(rows or 1, 70)]
 
 
 def reference_adam_step(state, theta, grad):

@@ -62,10 +62,12 @@ class TestConfig:
         for window in (0, -3):
             with pytest.raises(ValueError, match="stop_window"):
                 PpoConfig(stop_window=window)
-        for name in ("total_steps", "seed", "checkpoint_interval"):
+        # a negative entropy_coef would turn the entropy bonus into a penalty
+        for name in ("entropy_coef", "total_steps", "seed", "checkpoint_interval"):
             with pytest.raises(ValueError, match=f"{name} must be >= 0"):
                 PpoConfig(**{name: -64})
         assert PpoConfig(checkpoint_interval=0, seed=0).checkpoint_interval == 0
+        assert PpoConfig(entropy_coef=0.0).entropy_coef == 0.0
 
     def test_readme_trainer_table_lists_every_field_and_default(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -197,6 +199,34 @@ class TestPpoLoss:
                                     float(np.clip(ratio, 0.8, 1.2)) * adv) + 1e-12
             if 0.8 <= ratio <= 1.2:
                 assert objective == pytest.approx(ratio * adv, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [64, 8, 1])
+    def test_one_pass_matches_two_pass_reference(self, monkeypatch, n):
+        """The same losses and gradients, bit for bit, as the loss that runs
+        each net's forward pass twice, from one forward pass per net."""
+        rng = np.random.default_rng(n)
+        actor = neural.init_mlp(rng, 70, (128, 64), 18, out_gain=0.01)
+        critic = neural.init_mlp(rng, 70, (128, 64), 1)
+        old_actor = neural.init_mlp(rng, 70, (128, 64), 18, out_gain=0.5)
+        obs = (rng.random((n, 70)) < 0.3).astype(np.float64)
+        actions = rng.integers(0, 18, n)
+        logp_old = neural.log_softmax(neural.forward(old_actor, obs))[
+            np.arange(n), actions]
+        args = (actor, critic, obs, actions, logp_old, rng.standard_normal(n),
+                rng.standard_normal(n), small_cfg(entropy_coef=0.01))
+        want = oracles.reference_ppo_loss(*args)
+        calls = []
+        inner = neural.forward
+
+        def counted(*a, **kw):
+            calls.append(a[0].out_dim)
+            return inner(*a, **kw)
+
+        monkeypatch.setattr(neural, "forward", counted)
+        got = ppo_loss(*args)
+        assert [v.hex() for v in got[:3]] == [v.hex() for v in want[:3]]
+        assert [g.tobytes() for g in got[3:]] == [g.tobytes() for g in want[3:]]
+        assert calls == [18, 1]
 
     def test_full_actor_gradient_matches_finite_difference(self):
         rng = np.random.default_rng(3)
