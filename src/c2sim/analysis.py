@@ -437,12 +437,14 @@ def read_traces_jsonl(fh) -> list[AttackTrace]:
         try:
             record = row.pop("record")
             if record not in ("trace", "step"):
-                continue
+                raise TraceFormatError(f"{where}: unknown record {record!r}")
             index = build_config(int, row.pop("trace"), TraceFormatError,
                                  f"{where}: trace")
         except KeyError as exc:
             raise TraceFormatError(f"{where}: missing key {exc}") from None
         if record == "trace":
+            if index in traces:
+                raise TraceFormatError(f"{where}: trace {index} is recorded twice")
             meta = build_config(_TraceRecord, row, TraceFormatError, where)
             traces[index] = AttackTrace(
                 seed=meta.seed, emergencies=meta.emergencies,

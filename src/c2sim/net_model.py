@@ -1,6 +1,7 @@
 """Network domain model: subnets, hosts, services, firewalls, the YAML
 manifest format that persists them, and the typed reader of every parsed
-document (configs, manifests, trace records, the CVE snapshot).
+document (configs, manifests, trace records, the generator's reference
+tables).
 
 A topology is immutable once loaded/validated and can be shared freely across
 environment instances.
@@ -69,8 +70,9 @@ def load_yaml(text: str, error: type[Exception]):
 # Typed documents
 #
 # Every parsed document (the scenario, generator and trainer configs, a
-# topology manifest, a trace-file record, the CVE snapshot) is read by
-# ``build_config`` against dataclass annotations, under one rule set.
+# topology manifest, a trace-file record, the generator's reference tables)
+# is read by ``build_config`` against dataclass annotations, under one rule
+# set.
 
 
 class _Invalid(Exception):
@@ -844,8 +846,6 @@ class _HostEntry:
     services: tuple[ServiceBinding, ...] = ()
     discovery_value: float = 1000.0
     infection_value: float = 1000.0
-    is_sensitive: bool = False
-    is_security_product: bool = False
 
 
 @dataclass(slots=True)
@@ -906,8 +906,8 @@ def load_topology(yaml_text: str) -> NetworkTopology:
                 services=h.services,
                 discovery_value=h.discovery_value,
                 infection_value=h.infection_value,
-                is_sensitive=h.is_sensitive or address in sensitive,
-                is_security_product=h.is_security_product or address in security,
+                is_sensitive=address in sensitive,
+                is_security_product=address in security,
             ))
         try:
             subnets.append(Subnet(id=s.id, hosts=tuple(hosts), allow_rules=tuple(

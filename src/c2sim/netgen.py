@@ -5,8 +5,6 @@ snapshot keyed by CPE.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Literal
@@ -67,45 +65,37 @@ def bucket_for(score: float) -> str:
 class PortEntry:
     port: int
     open_frequency: float
-    bucket: str
+
+    def __post_init__(self) -> None:
+        bucket_for(self.open_frequency)  # the [0, 1] range check
+
+    @property
+    def bucket(self) -> str:
+        return bucket_for(self.open_frequency)
 
 
 @dataclass(frozen=True)
 class PortProbabilityTable:
-    entries: tuple[PortEntry, ...]
+    """The port probability document: an open frequency per port."""
+
+    ports: tuple[PortEntry, ...]
 
     def __post_init__(self) -> None:
+        if not self.ports:
+            raise ReferenceDataError("empty port probability table")
         seen = set()
-        for e in self.entries:
+        for i, e in enumerate(self.ports):
             if e.port in seen:
-                raise ReferenceDataError(f"duplicate port {e.port}")
+                raise ReferenceDataError(f"ports[{i}]: duplicate port {e.port}")
             seen.add(e.port)
-            if e.bucket != bucket_for(e.open_frequency):
-                raise ReferenceDataError(
-                    f"port {e.port}: bucket {e.bucket!r} inconsistent with "
-                    f"open_frequency {e.open_frequency}"
-                )
 
     def by_bucket(self) -> dict[str, list[int]]:
         out: dict[str, list[int]] = {b: [] for b in BUCKETS}
-        for e in self.entries:
+        for e in self.ports:
             out[e.bucket].append(e.port)
         for ports in out.values():
             ports.sort()
         return out
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PortProbabilityTable":
-        entries = []
-        for row in csv.DictReader(io.StringIO(text)):
-            entries.append(PortEntry(
-                port=int(row["port"]),
-                open_frequency=float(row["open_frequency"]),
-                bucket=row["bucket"].strip(),
-            ))
-        if not entries:
-            raise ReferenceDataError("empty port probability table")
-        return cls(entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -118,6 +108,9 @@ class CpeOption:
 
 @dataclass(frozen=True)
 class CpeReferenceTable:
+    """The CPE reference document: the service/CPE options of each port, in
+    the order ``assign_cpes`` draws among them."""
+
     records: dict[int, tuple[CpeOption, ...]]
 
     def __post_init__(self) -> None:
@@ -125,7 +118,7 @@ class CpeReferenceTable:
             total = sum(o.probability for o in options)
             if abs(total - 1.0) > 1e-9:
                 raise ReferenceDataError(
-                    f"port {port}: CPE probabilities sum to {total}, not 1"
+                    f"records[{port}]: CPE probabilities sum to {total}, not 1"
                 )
 
     @property
@@ -135,40 +128,16 @@ class CpeReferenceTable:
             if o.is_security_product
         )
 
-    @classmethod
-    def from_csv(cls, text: str) -> "CpeReferenceTable":
-        records: dict[int, list[CpeOption]] = {}
-        for row in csv.DictReader(io.StringIO(text)):
-            records.setdefault(int(row["port"]), []).append(CpeOption(
-                service_name=row["service"].strip(),
-                cpe=row["cpe"].strip(),
-                probability=float(row["probability"]),
-                is_security_product=row.get("security_product", "0").strip() in ("1", "true", "yes"),
-            ))
-        return cls(records={p: tuple(v) for p, v in records.items()})
-
 
 @dataclass(frozen=True)
 class CveDatabase:
-    by_cpe: dict[str, tuple[Vulnerability, ...]]
-
-    def lookup(self, cpe: str) -> tuple[Vulnerability, ...]:
-        return self.by_cpe.get(cpe, ())
-
-    @classmethod
-    def from_yaml(cls, text: str) -> "CveDatabase":
-        snapshot = build_config(_CveSnapshot,
-                                load_yaml(text, ReferenceDataError),
-                                ReferenceDataError, "CVE snapshot")
-        return cls(by_cpe=snapshot.cpes)
-
-
-@dataclass(frozen=True)
-class _CveSnapshot:
     """The CVE snapshot document: CVE records by CPE label."""
 
     cpes: dict[str, tuple[Vulnerability, ...]] = field(default_factory=dict)
     schema_version: Literal[1] = 1
+
+    def lookup(self, cpe: str) -> tuple[Vulnerability, ...]:
+        return self.cpes.get(cpe, ())
 
 
 @dataclass(frozen=True)
@@ -193,16 +162,18 @@ def _data_text(name: str) -> str:
 
 
 def load_default_references() -> References:
-    """The reference tables shipped with the package."""
-    tiers = build_config(_DefenseTiers,
-                         load_yaml(_data_text("defense_tiers.yaml"),
-                                   ReferenceDataError),
-                         ReferenceDataError, "defense tiers").tiers
+    """The reference tables shipped with the package, each one YAML document
+    read by ``build_config``, so a fault is named by its key path."""
+    def read(kind, file: str, name: str):
+        return build_config(kind, load_yaml(_data_text(file), ReferenceDataError),
+                            ReferenceDataError, name)
+
     return References(
-        ports=PortProbabilityTable.from_csv(_data_text("port_probabilities.csv")),
-        cpes=CpeReferenceTable.from_csv(_data_text("cpe_reference.csv")),
-        cves=CveDatabase.from_yaml(_data_text("cve_snapshot.yaml")),
-        tiers=tiers,
+        ports=read(PortProbabilityTable, "port_probabilities.yaml",
+                   "port probabilities"),
+        cpes=read(CpeReferenceTable, "cpe_reference.yaml", "CPE reference"),
+        cves=read(CveDatabase, "cve_snapshot.yaml", "CVE snapshot"),
+        tiers=read(_DefenseTiers, "defense_tiers.yaml", "defense tiers").tiers,
     )
 
 
@@ -261,11 +232,9 @@ def assign_ports(rng: np.random.Generator, max_open_ports: int,
     by first sampling a bucket (probability = width of its score range) and
     then picking uniformly inside the bucket, skipping ports already chosen.
     """
-    if not table.entries:
-        raise ReferenceDataError("empty port probability table")
     by_bucket = table.by_bucket()
     count = int(rng.integers(1, max_open_ports + 1))
-    count = min(count, len(table.entries))
+    count = min(count, len(table.ports))
     chosen: set[int] = set()
     misses = 0
     while len(chosen) < count:
@@ -277,7 +246,7 @@ def assign_ports(rng: np.random.Generator, max_open_ports: int,
             if misses > 200:
                 # Degenerate table: fall back to any remaining port.
                 candidates = sorted(
-                    e.port for e in table.entries if e.port not in chosen
+                    e.port for e in table.ports if e.port not in chosen
                 )
                 chosen.add(candidates[int(rng.integers(len(candidates)))])
                 misses = 0

@@ -234,9 +234,11 @@ def load_policy(path, expect_obs_dim: int,
 # Cutting those rows out of each net and its moments leaves every other bit
 # of training as it is at full width, as long as every matmul has two or
 # more rows (numpy takes a one-row product through a matrix-vector kernel,
-# which rounds a shorter sum differently). That is checked at tiny width;
-# at enterprise101 width, where the first-layer sums are longer than the
-# BLAS's K-block, it is not.
+# which rounds a shorter sum differently). That holds at tiny width only.
+# At enterprise101 width the first-layer sums are longer than the BLAS's
+# K-block, and dropping the dead terms changes the outputs' last bits at
+# 1, 2, 8 and 64 rows alike, so compact training there follows a
+# trajectory of its own.
 
 
 def _live_rows(dims: tuple[int, ...], flat: np.ndarray,
@@ -345,15 +347,15 @@ class _EnvRunner:
 def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
                     critic: MlpParams, steps_per_env: int,
                     sample_rng: np.random.Generator,
-                    slots: np.ndarray | None = None) -> RolloutBatch:
+                    slots: np.ndarray) -> RolloutBatch:
     """Advance every environment ``steps_per_env`` times under the actor.
 
     Episodes that finish mid-horizon are logged and the environment restarts
     immediately, so the batch always holds exactly horizon transitions. Each
     step makes one batched forward per network and one batched action draw.
-    With ``slots``, sorted observation indices such as ``C2Env.live_slots``,
-    the nets read and the batch stores only those columns of each
-    observation, gathered once per step.
+    The nets read and the batch stores only the columns ``slots`` of each
+    observation, sorted indices such as ``C2Env.live_slots`` (all of them
+    for ``np.arange(obs_len)``), gathered straight into the step's row.
     """
     n = len(runners)
     obs_buf = np.zeros((steps_per_env, n, actor.in_dim))
@@ -365,13 +367,10 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
     ep_returns: list[float] = []
     ep_lengths: list[int] = []
 
-    full = None if slots is None else np.empty((n, runners[0].env.obs_len))
-
-    def observe(out=None):
-        if full is None:
-            return np.stack([r.obs for r in runners], out=out)
-        np.stack([r.obs for r in runners], out=full)
-        return np.take(full, slots, axis=1, out=out)
+    def observe(out):
+        for i, r in enumerate(runners):
+            out[i] = r.obs[slots]
+        return out
 
     for r in runners:
         if r.obs is None or r.env.done:
@@ -395,7 +394,8 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
             else:
                 runner.obs = next_obs
 
-    val_buf[steps_per_env] = neural.forward(critic, observe())[:, 0]
+    val_buf[steps_per_env] = neural.forward(
+        critic, observe(np.empty((n, actor.in_dim))))[:, 0]
     return RolloutBatch(
         obs=obs_buf, actions=act_buf, log_probs=logp_buf, rewards=rew_buf,
         values=val_buf, dones=done_buf,

@@ -389,8 +389,8 @@ def test_criterion_5_gae_gradients_and_clipping():
 
 def test_criterion_6_generator_statistics(refs):
     # port buckets across all four weights
-    tab = netgen.PortProbabilityTable(entries=tuple(
-        netgen.PortEntry(port=p, open_frequency=f, bucket=netgen.bucket_for(f))
+    tab = netgen.PortProbabilityTable(ports=tuple(
+        netgen.PortEntry(port=p, open_frequency=f)
         for p, f in ((80, 0.5), (443, 0.12), (110, 0.07), (53, 0.02),
                      (6379, 0.003))
     ))

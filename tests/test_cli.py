@@ -111,11 +111,16 @@ class TestValidate:
         (lambda d: d["subnets"][1]["hosts"][0].update(discovery_valu=5.0),
          ["subnets[1].hosts[0]", "unknown", "discovery_valu"]),
         (lambda d: d.update(firewall_rules=[]), ["unknown", "firewall_rules"]),
+        (lambda d: d["subnets"][1]["hosts"][0].update(is_sensitive=True),
+         ["subnets[1].hosts[0]", "unknown", "is_sensitive"]),
+        (lambda d: d["subnets"][0]["hosts"][0].update(is_security_product=False),
+         ["subnets[0].hosts[0]", "unknown", "is_security_product"]),
     ], ids=["rule-without-peer", "scalar-rules", "scalar-sensitive",
             "scalar-hosts", "scalar-cves", "string-params", "string-subnet",
             "nan-discovery-value", "nan-upload-volume", "string-local-id",
             "one-sided-edge", "triple-edge", "no-subnets", "misspelt-host-key",
-            "unknown-top-level-key"])
+            "unknown-top-level-key", "host-sensitive-flag",
+            "host-security-product-flag"])
     def test_malformed_manifest_entry(self, tmp_path, capsys, edit, words):
         """The tiny manifest with one entry broken fails naming the key."""
         doc = yaml.safe_load(
@@ -635,6 +640,11 @@ class TestAnalyze:
         ('{"record": "trace", "trace": 0, "seed": 1, '
          '"terminal_status": {"x": "completed"}}',
          ("line 1", "terminal_status", "'x'")),
+        ('{"record": "stpe", "trace": 0, "step": 0}',
+         ("line 1", "unknown record", "'stpe'")),
+        ('{"record": "trace", "trace": 0, "seed": 1, "terminal_status": {}}\n'
+         '{"record": "trace", "trace": 0, "seed": 2, "terminal_status": {}}',
+         ("line 2", "trace 0", "twice")),
     ])
     def test_malformed_traces_file(self, tmp_path, capsys, line, words):
         traces_path = tmp_path / "traces.jsonl"
@@ -660,10 +670,12 @@ class TestAnalyze:
         (1, "emergencies", "many", ("line 1", "emergencies", "integer")),
         (1, "terminal_status", {"2,1": 5, "3,0": "completed"},
          ("line 1", "terminal_status", "string")),
+        (3, "record", "stpe", ("line 3", "unknown record", "'stpe'")),
+        (3, "record", "trace", ("line 3", "trace 0", "twice")),
     ], ids=["unknown-action", "scalar-target", "unknown-host", "unknown-rate",
             "unknown-cve", "unknown-cve-step-3", "string-reward", "null-clock",
             "fractional-step", "string-seed", "nan-clock", "string-emergencies",
-            "integer-status"])
+            "integer-status", "misspelt-record", "repeated-trace"])
     def test_corrupt_line_in_pruned_trace(self, tmp_path, capsys, tiny_inputs,
                                           line, field, value, words):
         with open(tmp_path / "good.jsonl", "w") as fh:

@@ -11,7 +11,6 @@ from c2sim.netgen import (
     BUCKET_RANGES,
     CpeOption,
     CpeReferenceTable,
-    CveDatabase,
     GenConfig,
     GenerationError,
     PortEntry,
@@ -29,10 +28,16 @@ from conftest import make_host
 
 
 def table(*entries) -> PortProbabilityTable:
-    return PortProbabilityTable(entries=tuple(
-        PortEntry(port=p, open_frequency=f, bucket=bucket_for(f))
-        for p, f in entries
-    ))
+    return PortProbabilityTable(ports=tuple(
+        PortEntry(port=p, open_frequency=f) for p, f in entries))
+
+
+def read_references(monkeypatch, file: str, text: str) -> netgen.References:
+    """The bundled references, with the table ``file`` read from ``text``."""
+    data_text = netgen._data_text
+    monkeypatch.setattr(netgen, "_data_text", lambda name: (
+        text if name == file else data_text(name)))
+    return netgen.load_default_references()
 
 
 class TestGenConfig:
@@ -105,19 +110,13 @@ class TestAssignPorts:
 
     def test_bucket_of_port_443_at_0_2_is_high(self):
         assert bucket_for(0.2) == "high"
-        entry = PortEntry(port=443, open_frequency=0.2, bucket="high")
-        PortProbabilityTable(entries=(entry,))  # consistent, no error
+        assert PortEntry(port=443, open_frequency=0.2).bucket == "high"
 
     def test_bucket_boundaries(self):
         assert bucket_for(0.1) == "high"
         assert bucket_for(0.05) == "moderate"
         assert bucket_for(0.005) == "low"
         assert bucket_for(0.0049) == "rare"
-
-    def test_inconsistent_bucket_rejected(self):
-        with pytest.raises(ReferenceDataError, match="inconsistent"):
-            PortProbabilityTable(entries=(
-                PortEntry(port=80, open_frequency=0.5, bucket="rare"),))
 
     def test_two_port_bucket_frequencies(self):
         # scores 0.5 (high) and 0.001 (rare): draw weights are the bucket
@@ -234,24 +233,27 @@ class TestAssignCves:
         assert v.required_os == "windows"
         assert v.required_service == "https"
 
-    def test_malformed_snapshot_rejected(self):
+    def test_malformed_snapshot_rejected(self, monkeypatch):
         with pytest.raises(ReferenceDataError, match="missing"):
-            CveDatabase.from_yaml("cpes:\n  'cpe:/a:x:y:1':\n    - id: CVE-1\n")
+            read_references(monkeypatch, "cve_snapshot.yaml",
+                            "cpes:\n  'cpe:/a:x:y:1':\n    - id: CVE-1\n")
 
-    def test_snapshot_score_out_of_range_names_the_record(self):
+    def test_snapshot_score_out_of_range_names_the_record(self, monkeypatch):
         with pytest.raises(ReferenceDataError) as exc:
-            CveDatabase.from_yaml(
+            read_references(
+                monkeypatch, "cve_snapshot.yaml",
                 "cpes:\n  'cpe:/a:x:y:1':\n    - {id: CVE-1, cvss_score: 11, "
                 "cvss_vector: v}\n")
         assert str(exc.value) == (
             "CVE snapshot: cpes.cpe:/a:x:y:1[0] CVE-1: cvss_score must be in "
             "[0, 10], got 11.0")
 
-    def test_snapshot_reads_yaml_1_2_floats(self):
-        db = CveDatabase.from_yaml(
+    def test_snapshot_reads_yaml_1_2_floats(self, monkeypatch):
+        refs = read_references(
+            monkeypatch, "cve_snapshot.yaml",
             "cpes:\n  'cpe:/a:x:y:1':\n    - {id: CVE-1, cvss_score: 75e-1, "
             "cvss_vector: v}\n")
-        assert db.lookup("cpe:/a:x:y:1")[0].cvss_score == 7.5
+        assert refs.cves.lookup("cpe:/a:x:y:1")[0].cvss_score == 7.5
 
 
 class TestDefenseTiers:
@@ -266,11 +268,59 @@ class TestDefenseTiers:
         ("tier:\n  ssh: high\n", ["unknown", "tier"]),
     ], ids=["unknown-tier", "list-tier", "list-document", "misspelt-key"])
     def test_bad_tier_file_fails_at_load(self, monkeypatch, text, words):
-        data_text = netgen._data_text
-        monkeypatch.setattr(netgen, "_data_text", lambda name: (
-            text if name == "defense_tiers.yaml" else data_text(name)))
         with pytest.raises(ReferenceDataError) as exc:
-            netgen.load_default_references()
+            read_references(monkeypatch, "defense_tiers.yaml", text)
+        for word in words:
+            assert word in str(exc.value)
+
+
+class TestPortAndCpeTables:
+    def test_bundled_buckets_follow_open_frequency(self, refs):
+        assert len(refs.ports.ports) == 50
+        for e in refs.ports.ports:
+            assert e.bucket == bucket_for(e.open_frequency)
+        assert all(refs.ports.by_bucket().values())
+
+    @pytest.mark.parametrize("file, text, words", [
+        ("port_probabilities.yaml",
+         "ports:\n  - {port: 80, open_frequency: 0.5}\n"
+         "  - {port: 22, open_frequency: high}\n",
+         ["port probabilities: ports[1].open_frequency", "'high'"]),
+        ("port_probabilities.yaml",
+         "ports:\n  - {port: 80, open_frequency: 0.5}\n"
+         "  - {port: '22', open_frequency: 0.2}\n",
+         ["port probabilities: ports[1].port", "integer", "'22'"]),
+        ("port_probabilities.yaml",
+         "ports:\n  - {port: 80, open_frequency: 0.5, bucket: high}\n",
+         ["port probabilities: ports[0]", "unknown", "bucket"]),
+        ("port_probabilities.yaml",
+         "ports:\n  - {port: 80, open_frequency: 0.5}\n"
+         "  - {port: 22, open_frequency: 0.2}\n"
+         "  - {port: 80, open_frequency: 0.1}\n",
+         ["ports[2]", "duplicate port 80"]),
+        ("port_probabilities.yaml", "ports: []\n", ["empty"]),
+        ("port_probabilities.yaml",
+         "ports:\n  - {port: 80, open_frequency: 1.5}\n",
+         ["open_frequency", "[0, 1]", "1.5"]),
+        ("cpe_reference.yaml",
+         "records:\n  80:\n    - {service_name: http, cpe: 'cpe:/a:x:y:1', "
+         "probability: 1.0, is_security_product: 0}\n",
+         ["CPE reference: records[80][0].is_security_product", "true or false"]),
+        ("cpe_reference.yaml",
+         "records:\n  80:\n    - {service_name: http, cpe: 'cpe:/a:x:y:1', "
+         "probability: 0.5}\n    - {service_name: http, cpe: 'cpe:/a:x:z:1', "
+         "probability: 0.25}\n",
+         ["records[80]", "sum to 0.75, not 1"]),
+        ("cpe_reference.yaml",
+         "records:\n  80:\n    - {service: http, cpe: 'cpe:/a:x:y:1', "
+         "probability: 1.0}\n",
+         ["CPE reference: records[80][0]", "unknown", "service"]),
+    ], ids=["string-frequency", "string-port", "stored-bucket", "duplicate-port",
+            "empty-table", "frequency-above-one", "integer-flag", "cpe-sum",
+            "misspelt-key"])
+    def test_bad_table_fails_at_load(self, monkeypatch, file, text, words):
+        with pytest.raises(ReferenceDataError) as exc:
+            read_references(monkeypatch, file, text)
         for word in words:
             assert word in str(exc.value)
 

@@ -308,14 +308,14 @@ class TestCollectRollout:
     def test_episode_boundaries_in_batch(self):
         actor, critic = self._policy()
         batch = collect_rollout(self._runners(), actor, critic, 8,
-                                np.random.default_rng(0))
+                                np.random.default_rng(0), np.arange(2))
         assert batch.dones[:, 0].sum() >= 2
         assert batch.obs.shape == (8, 1, 2)
 
     def test_episode_rewards_equal_sums_between_dones(self):
         actor, critic = self._policy()
         batch = collect_rollout(self._runners(), actor, critic, 9,
-                                np.random.default_rng(0))
+                                np.random.default_rng(0), np.arange(2))
         assert batch.episode_returns == [1.0, 1.0, 1.0]
         assert batch.episode_lengths == [3, 3, 3]
         # brute-force re-summation from the reward/done arrays
@@ -342,7 +342,8 @@ class TestCollectRollout:
                                      runners[0].env.n_actions, out_gain=0.01)
             critic2 = neural.init_mlp(np.random.default_rng(2),
                                       runners[0].env.obs_len, (8,), 1)
-            return collect_rollout(runners, actor2, critic2, 16, rng)
+            return collect_rollout(runners, actor2, critic2, 16, rng,
+                                   np.arange(runners[0].env.obs_len))
 
         a, b = make_batch(), make_batch()
         assert np.array_equal(a.obs, b.obs)
@@ -362,7 +363,8 @@ class TestUpdate:
         params = init_policy(rng, runners[0].env.obs_len,
                              runners[0].env.n_actions, cfg)
         batch = collect_rollout(runners, params.actor, params.critic, 32,
-                                np.random.default_rng(3))
+                                np.random.default_rng(3),
+                                np.arange(runners[0].env.obs_len))
         obs = batch.obs.reshape(32, -1)
         actions = batch.actions.reshape(32)
         logp_now = neural.log_softmax(neural.forward(params.actor, obs))[
@@ -381,7 +383,8 @@ class TestUpdate:
                              runners[0].env.obs_len,
                              runners[0].env.n_actions, cfg)
         batch = collect_rollout(runners, params.actor, params.critic, 32,
-                                np.random.default_rng(3))
+                                np.random.default_rng(3),
+                                np.arange(runners[0].env.obs_len))
         prepare_batch(batch, cfg)
         assert batch.advantages.shape == (32, 2)
         losses = ppo_loss(
@@ -404,7 +407,8 @@ class TestUpdate:
                              runners[0].env.obs_len,
                              runners[0].env.n_actions, cfg)
         batch = collect_rollout(runners, params.actor, params.critic, 8,
-                                np.random.default_rng(3))
+                                np.random.default_rng(3),
+                                np.arange(runners[0].env.obs_len))
         with pytest.raises(ValueError, match="not prepared"):
             ppo_update(params, batch, cfg, np.random.default_rng(4))
 
@@ -690,7 +694,8 @@ def _full_width_train(topology, scenario, cfg):
     shuffle_rng = np.random.default_rng(shuffle_seq)
     for _ in range(cfg.total_steps // cfg.horizon):
         batch = collect_rollout(runners, params.actor, params.critic,
-                                cfg.horizon // cfg.num_envs, sample_rng)
+                                cfg.horizon // cfg.num_envs, sample_rng,
+                                np.arange(runners[0].env.obs_len))
         prepare_batch(batch, cfg)
         ppo_update(params, batch, cfg, shuffle_rng)
     return params
