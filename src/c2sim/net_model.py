@@ -23,9 +23,8 @@ import yaml
 from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
 from yaml.events import (
-    AliasEvent, DocumentEndEvent, DocumentStartEvent, MappingEndEvent,
-    MappingStartEvent, ScalarEvent, SequenceEndEvent, SequenceStartEvent,
-    StreamEndEvent, StreamStartEvent)
+    AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent,
+    SequenceEndEvent, SequenceStartEvent, StreamEndEvent)
 from yaml.nodes import ScalarNode
 
 SCHEMA_VERSION = 1
@@ -203,19 +202,22 @@ def _reader(kind) -> _Reader:
                     pass
             reject(value)
     elif origin is dict:
-        key_exact, values = _reader(args[0]).exact, _reader(args[1])
+        keys, values = _reader(args[0]), _reader(args[1])
         name = name or "a mapping"
 
         def convert(value):
-            if type(value) is not dict or not all(type(k) in key_exact for k in value):
+            if type(value) is not dict:
                 reject(value)
             out = {}
-            try:
-                for k, v in value.items():
+            for k, v in value.items():
+                if type(k) not in keys.exact:
+                    raise _Invalid(f"key {k!r} ({type(k).__name__}) must be "
+                                   f"{keys.name}")
+                try:
                     out[k] = values.read(v)
-            except _Invalid as exc:
-                exc.path.append(k)
-                raise
+                except _Invalid as exc:
+                    exc.path.append(k)
+                    raise
             return out
     elif is_dataclass(kind):
         name, convert = name or "a mapping", _dataclass_reader(kind)
@@ -582,11 +584,6 @@ def validate_topology(t: NetworkTopology) -> None:
                 raise TopologyError(
                     f"sensitive host {h.address} has no exploitable vulnerability"
                 )
-        for rule in s.allow_rules:
-            if rule.peer not in id_set:
-                raise TopologyError(
-                    f"subnet {s.id}: allow rule references unknown subnet {rule.peer}"
-                )
 
     if not t.internet_gateway_subnets:
         raise TopologyError("no internet gateway subnet")
@@ -635,6 +632,16 @@ def validate_topology(t: NetworkTopology) -> None:
     for sid in subnet_ids:
         if sid not in dist:
             raise UnreachableSubnetError(f"subnet {sid} has no path to the internet")
+
+    # Allow rules sit on edges too: a rule opens ports through one firewall.
+    # Checked after connectivity, so an unreachable subnet is named as one.
+    for s in t.subnets:
+        for rule in s.allow_rules:
+            if frozenset((s.id, rule.peer)) not in edges:
+                raise TopologyError(
+                    f"allow rule between subnets {s.id} and {rule.peer}, "
+                    f"which are not adjacent"
+                )
 
 
 def _distances_to_internet(t: NetworkTopology) -> dict[int, int]:
@@ -697,6 +704,17 @@ def _unhashable_key(stack, event):
                            "found unhashable key", event.start_mark)
 
 
+def _duplicate_key(start, keys, marks):
+    """Raise naming the first of ``keys`` equal to an earlier one (as dict
+    keys are equal: ``1``, ``1.0`` and ``true`` are one key) and its mark."""
+    seen = set()
+    for key, mark in zip(keys, marks):
+        if key in seen:
+            raise ConstructorError("while constructing a mapping", start.start_mark,
+                                   f"found duplicate key {key!r}", mark)
+        seen.add(key)
+
+
 class _ManifestLoader(SafeLoader):
     """The loader of every c2sim document (configs, manifests, the CVE
     snapshot and the defense tiers): SafeLoader's scalars plus YAML 1.2
@@ -714,7 +732,9 @@ class _ManifestLoader(SafeLoader):
     already does.
 
     Anchors and aliases (also of a collection inside itself) behave as in
-    ``yaml.SafeLoader``. A merge key (``<<``) and the value key (``=``)
+    ``yaml.SafeLoader``. A mapping key equal to an earlier key of the same
+    mapping raises ConstructorError at its line, where SafeLoader keeps the
+    last value. A merge key (``<<``) and the value key (``=``)
     raise ConstructorError naming their tag, as any tag with no constructor
     does, and so does a collection tagged ``!!set``, ``!!omap``, ``!!pairs``
     or any tag but the plain mapping and sequence ones. A document with
@@ -755,6 +775,7 @@ class _ManifestLoader(SafeLoader):
         in_map = False     # its keys and values in turn
         stack = []  # per open collection: (parent items, parent in_map,
         #             the collection, its start event)
+        key_marks = []  # the marks of the open mappings' keys, in order
         event = get_event()
         first_mark = event.start_mark
         while True:
@@ -772,6 +793,8 @@ class _ManifestLoader(SafeLoader):
                     value = scalar(tag, event)
                 if event.anchor is not None:
                     _anchor(anchors, event, value)
+                if in_map and not len(items) & 1:
+                    key_marks.append(event.start_mark)
                 items.append(value)
             elif kind is MappingStartEvent or kind is SequenceStartEvent:
                 if kind is MappingStartEvent:
@@ -795,9 +818,13 @@ class _ManifestLoader(SafeLoader):
                 else:
                     items, in_map = container, False
             elif kind is MappingEndEvent:
-                parent, in_map, container, _ = stack.pop()
+                parent, in_map, container, start = stack.pop()
                 pairs = iter(items)
                 container.update(zip(pairs, pairs))
+                first_key = len(key_marks) - (len(items) >> 1)
+                if len(container) != len(items) >> 1:
+                    _duplicate_key(start, items[::2], key_marks[first_key:])
+                del key_marks[first_key:]
                 items = parent
                 items.append(container)
             elif kind is SequenceEndEvent:
@@ -810,9 +837,10 @@ class _ManifestLoader(SafeLoader):
                     raise ComposerError(
                         None, None, f"found undefined alias {event.anchor!r}",
                         event.start_mark) from None
-                if (in_map and not len(items) & 1
-                        and (type(value) is dict or type(value) is list)):
-                    _unhashable_key(stack, event)
+                if in_map and not len(items) & 1:
+                    if type(value) is dict or type(value) is list:
+                        _unhashable_key(stack, event)
+                    key_marks.append(event.start_mark)
                 items.append(value)
             else:  # DocumentEndEvent: the root is complete
                 break
@@ -885,13 +913,9 @@ def load_topology(yaml_text: str) -> NetworkTopology:
                             ManifestParseError, "manifest")
 
     rules_by_subnet: dict[int, list[AllowRule]] = {}
-    # (peer, port) -> AllowRule: equal rules share one immutable object, as
-    # building a frozen dataclass per rule is slow (enterprise101 has 72k)
-    shared = {}
     for rule in manifest.allow_rules:
-        key = (rule.peer, None if rule.port == "all" else rule.port)
-        allow = shared.get(key) or shared.setdefault(key, AllowRule(*key))
-        rules_by_subnet.setdefault(rule.subnet, []).append(allow)
+        rules_by_subnet.setdefault(rule.subnet, []).append(
+            AllowRule(rule.peer, None if rule.port == "all" else rule.port))
     sensitive = set(manifest.sensitive_hosts)
     security = set(manifest.security_products)
     subnets = []
@@ -923,14 +947,9 @@ def load_topology(yaml_text: str) -> NetworkTopology:
 
 
 def save_topology(t: NetworkTopology) -> str:
-    """Serialize a topology to manifest YAML. load_topology round-trips it.
-
-    The text is exactly ``yaml.dump(_manifest_doc(t),
-    Dumper=_ManifestDumper, sort_keys=False, allow_unicode=True,
-    width=100)``, made without the representation graph that yaml.dump
-    builds first (see ``_manifest_events``)."""
-    return yaml.emit(_manifest_events(_manifest_doc(t), _ManifestDumper(None)),
-                     Dumper=_ManifestDumper, allow_unicode=True, width=100)
+    """Serialize a topology to manifest YAML. load_topology round-trips it."""
+    return yaml.dump(_manifest_doc(t), Dumper=_ManifestDumper, sort_keys=False,
+                     allow_unicode=True, width=100)
 
 
 def _manifest_doc(t: NetworkTopology) -> dict:
@@ -952,70 +971,6 @@ def _manifest_doc(t: NetworkTopology) -> dict:
             [list(h.address) for h in t.hosts() if h.is_security_product]
         ),
     }
-
-
-def _manifest_events(doc, dumper):
-    """The YAML events that ``yaml.dump(doc, sort_keys=False)`` serializes
-    ``doc`` into, with ``dumper``'s representers and resolver; ``doc`` holds
-    dicts, lists and str, int, float, bool or None scalars.
-
-    yaml.dump first represents every value as a node, then serializes the
-    node graph, resolving each scalar's text twice to decide whether its
-    tag may stay implicit: for enterprise101 that is ~600k nodes and 1.2M
-    regex resolutions in Python. Here each scalar's tag and text come from
-    the same SafeRepresenter functions, once per distinct value, and the
-    resolution is memoized by text. Both memos are exact. A representer's
-    text depends only on the value, and resolution only on the text, since
-    the safe resolver has no path resolvers. Floats are never memoized by
-    value, because ``0.0 == -0.0`` yet each is written its own way.
-    Collections are block style (yaml.dump's ``default_flow_style=False``),
-    and the document shares no collection, so it needs no anchor.
-    """
-    representers = dumper.yaml_representers
-    resolve = dumper.resolve
-    implicit_by_text = {}
-    events = {}  # (type, value) -> ScalarEvent, for all but floats
-
-    def scalar(value):
-        node = representers[type(value)](dumper, value)
-        tag, text = node.tag, node.value
-        try:
-            detected, default = implicit_by_text[text]
-        except KeyError:
-            detected, default = implicit_by_text[text] = (
-                resolve(ScalarNode, text, (True, False)),
-                resolve(ScalarNode, text, (False, True)))
-        return ScalarEvent(None, tag, (tag == detected, tag == default), text,
-                           style=node.style)
-
-    map_end, seq_end = MappingEndEvent(), SequenceEndEvent()
-    yield StreamStartEvent()
-    yield DocumentStartEvent()
-    stack = [doc]
-    while stack:
-        item = stack.pop()
-        kind = type(item)
-        if kind is dict:
-            yield MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
-            stack.append(map_end)
-            for key, value in reversed(item.items()):
-                stack.append(value)
-                stack.append(key)
-        elif kind is list:
-            yield SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
-            stack.append(seq_end)
-            stack.extend(reversed(item))
-        elif item is map_end or item is seq_end:
-            yield item
-        elif kind is float:
-            yield scalar(item)
-        else:
-            event = events.get((kind, item))
-            if event is None:
-                event = events[kind, item] = scalar(item)
-            yield event
-    yield DocumentEndEvent()
-    yield StreamEndEvent()
 
 
 def _dump_subnet(s: Subnet) -> dict:

@@ -292,11 +292,14 @@ def assign_cves(bindings: list[ServiceBinding], db: CveDatabase) -> list[Service
     return [replace(b, vulnerabilities=db.lookup(b.cpe)) for b in bindings]
 
 
-def assign_allow_rules(subnets: list[Subnet]) -> dict[int, list[AllowRule]]:
-    """Derive firewall allow rules from service overlap between subnet pairs.
+def assign_allow_rules(subnets: list[Subnet], adjacency: list[tuple[int, int]]
+                       ) -> dict[int, list[AllowRule]]:
+    """Derive the allow rules of each firewalled subnet edge (each pair in
+    ``adjacency``) from the service overlap of its two subnets.
 
     Identical service-name sets open all traffic; a partial overlap opens only
     the ports those shared services listen on; disjoint sets get no rule.
+    Each rule is written on both sides of the edge.
     """
     service_ports: dict[int, dict[str, set[int]]] = {}
     for s in subnets:
@@ -307,25 +310,23 @@ def assign_allow_rules(subnets: list[Subnet]) -> dict[int, list[AllowRule]]:
         service_ports[s.id] = names
 
     rules: dict[int, list[AllowRule]] = {s.id: [] for s in subnets}
-    ids = sorted(service_ports)
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            names_a, names_b = service_ports[a], service_ports[b]
-            if not names_a or not names_b:
-                continue
-            if set(names_a) == set(names_b):
-                rules[a].append(AllowRule(peer=b, port=None))
-                rules[b].append(AllowRule(peer=a, port=None))
-                continue
-            shared = set(names_a) & set(names_b)
-            if not shared:
-                continue
-            ports = sorted(
-                {p for name in shared for p in names_a[name] | names_b[name]}
-            )
-            for p in ports:
-                rules[a].append(AllowRule(peer=b, port=p))
-                rules[b].append(AllowRule(peer=a, port=p))
+    for a, b in adjacency:
+        names_a, names_b = service_ports[a], service_ports[b]
+        if not names_a or not names_b:
+            continue
+        if set(names_a) == set(names_b):
+            rules[a].append(AllowRule(peer=b, port=None))
+            rules[b].append(AllowRule(peer=a, port=None))
+            continue
+        shared = set(names_a) & set(names_b)
+        if not shared:
+            continue
+        ports = sorted(
+            {p for name in shared for p in names_a[name] | names_b[name]}
+        )
+        for p in ports:
+            rules[a].append(AllowRule(peer=b, port=p))
+            rules[b].append(AllowRule(peer=a, port=p))
     return rules
 
 
@@ -391,7 +392,7 @@ def generate(cfg: GenConfig, refs: References) -> NetworkTopology:
             ))
         bare_subnets.append(Subnet(id=sid, hosts=tuple(hosts)))
 
-    rules = assign_allow_rules(bare_subnets)
+    rules = assign_allow_rules(bare_subnets, adjacency)
     subnets = tuple(
         replace(s, allow_rules=tuple(rules[s.id])) for s in bare_subnets
     )

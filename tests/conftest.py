@@ -56,9 +56,9 @@ def chain_topology(n_subnets, hosts_per_subnet=2, sensitive_last=True,
                 cves=(vuln(),), sensitive=is_target,
             ))
         rules = []
-        if allow_all:
-            for peer in range(1, n_subnets + 1):
-                if peer != sid:
+        if allow_all:  # all ports open to each chain neighbour
+            for peer in (sid - 1, sid + 1):
+                if 1 <= peer <= n_subnets:
                     rules.append(AllowRule(peer=peer, port=None))
         subnets.append(Subnet(id=sid, hosts=tuple(hosts),
                               allow_rules=tuple(rules)))

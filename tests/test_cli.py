@@ -71,8 +71,9 @@ class TestValidate:
         "subnets: [unclosed", "schema_version: 1\n---\nschema_version: 1\n",
         "schema_version: 1\nsubnets:\n  - {id: 1, hosts: [{local_id: 0, os: 2002-13-45}]}\n",
         'schema_version: !!int "abc"\n', "schema_version: !!float ._e3\n",
+        "schema_version: 1\nsubnets: []\nschema_version: 1\n",
     ], ids=["unclosed-sequence", "two-documents", "month-13-os", "tagged-int",
-            "tagged-float"])
+            "tagged-float", "repeated-key"])
     def test_malformed_yaml_is_one_error_line(self, tmp_path, capsys, text):
         path = tmp_path / "net.yaml"
         path.write_text(text)
@@ -115,12 +116,14 @@ class TestValidate:
          ["subnets[1].hosts[0]", "unknown", "is_sensitive"]),
         (lambda d: d["subnets"][0]["hosts"][0].update(is_security_product=False),
          ["subnets[0].hosts[0]", "unknown", "is_security_product"]),
+        (lambda d: d["allow_rules"].append({"subnet": 1, "peer": 3, "port": 443}),
+         ["allow rule between subnets 1 and 3", "not adjacent"]),
     ], ids=["rule-without-peer", "scalar-rules", "scalar-sensitive",
             "scalar-hosts", "scalar-cves", "string-params", "string-subnet",
             "nan-discovery-value", "nan-upload-volume", "string-local-id",
             "one-sided-edge", "triple-edge", "no-subnets", "misspelt-host-key",
             "unknown-top-level-key", "host-sensitive-flag",
-            "host-security-product-flag"])
+            "host-security-product-flag", "non-adjacent-rule"])
     def test_malformed_manifest_entry(self, tmp_path, capsys, edit, words):
         """The tiny manifest with one entry broken fails naming the key."""
         doc = yaml.safe_load(
@@ -509,6 +512,8 @@ class TestConfigErrors:
         (SCENARIO + "payload_size_mb: .nan\n", ["payload_size_mb", "nan"]),
         (SCENARIO + "action_times: {sleep: .nan}\n", ["action_times.sleep", "nan"]),
         (SCENARIO + "payload_size_mb: .inf\n", ["payload_size_mb", "finite"]),
+        (SCENARIO + "max_steps: 50\nmax_steps: 60\n",
+         ["malformed YAML at line 4", "duplicate key 'max_steps'"]),
     ], ids=["not-a-mapping", "scalar-foothold", "triple-foothold",
             "scalar-target", "string-local-id", "scalar-targets",
             "scalar-upload-rates", "malformed-yaml", "string-action-time",
@@ -516,7 +521,8 @@ class TestConfigErrors:
             "boolean-max-steps", "string-flag", "string-payload",
             "string-upload-rate", "unknown-upload-rate", "unknown-key",
             "schema-version-2", "integer-topology",
-            "nan-payload", "nan-action-time", "infinite-payload"])
+            "nan-payload", "nan-action-time", "infinite-payload",
+            "repeated-key"])
     def test_bad_scenario_document(self, tmp_path, capsys, text, words):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(text)

@@ -156,9 +156,9 @@ def test_enterprise101_manifest_is_byte_identical():
     assert on every build; loading it gives back the generated network."""
     topology, _ = scenarios.enterprise101()
     manifest = save_topology(topology).encode("utf-8")
-    assert len(manifest) == 3_626_704
+    assert len(manifest) == 1_130_710
     assert sha256(manifest) == (
-        "539182d0476b39247bafaa054a7bd2c3812e6a8a63abff6b125dec4deb0384f0")
+        "9c9dcfff4a20a21f26080ea2d0908c83647b36486badf16be1f310b94856254c")
     assert load_topology(manifest.decode("utf-8")) == topology
 
 

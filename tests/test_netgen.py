@@ -188,22 +188,31 @@ class TestAllowRules:
     def test_mirrored_services_allow_all(self):
         a = self._subnet(1, [("http", 80)])
         b = self._subnet(2, [("http", 80)])
-        rules = assign_allow_rules([a, b])
+        rules = assign_allow_rules([a, b], [(1, 2)])
         assert rules[1] == [netgen.AllowRule(peer=2, port=None)]
         assert rules[2] == [netgen.AllowRule(peer=1, port=None)]
 
     def test_partial_overlap_allows_matching_ports_only(self):
         a = self._subnet(1, [("http", 80), ("ssh", 22)])
         b = self._subnet(2, [("ssh", 22), ("https", 443)])
-        rules = assign_allow_rules([a, b])
+        rules = assign_allow_rules([a, b], [(1, 2)])
         assert rules[1] == [netgen.AllowRule(peer=2, port=22)]
         assert rules[2] == [netgen.AllowRule(peer=1, port=22)]
 
     def test_disjoint_services_no_rules(self):
         a = self._subnet(1, [("http", 80)])
         b = self._subnet(2, [("dns", 53)])
-        rules = assign_allow_rules([a, b])
+        rules = assign_allow_rules([a, b], [(1, 2)])
         assert rules[1] == [] and rules[2] == []
+
+    def test_non_adjacent_subnets_get_no_rule(self):
+        # 1 and 3 run identical services but share no firewall
+        a, b, c = (self._subnet(sid, [("http", 80)]) for sid in (1, 2, 3))
+        rules = assign_allow_rules([a, b, c], [(1, 2), (2, 3)])
+        assert rules[1] == [netgen.AllowRule(peer=2, port=None)]
+        assert rules[2] == [netgen.AllowRule(peer=1, port=None),
+                            netgen.AllowRule(peer=3, port=None)]
+        assert rules[3] == [netgen.AllowRule(peer=2, port=None)]
 
 
 class TestAssignCves:
@@ -315,14 +324,29 @@ class TestPortAndCpeTables:
          "records:\n  80:\n    - {service: http, cpe: 'cpe:/a:x:y:1', "
          "probability: 1.0}\n",
          ["CPE reference: records[80][0]", "unknown", "service"]),
+        ("cpe_reference.yaml",
+         "records:\n  80:\n    - {service_name: http, cpe: 'cpe:/a:x:y:1', "
+         "probability: 1.0}\n  80:\n    - {service_name: www, "
+         "cpe: 'cpe:/a:x:z:1', probability: 1.0}\n",
+         ["malformed YAML at line 4, column 3", "duplicate key 80"]),
     ], ids=["string-frequency", "string-port", "stored-bucket", "duplicate-port",
             "empty-table", "frequency-above-one", "integer-flag", "cpe-sum",
-            "misspelt-key"])
+            "misspelt-key", "repeated-port-key"])
     def test_bad_table_fails_at_load(self, monkeypatch, file, text, words):
         with pytest.raises(ReferenceDataError) as exc:
             read_references(monkeypatch, file, text)
         for word in words:
             assert word in str(exc.value)
+
+    def test_quoted_port_key_named_without_the_table(self, monkeypatch):
+        text = netgen._data_text("cpe_reference.yaml")
+        assert "\n  80:\n" in text
+        with pytest.raises(ReferenceDataError) as exc:
+            read_references(monkeypatch, "cpe_reference.yaml",
+                            text.replace("\n  80:\n", "\n  '80':\n"))
+        message = str(exc.value)
+        assert message == "CPE reference: records key '80' (str) must be an integer"
+        assert "service_name" not in message
 
 
 def test_security_product_hosts_get_high_tiers(refs):
