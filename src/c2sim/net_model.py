@@ -23,8 +23,9 @@ import yaml
 from yaml.composer import ComposerError
 from yaml.constructor import ConstructorError
 from yaml.events import (
-    AliasEvent, MappingEndEvent, MappingStartEvent, ScalarEvent,
-    SequenceEndEvent, SequenceStartEvent, StreamEndEvent)
+    AliasEvent, DocumentEndEvent, DocumentStartEvent, MappingEndEvent,
+    MappingStartEvent, ScalarEvent, SequenceEndEvent, SequenceStartEvent,
+    StreamEndEvent, StreamStartEvent)
 from yaml.nodes import ScalarNode
 
 SCHEMA_VERSION = 1
@@ -688,6 +689,7 @@ def firewall_path(t: NetworkTopology, from_subnet: int) -> list[str]:
 
 
 _MAP_TAG, _SEQ_TAG = "tag:yaml.org,2002:map", "tag:yaml.org,2002:seq"
+_MAP_END, _SEQ_END = MappingEndEvent(), SequenceEndEvent()
 
 
 def _anchor(anchors, event, value) -> None:
@@ -947,8 +949,13 @@ def load_topology(yaml_text: str) -> NetworkTopology:
 
 
 def save_topology(t: NetworkTopology) -> str:
-    """Serialize a topology to manifest YAML. load_topology round-trips it."""
-    return yaml.dump(_manifest_doc(t), Dumper=_ManifestDumper, sort_keys=False,
+    """Serialize a topology to manifest YAML. load_topology round-trips it.
+
+    The text is exactly ``yaml.dump(_manifest_doc(t),
+    Dumper=_ManifestDumper, sort_keys=False, allow_unicode=True,
+    width=100)``, emitted from ``_manifest_events`` without the node graph
+    that yaml.dump builds first."""
+    return yaml.emit(_manifest_events(_manifest_doc(t)), Dumper=_ManifestDumper,
                      allow_unicode=True, width=100)
 
 
@@ -971,6 +978,62 @@ def _manifest_doc(t: NetworkTopology) -> dict:
             [list(h.address) for h in t.hosts() if h.is_security_product]
         ),
     }
+
+
+def _manifest_events(doc):
+    """The YAML events that yaml.dump serializes ``doc`` into, as
+    ``save_topology`` calls it; ``doc`` holds dicts, lists and str, int,
+    float, bool or None scalars, and shares no collection, so it needs no
+    anchor. Collections are block style.
+
+    yaml.dump represents every value as a node, then resolves each scalar's
+    text twice to decide whether its tag may stay implicit: for enterprise101
+    that is ~100k nodes and ~175k regex resolutions. Here the dumper's own
+    representer makes a scalar's tag and text once per distinct
+    ``(type, value)``, and the resolution is memoized by text. Both memos
+    are exact: a representer's text depends only on the value, and the safe
+    resolver has no path resolvers. Floats are not memoized, because
+    ``0.0 == -0.0`` and NaN is not equal to itself."""
+    dumper = _ManifestDumper(None)
+    representers, resolve = dumper.yaml_representers, dumper.resolve
+    implicit_by_text = {}
+    scalars = {}  # (type, value) -> ScalarEvent
+
+    def scalar(value):
+        node = representers[type(value)](dumper, value)
+        tag, text = node.tag, node.value
+        if text not in implicit_by_text:
+            implicit_by_text[text] = (resolve(ScalarNode, text, (True, False)),
+                                      resolve(ScalarNode, text, (False, True)))
+        detected, default = implicit_by_text[text]
+        return ScalarEvent(None, tag, (tag == detected, tag == default), text,
+                           style=node.style)
+
+    yield StreamStartEvent()
+    yield DocumentStartEvent()
+    stack = [doc]
+    while stack:
+        item = stack.pop()
+        kind = type(item)
+        if kind is dict:
+            yield MappingStartEvent(None, _MAP_TAG, True, flow_style=False)
+            stack.append(_MAP_END)
+            for key, value in reversed(item.items()):
+                stack += value, key
+        elif kind is list:
+            yield SequenceStartEvent(None, _SEQ_TAG, True, flow_style=False)
+            stack.append(_SEQ_END)
+            stack.extend(reversed(item))
+        elif item is _MAP_END or item is _SEQ_END:
+            yield item
+        elif kind is float:
+            yield scalar(item)
+        else:
+            if (kind, item) not in scalars:
+                scalars[kind, item] = scalar(item)
+            yield scalars[kind, item]
+    yield DocumentEndEvent()
+    yield StreamEndEvent()
 
 
 def _dump_subnet(s: Subnet) -> dict:

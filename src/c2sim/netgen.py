@@ -5,6 +5,7 @@ snapshot keyed by CPE.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Literal
@@ -89,13 +90,14 @@ class PortProbabilityTable:
                 raise ReferenceDataError(f"ports[{i}]: duplicate port {e.port}")
             seen.add(e.port)
 
-    def by_bucket(self) -> dict[str, list[int]]:
+    @functools.cached_property
+    def by_bucket(self) -> dict[str, tuple[int, ...]]:
+        """The ports of each open-frequency bucket, ascending; built once
+        per table, not once per generated host."""
         out: dict[str, list[int]] = {b: [] for b in BUCKETS}
         for e in self.ports:
             out[e.bucket].append(e.port)
-        for ports in out.values():
-            ports.sort()
-        return out
+        return {b: tuple(sorted(ports)) for b, ports in out.items()}
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,7 @@ def assign_ports(rng: np.random.Generator, max_open_ports: int,
     by first sampling a bucket (probability = width of its score range) and
     then picking uniformly inside the bucket, skipping ports already chosen.
     """
-    by_bucket = table.by_bucket()
+    by_bucket = table.by_bucket
     count = int(rng.integers(1, max_open_ports + 1))
     count = min(count, len(table.ports))
     chosen: set[int] = set()

@@ -65,6 +65,11 @@ class PpoConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.horizon % self.num_envs != 0:
             raise ValueError("horizon must be divisible by num_envs")
+        if 0 < self.total_steps < self.horizon:
+            # training runs total_steps // horizon batches: this budget trains nothing
+            raise ValueError(
+                f"total_steps ({self.total_steps}) must be 0 or at least one "
+                f"horizon ({self.horizon})")
         if not all(w > 0 for w in self.hidden):
             raise ValueError(
                 f"hidden must be a list of positive layer widths, got {self.hidden!r}")

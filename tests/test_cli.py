@@ -431,6 +431,8 @@ class TestConfigErrors:
         (PPO_SMALL + "checkpoint_interval: -64\n",
          ["checkpoint_interval must be >= 0"]),
         (PPO_SMALL + "entropy_coef: -1.0\n", ["entropy_coef must be >= 0"]),
+        (PPO_SMALL.replace("total_steps: 512", "total_steps: 100"),
+         ["total_steps (100) must be 0 or at least one horizon (128)"]),
         # gradient clipping, unnormalized advantages and a sparser metric
         # cadence are not options: their keys are unknown like any other
         (PPO_SMALL + "grad_clip: 0.5\n", ["unknown key", "grad_clip"]),
@@ -443,7 +445,8 @@ class TestConfigErrors:
             "string-width", "nan-rate", "nan-stop-reward", "infinite-rate",
             "merge-key", "month-13", "tagged-int", "tagged-float",
             "fraction-only-exponent", "zero-stop-window", "negative-seed",
-            "negative-checkpoint-interval", "negative-entropy-coef", "grad-clip-key",
+            "negative-checkpoint-interval", "negative-entropy-coef",
+            "total-steps-below-horizon", "grad-clip-key",
             "normalize-advantages-key", "eval-interval-key"])
     def test_bad_ppo_config_document(self, tmp_path, capsys, text, words):
         cfg = tmp_path / "ppo.yaml"

@@ -21,6 +21,7 @@ from c2sim.net_model import (
     TopologyError,
     ManifestParseError,
     UnreachableSubnetError,
+    Vulnerability,
     firewall_path,
     load_topology,
     save_topology,
@@ -55,10 +56,66 @@ allow_rules:
 """
 
 
-def reference_dump(t) -> str:
-    """The manifest text as pure-Python yaml.dump writes it."""
-    return yaml.dump(net_model._manifest_doc(t), Dumper=yaml.SafeDumper,
+# A YAML 1.2 float with an exponent but no dot or no exponent sign
+FLOAT_1_2 = re.compile(
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$")
+
+
+class PurePythonManifestDumper(yaml.SafeDumper):
+    """The manifest dumper on PyYAML's pure-Python emitter, which
+    save_topology writes with when PyYAML is built without libyaml."""
+
+
+PurePythonManifestDumper.add_implicit_resolver(
+    "tag:yaml.org,2002:float", FLOAT_1_2, list("-+0123456789."))
+
+
+def reference_dump(t, dumper=net_model._ManifestDumper) -> str:
+    """The manifest text as one yaml.dump call writes it, node graph and
+    all: save_topology must write the same bytes."""
+    return yaml.dump(net_model._manifest_doc(t), Dumper=dumper,
                      sort_keys=False, allow_unicode=True, width=100)
+
+
+def small_generated(refs):
+    return netgen.generate(netgen.GenConfig(
+        total_ips=40, num_subnets=10, min_ips_per_subnet=3,
+        max_ips_per_subnet=6, max_open_ports=4, max_cpes=2, seed=11), refs)
+
+
+def one_subnet(*hosts, fw="fw"):
+    return NetworkTopology(
+        subnets=(Subnet(id=1, hosts=hosts),),
+        firewalls=(Firewall(id=fw, edge=("internet", 1)),),
+        internet_gateway_subnets=frozenset({1}),
+        adjacency=(),
+    )
+
+
+def labelled(name, cpe, fw, cve_id, vector):
+    """One host whose service name, CPE, CVE and firewall id are the given
+    labels."""
+    cve = Vulnerability(cve_id=cve_id, cvss_score=5.0, cvss_vector=vector)
+    return one_subnet(Host(
+        address=(1, 0), os="linux", open_ports=frozenset({80}),
+        services=(ServiceBinding(port=80, service_name=name, cpe=cpe,
+                                 vulnerabilities=(cve,)),),
+    ), fw=fw)
+
+
+# Topologies whose scalars the writer's memos and quoting must get right.
+LABELLED = {
+    # strings that read as floats: `.5` in YAML 1.1 too, the rest only in YAML 1.2
+    "float-like-labels": lambda: labelled("3e-5", "+1E9", "1e3", ".5", "1E3"),
+    # strings that YAML 1.1 reads as booleans or null, and a null value
+    "yaml-1-1-words": lambda: labelled("yes", "off", "null", "~", ""),
+    "unicode-labels": lambda: labelled(
+        "httpd-постфикс", "cpe:/a:пример:web:1", "防火墙-1", "CVE-ñ", "AV:N/É"),
+    # each zero written with its own sign, in either order
+    "signed-zeros": lambda: one_subnet(
+        make_host(1, 0, discovery=0.0, infection=-0.0, cves=(vuln(score=-0.0),)),
+        make_host(1, 1, discovery=-0.0, infection=0.0, cves=(vuln(score=0.0),))),
+}
 
 
 def assert_same_document(ours, ref):
@@ -111,9 +168,7 @@ class ReferenceLoader(yaml.SafeLoader):
 
 
 ReferenceLoader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
-    list("-+0123456789."))
+    "tag:yaml.org,2002:float", FLOAT_1_2, list("-+0123456789."))
 
 
 class PurePythonManifestLoader(ReferenceLoader):
@@ -443,37 +498,22 @@ class TestRoundTrip:
         assert load_topology(save_topology(t)) == t
 
     def test_generated_round_trip(self, refs):
-        cfg = netgen.GenConfig(total_ips=40, num_subnets=10,
-                               min_ips_per_subnet=3, max_ips_per_subnet=6,
-                               max_open_ports=4, max_cpes=2, seed=11)
-        t = netgen.generate(cfg, refs)
+        t = small_generated(refs)
         assert load_topology(save_topology(t)) == t
 
     @pytest.mark.parametrize("network", ["tiny", "generated"])
     def test_libyaml_and_pure_python_yaml_agree(self, network, refs, tiny_inputs):
         """save_topology and load_topology (libyaml when PyYAML has it) give
         exactly what pure-Python yaml.dump and yaml.load give."""
-        if network == "tiny":
-            t = tiny_inputs[0]
-        else:
-            t = netgen.generate(netgen.GenConfig(
-                total_ips=40, num_subnets=10, min_ips_per_subnet=3,
-                max_ips_per_subnet=6, max_open_ports=4, max_cpes=2, seed=11), refs)
+        t = tiny_inputs[0] if network == "tiny" else small_generated(refs)
         text = save_topology(t)
-        assert text == reference_dump(t)
+        assert text == reference_dump(t, PurePythonManifestDumper)
         assert_same_document(yaml.load(text, Loader=net_model._ManifestLoader),
                              yaml.load(text, Loader=yaml.SafeLoader))
         assert load_topology(text) == t
 
     def test_signed_zeros_saved_as_reference_dumper_saves_them(self):
-        hosts = (make_host(1, 0, discovery=0.0, infection=-0.0),
-                 make_host(1, 1, discovery=-0.0, infection=0.0))
-        t = NetworkTopology(
-            subnets=(Subnet(id=1, hosts=hosts),),
-            firewalls=(Firewall(id="fw", edge=("internet", 1)),),
-            internet_gateway_subnets=frozenset({1}),
-            adjacency=(),
-        )
+        t = LABELLED["signed-zeros"]()
         text = save_topology(t)
         assert text == reference_dump(t)
         assert "discovery_value: 0.0" in text and "infection_value: -0.0" in text
@@ -485,30 +525,14 @@ class TestRoundTrip:
 
     def test_float_like_labels_round_trip(self):
         """Strings that read as YAML 1.2 floats are saved quoted."""
-        host = Host(
-            address=(1, 0), os="linux", open_ports=frozenset({80}),
-            services=(ServiceBinding(port=80, service_name="3e-5", cpe="+1E9"),),
-        )
-        t = NetworkTopology(
-            subnets=(Subnet(id=1, hosts=(host,)),),
-            firewalls=(Firewall(id="1e3", edge=("internet", 1)),),
-            internet_gateway_subnets=frozenset({1}),
-            adjacency=(),
-        )
-        assert load_topology(save_topology(t)) == t
+        t = LABELLED["float-like-labels"]()
+        text = save_topology(t)
+        for label in ("'3e-5'", "'+1E9'", "'1e3'", "'.5'", "'1E3'"):
+            assert label in text
+        assert load_topology(text) == t
 
     def test_unicode_labels_round_trip(self):
-        host = Host(
-            address=(1, 0), os="linux", open_ports=frozenset({80}),
-            services=(ServiceBinding(port=80, service_name="httpd-постфикс",
-                                     cpe="cpe:/a:пример:web:1"),),
-        )
-        t = NetworkTopology(
-            subnets=(Subnet(id=1, hosts=(host,)),),
-            firewalls=(Firewall(id="fw", edge=("internet", 1)),),
-            internet_gateway_subnets=frozenset({1}),
-            adjacency=(),
-        )
+        t = LABELLED["unicode-labels"]()
         back = load_topology(save_topology(t))
         assert back == t
         assert back.host((1, 0)).services[0].service_name == "httpd-постфикс"
@@ -522,7 +546,45 @@ class TestRoundTrip:
             max_open_ports=3, max_cpes=2, seed=seed,
         )
         t = netgen.generate(cfg, refs)
-        assert load_topology(save_topology(t)) == t
+        text = save_topology(t)
+        assert text == reference_dump(t)
+        assert load_topology(text) == t
+
+
+class TestManifestWriter:
+    """save_topology writes the bytes of one yaml.dump call with
+    _ManifestDumper, from an event stream instead of a node graph."""
+
+    @staticmethod
+    def network(name, refs, tiny_inputs):
+        if name == "tiny":
+            return tiny_inputs[0]
+        if name == "generated":
+            return small_generated(refs)
+        if name == "enterprise101":
+            return scenarios.enterprise101()[0]
+        return LABELLED[name]()
+
+    @pytest.mark.parametrize("name", ["tiny", "generated", "enterprise101", *LABELLED])
+    def test_same_bytes_as_yaml_dump(self, name, refs, tiny_inputs):
+        t = self.network(name, refs, tiny_inputs)
+        assert save_topology(t) == reference_dump(t)
+
+    @pytest.mark.parametrize("name", ["tiny", "generated", *LABELLED])
+    def test_pure_python_emitter_writes_the_same_bytes(self, name, refs, tiny_inputs):
+        t = self.network(name, refs, tiny_inputs)
+        text = yaml.emit(net_model._manifest_events(net_model._manifest_doc(t)),
+                         Dumper=PurePythonManifestDumper, allow_unicode=True,
+                         width=100)
+        assert text == reference_dump(t, PurePythonManifestDumper)
+
+    def test_no_node_graph(self, monkeypatch, tiny_inputs):
+        def disabled(*args, **kwargs):
+            raise AssertionError("a manifest save built a node graph")
+
+        for name in ("represent", "represent_data", "serialize"):
+            monkeypatch.setattr(net_model._ManifestDumper, name, disabled)
+        assert load_topology(save_topology(tiny_inputs[0])) == tiny_inputs[0]
 
 
 def _fig2_like_topology():

@@ -288,7 +288,7 @@ class TestPortAndCpeTables:
         assert len(refs.ports.ports) == 50
         for e in refs.ports.ports:
             assert e.bucket == bucket_for(e.open_frequency)
-        assert all(refs.ports.by_bucket().values())
+        assert all(refs.ports.by_bucket.values())
 
     @pytest.mark.parametrize("file, text, words", [
         ("port_probabilities.yaml",

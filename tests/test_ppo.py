@@ -67,6 +67,11 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"{name} must be >= 0"):
                 PpoConfig(**{name: -64})
         assert PpoConfig(checkpoint_interval=0, seed=0).checkpoint_interval == 0
+        # a budget of 1..horizon-1 steps would run no batch and train nothing
+        with pytest.raises(ValueError, match=r"total_steps \(4095\).*horizon \(4096\)"):
+            PpoConfig(total_steps=4095)
+        assert PpoConfig(total_steps=0).total_steps == 0
+        assert PpoConfig(total_steps=4096).total_steps == 4096
         assert PpoConfig(entropy_coef=0.0).entropy_coef == 0.0
 
     def test_readme_trainer_table_lists_every_field_and_default(self):
