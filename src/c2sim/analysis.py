@@ -126,7 +126,8 @@ def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[Attack
     traces 0..k-1. Stepping the paths side by side with batched forwards
     would reorder that stream and change the matmul rounding, and with them
     the seeded traces; so each step makes one single-row
-    ``neural.categorical_sample`` call. Its distribution comes from one
+    ``neural.categorical_sample`` call, which bisects the distribution's
+    Python lists with no NumPy call. The distribution comes from one
     single-row ``neural.forward`` and ``neural.categorical``, which run only
     when the observation's bytes differ from the previous step's. Until a
     target is infected, an erroneous action, a failed exploit, a sleep or an
@@ -366,12 +367,37 @@ def _addr_key(addr: tuple[int, int]) -> str:
     return f"{addr[0]},{addr[1]}"
 
 
-# one encoder for every line; each row is built with its keys already in
-# sorted order, so a line equals ``json.dumps(row, sort_keys=True)``
-_encode_line = json.JSONEncoder().encode
+# one encoder for the lines and the fragments that are not made by hand
+_encode = json.JSONEncoder().encode
+_INF = float("inf")
+
+
+def _json_number(x) -> str:
+    """The JSON text of a number, as the encoder writes it: ``repr`` of a
+    finite float or an int; anything else (NaN, an infinity, a bool, a
+    subclass) goes to the encoder."""
+    kind = type(x)
+    if kind is int or kind is float and -_INF < x < _INF:
+        return repr(x)
+    return _encode(x)
 
 
 def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
+    """Write each trace as a trace record line, then one line per step.
+
+    Every line equals ``json.dumps(row, sort_keys=True)`` of its record. A
+    step line is formatted from fragments in sorted key order, with no
+    per-step dict: the JSON text of each string and of each integer-pair
+    target is made once per call, and numbers go through ``_json_number``.
+    """
+    texts: dict = {}  # a string or an integer pair -> its JSON text
+
+    def text(value) -> str:
+        out = texts.get(value)
+        if out is None:
+            out = texts[value] = _encode(value)  # a tuple as a JSON list
+        return out
+
     for i, trace in enumerate(traces):
         meta = {
             "emergencies": trace.emergencies,
@@ -382,22 +408,29 @@ def write_traces_jsonl(traces: list[AttackTrace], fh) -> None:
                 (_addr_key(a), s) for a, s in trace.terminal_status.items())),
             "trace": i,
         }
-        fh.write(_encode_line(meta) + "\n")
+        lines = [_encode(meta), "\n"]
         for s in trace.steps:
-            row = {"action": s.action, "clock": s.clock}
-            if s.n_discovered is not None:
-                row["n_discovered"] = s.n_discovered
-            row["outcome"] = s.outcome
-            if s.rate:
-                row["rate"] = s.rate
-            row["record"] = "step"
-            row["reward"] = s.reward
-            row["step"] = s.step
-            row["target"] = list(s.target) if s.target else None
-            row["trace"] = i
-            if s.vulnerability:
-                row["vulnerability"] = s.vulnerability
-            fh.write(_encode_line(row) + "\n")
+            t = s.target
+            if not t:
+                target = "null"
+            elif (type(t) is tuple and len(t) == 2
+                  and type(t[0]) is int and type(t[1]) is int):
+                # a pair of floats or bools would equal its int pair as a key
+                target = text(t)
+            else:
+                target = _encode(list(t))
+            found = ("" if s.n_discovered is None else
+                     f', "n_discovered": {_json_number(s.n_discovered)}')
+            rate = f', "rate": {text(s.rate)}' if s.rate else ""
+            cve = (f', "vulnerability": {text(s.vulnerability)}'
+                   if s.vulnerability else "")
+            lines.append(
+                f'{{"action": {text(s.action)}, "clock": {_json_number(s.clock)}'
+                f'{found}, "outcome": {text(s.outcome)}{rate}, "record": "step"'
+                f', "reward": {_json_number(s.reward)}'
+                f', "step": {_json_number(s.step)}, "target": {target}'
+                f', "trace": {i}{cve}}}\n')
+        fh.write("".join(lines))
 
 
 def _address_key(key: str, lineno: int) -> tuple[int, int]:
@@ -419,9 +452,18 @@ class _TraceRecord:
     emergencies: int = 0
 
 
+def _check_counters(where: str, **counters) -> None:
+    """Raise TraceFormatError for a counter below zero; None is absent."""
+    for key, value in counters.items():
+        if value is not None and value < 0:
+            raise TraceFormatError(f"{where}: {key} must be >= 0, got {value}")
+
+
 def read_traces_jsonl(fh) -> list[AttackTrace]:
     """Parse traces written by ``write_traces_jsonl``; raises
-    TraceFormatError naming the first line that is not a valid record."""
+    TraceFormatError naming the first line that is not a valid record,
+    such as one with a negative trace index, seed, emergencies, step or
+    n_discovered."""
     traces: dict[int, AttackTrace] = {}
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
@@ -440,12 +482,14 @@ def read_traces_jsonl(fh) -> list[AttackTrace]:
                 raise TraceFormatError(f"{where}: unknown record {record!r}")
             index = build_config(int, row.pop("trace"), TraceFormatError,
                                  f"{where}: trace")
+            _check_counters(where, trace=index)
         except KeyError as exc:
             raise TraceFormatError(f"{where}: missing key {exc}") from None
         if record == "trace":
             if index in traces:
                 raise TraceFormatError(f"{where}: trace {index} is recorded twice")
             meta = build_config(_TraceRecord, row, TraceFormatError, where)
+            _check_counters(where, seed=meta.seed, emergencies=meta.emergencies)
             traces[index] = AttackTrace(
                 seed=meta.seed, emergencies=meta.emergencies,
                 terminal_status={_address_key(key, lineno): status
@@ -455,6 +499,7 @@ def read_traces_jsonl(fh) -> list[AttackTrace]:
             raise TraceFormatError(
                 f"{where}: step of trace {index} comes before its trace record")
         step = build_config(TraceStep, row, TraceFormatError, where)
+        _check_counters(where, step=step.step, n_discovered=step.n_discovered)
         if step.action not in _ACTION_KINDS:
             raise TraceFormatError(f"{where}: unknown action {step.action!r}")
         if step.action != "sleep" and step.target is None:

@@ -7,6 +7,7 @@ autodiff graph, everything is numpy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -242,16 +243,22 @@ def log_softmax(scores: np.ndarray) -> np.ndarray:
 
 
 class Categorical(NamedTuple):
-    """One row's distribution for ``categorical_sample``."""
+    """One row's distribution for ``categorical_sample``, as Python lists:
+    a draw from it then bisects floats, with no NumPy scalar per step."""
 
-    logp: np.ndarray  # log-probabilities
-    cum: np.ndarray   # their running sum, the inverse CDF's table
+    logp: list[float]  # log-probabilities
+    cum: list[float]   # their running sum, the inverse CDF's table
 
 
 def categorical(scores: np.ndarray) -> Categorical:
-    """The distribution softmax(scores) of one row of scores."""
+    """The distribution softmax(scores) of one row of scores.
+
+    The log-softmax and the running sum are computed in NumPy, then handed
+    over as lists (``tolist`` keeps every bit), for a caller that draws
+    from one row many times.
+    """
     logp = log_softmax(np.asarray(scores, dtype=np.float64))
-    return Categorical(logp, np.add.accumulate(np.exp(logp)))
+    return Categorical(logp.tolist(), np.add.accumulate(np.exp(logp)).tolist())
 
 
 def categorical_sample(scores, rng: np.random.Generator):
@@ -259,10 +266,13 @@ def categorical_sample(scores, rng: np.random.Generator):
 
     A single row of scores, or its ``categorical`` distribution, gives
     (index, log-probability) as Python scalars; a caller that draws from
-    one row many times passes the distribution to skip the softmax. A 2-D
-    batch gives (indices, log-probabilities) arrays from one
-    ``rng.random(n)``, which draws the same uniforms, in the same order, as
-    n single-row calls.
+    one row many times passes the distribution to skip the softmax. The
+    draw is ``u = rng.random() * cum[-1]`` and ``bisect_right(cum, u)``,
+    clamped to the last index, in Python floats: the product and the
+    ``<=`` comparisons are those of float64, so the index is that of
+    ``searchsorted(side="right")``. A 2-D batch gives (indices,
+    log-probabilities) arrays from one ``rng.random(n)``, which draws the
+    same uniforms, in the same order, as n single-row calls.
     """
     if type(scores) is not Categorical:
         scores = np.asarray(scores, dtype=np.float64)
@@ -280,6 +290,7 @@ def categorical_sample(scores, rng: np.random.Generator):
             np.minimum(idx, last, out=idx)
             return idx, logp[np.arange(len(idx)), idx]
     logp, cum = scores
-    u = rng.random() * cum[-1]
-    idx = min(int(cum.searchsorted(u, side="right")), len(cum) - 1)
-    return idx, float(logp[idx])
+    idx = bisect_right(cum, rng.random() * cum[-1])
+    if idx == len(cum):  # no entry above u: u == cum[-1], or a NaN row
+        idx -= 1
+    return idx, logp[idx]

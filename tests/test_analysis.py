@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from c2sim import analysis, neural, ppo
 from c2sim.analysis import (
@@ -259,7 +260,113 @@ class TestUploadTiming:
         assert gaps_csv.splitlines()[0] == "trace,gap_s"
 
 
+def reference_trace_lines(traces):
+    """The lines of ``write_traces_jsonl(traces)``, each made as
+    ``json.dumps(row, sort_keys=True)`` of its record's dict."""
+    lines = []
+    for i, trace in enumerate(traces):
+        lines.append(json.dumps({
+            "emergencies": trace.emergencies, "record": "trace",
+            "seed": trace.seed, "trace": i,
+            "terminal_status": {f"{a},{b}": status for (a, b), status
+                                in trace.terminal_status.items()},
+        }, sort_keys=True))
+        for s in trace.steps:
+            row = {"action": s.action, "clock": s.clock, "outcome": s.outcome,
+                   "record": "step", "reward": s.reward, "step": s.step,
+                   "target": list(s.target) if s.target else None, "trace": i}
+            if s.n_discovered is not None:
+                row["n_discovered"] = s.n_discovered
+            if s.rate:
+                row["rate"] = s.rate
+            if s.vulnerability:
+                row["vulnerability"] = s.vulnerability
+            lines.append(json.dumps(row, sort_keys=True))
+    return lines
+
+
+def written(traces) -> str:
+    buf = io.StringIO()
+    write_traces_jsonl(traces, buf)
+    return buf.getvalue()
+
+
+_KINDS = ["subnet_scan", "exploit", "connect", "upload", "sleep"]
+# quotes, backslashes, control and non-ASCII characters, and any text
+_TEXT = st.one_of(
+    st.sampled_from(['"', "\\", 'CVE-"2020"\\1259', "Schwachstelle-ä",
+                     "\u2028", "\x00\x1f", "脆弱性", "😀"]),
+    st.text(max_size=8))
+_INTS = st.integers(min_value=-2**70, max_value=2**70)
+# finite and non-finite floats (-0.0 among them), ints and bools
+_NUMBERS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e300]),
+                     _INTS, st.booleans())
+# small pairs repeat within one call; pairs of floats and bools equal an
+# int pair as dict keys but are written otherwise
+_TARGETS = st.one_of(
+    st.none(), st.just(()),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(*[st.sampled_from([1, 1.0, True, 0, -0.0, False])] * 2),
+    st.lists(st.integers(0, 3), max_size=3))
+_STEPS = st.builds(
+    TraceStep, step=st.one_of(_INTS, st.booleans()), clock=_NUMBERS,
+    action=st.one_of(st.sampled_from(_KINDS), _TEXT), target=_TARGETS,
+    reward=_NUMBERS, outcome=_TEXT,
+    vulnerability=st.one_of(st.none(), st.just(""), _TEXT),
+    rate=st.one_of(st.none(), st.just(""), _TEXT),
+    n_discovered=st.one_of(st.none(), _INTS, st.booleans()))
+_ADDRESSES = st.tuples(st.integers(0, 12), st.integers(0, 12))
+_TRACES = st.lists(st.builds(
+    AttackTrace, seed=_INTS, emergencies=_INTS,
+    steps=st.lists(_STEPS, max_size=6),
+    terminal_status=st.dictionaries(_ADDRESSES, _TEXT, max_size=3)), max_size=3)
+
+# traces the reader accepts: finite float clocks and rewards, counters of
+# at least 0, and an integer-pair target on every step but a sleep
+_READABLE_STEPS = st.builds(
+    TraceStep, step=st.integers(0, 2**70),
+    clock=st.floats(allow_nan=False, allow_infinity=False),
+    action=st.sampled_from(_KINDS),
+    target=st.one_of(st.none(), st.tuples(st.integers(0, 2**40),
+                                          st.integers(0, 9))),
+    reward=st.floats(allow_nan=False, allow_infinity=False), outcome=_TEXT,
+    vulnerability=st.one_of(st.none(), _TEXT),
+    rate=st.one_of(st.none(), _TEXT),
+    n_discovered=st.one_of(st.none(), st.integers(0, 2**70)),
+).filter(lambda s: s.action == "sleep" or s.target is not None)
+_READABLE_TRACES = st.lists(st.builds(
+    AttackTrace, seed=st.integers(0, 2**70), emergencies=st.integers(0, 2**70),
+    steps=st.lists(_READABLE_STEPS, max_size=6),
+    terminal_status=st.dictionaries(_ADDRESSES, _TEXT, max_size=3)), max_size=3)
+
+_EDGE_CASES = [AttackTrace(seed=2**64, emergencies=1, terminal_status={
+    (10, 0): 'say "hi"', (2, 1): "ü"}, steps=[
+        TraceStep(0, 0, "sleep", None, -0.0, "slept"),
+        TraceStep(1, float("nan"), "exploit", (1, 2), float("inf"),
+                  "exploited", vulnerability='CVE-"1"\\2-ö'),
+        TraceStep(2, -float("inf"), "exploit", (1.0, 2), 2**80,
+                  "exploit_failed", vulnerability='CVE-"1"\\2-ö'),
+        TraceStep(3, 1.5, "upload", (True, 2), True, "uploaded", rate=""),
+        TraceStep(4, 1e-7, "subnet_scan", (1, 2), 1, "scanned",
+                  n_discovered=0),
+        TraceStep(5, 2.0, "connect", [1, 2], -0.0, "connected", rate=None),
+    ])]
+
+
 class TestJsonl:
+    @settings(max_examples=150, deadline=None)
+    @given(_TRACES)
+    @example(_EDGE_CASES)
+    def test_lines_equal_json_dumps_property(self, traces):
+        assert written(traces) == "".join(
+            line + "\n" for line in reference_trace_lines(traces))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_READABLE_TRACES)
+    def test_write_read_write_property(self, traces):
+        first = written(traces)
+        assert written(read_traces_jsonl(io.StringIO(first))) == first
+
     def test_round_trip(self, tiny_env):
         actor = neural.init_mlp(np.random.default_rng(0), tiny_env.obs_len,
                                 (8,), tiny_env.n_actions, out_gain=0.0)

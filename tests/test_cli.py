@@ -654,6 +654,10 @@ class TestAnalyze:
         ('{"record": "trace", "trace": 0, "seed": 1, "terminal_status": {}}\n'
          '{"record": "trace", "trace": 0, "seed": 2, "terminal_status": {}}',
          ("line 2", "trace 0", "twice")),
+        ('{"record": "trace", "trace": 0, "seed": -5, "terminal_status": {}}',
+         ("line 1: seed must be >= 0, got -5",)),
+        ('{"record": "trace", "trace": -7, "seed": 1, "terminal_status": {}}',
+         ("line 1: trace must be >= 0, got -7",)),
     ])
     def test_malformed_traces_file(self, tmp_path, capsys, line, words):
         traces_path = tmp_path / "traces.jsonl"
@@ -662,8 +666,8 @@ class TestAnalyze:
                   "--out-dir", str(tmp_path / "out")])
         assert_invalid(rc, capsys, *words)
 
-    # line 1 is the trace record; lines 3 and 5 hold steps 1 and 3, exploits,
-    # and line 10 step 8, an upload
+    # line 1 is the trace record; line 2 holds step 0, a subnet scan, lines 3
+    # and 5 steps 1 and 3, exploits, and line 10 step 8, an upload
     @pytest.mark.parametrize("line, field, value, words", [
         (3, "action", "teleport", ("line 3", "unknown action", "teleport")),
         (3, "target", 5, ("line 3", "target", "pair")),
@@ -681,10 +685,15 @@ class TestAnalyze:
          ("line 1", "terminal_status", "string")),
         (3, "record", "stpe", ("line 3", "unknown record", "'stpe'")),
         (3, "record", "trace", ("line 3", "trace 0", "twice")),
+        (1, "seed", -5, ("line 1: seed must be >= 0, got -5",)),
+        (1, "emergencies", -1, ("line 1: emergencies must be >= 0, got -1",)),
+        (3, "step", -1, ("line 3: step must be >= 0, got -1",)),
+        (2, "n_discovered", -2, ("line 2: n_discovered must be >= 0, got -2",)),
     ], ids=["unknown-action", "scalar-target", "unknown-host", "unknown-rate",
             "unknown-cve", "unknown-cve-step-3", "string-reward", "null-clock",
             "fractional-step", "string-seed", "nan-clock", "string-emergencies",
-            "integer-status", "misspelt-record", "repeated-trace"])
+            "integer-status", "misspelt-record", "repeated-trace", "negative-seed",
+            "negative-emergencies", "negative-step", "negative-n-discovered"])
     def test_corrupt_line_in_pruned_trace(self, tmp_path, capsys, tiny_inputs,
                                           line, field, value, words):
         with open(tmp_path / "good.jsonl", "w") as fh:

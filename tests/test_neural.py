@@ -314,6 +314,50 @@ class TestCategorical:
                 assert type(idx) is int and type(logp) is float
         assert dist_rng.bit_generator.state == row_rng.bit_generator.state
 
+    def test_list_cdf_draw_equals_searchsorted(self):
+        class StubRng:
+            """A generator whose ``random()`` returns the values given."""
+
+            def __init__(self, values):
+                self.values = iter(values)
+
+            def random(self):
+                return next(self.values)
+
+        rows = [
+            np.random.default_rng(5).standard_normal(18) * 3.0,
+            np.array([0.0, -800.0, -800.0, 0.0, -800.0]),   # exp underflows
+            np.array([2.0, -900.0, 1.0, -900.0, -900.0]),   # flat tail
+            np.array([0.0, 0.0, 0.0, 0.0]),
+        ]
+        hits = 0
+        for scores in rows:
+            dist = neural.categorical(scores)
+            cum = np.asarray(dist.cum)
+            logp = log_softmax(scores)
+            assert np.diff(cum).min() >= 0.0
+            # every cum entry as u, the values either side of it, both ends
+            # of [0, 1) and 1.0, at which u is cum[-1] itself
+            us = [0.0, np.nextafter(1.0, 0.0), 1.0,
+                  *np.random.default_rng(0).random(50)]
+            for c in cum:
+                r = float(c / cum[-1])
+                us += [r, np.nextafter(r, 0.0), np.nextafter(r, 1.0)]
+            us = [float(u) for u in us]
+            rng = StubRng(us)
+            for r in us:
+                idx, lp = categorical_sample(dist, rng)
+                u = r * cum[-1]
+                hits += bool(np.any(cum == u))
+                want = min(int(np.searchsorted(cum, u, side="right")),
+                           len(cum) - 1)
+                assert idx == want
+                assert lp.hex() == float(logp[want]).hex()
+                assert type(idx) is int and type(lp) is float
+        assert hits > 0  # some u fell exactly on a cum entry
+        flat = np.asarray(neural.categorical(rows[1]).cum)
+        assert (flat[1:] == flat[:-1]).any()  # a flat run was drawn from
+
     def test_row_gives_python_scalars(self):
         idx, logp = categorical_sample(np.zeros(4), np.random.default_rng(0))
         assert type(idx) is int and type(logp) is float
