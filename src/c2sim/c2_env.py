@@ -254,10 +254,12 @@ class C2Env:
     a step needs from it (scan reveals, firewall paths, the best applicable
     CVSS per host and CVE) is tabulated once, in ``__init__``, so a step
     costs the same at any network size. So is a plan per action: its kind,
-    host row, cost, elapsed time and decay factor. ``step`` reads the plan
-    by index or by the action's value, and builds one for an action outside
-    the space (a replayed exploit naming a CVE its host lacks, a connect to
-    a host that is not sensitive); the plans are not episode state.
+    host row, cost, elapsed time and decay factor, and for an exploit the
+    best applicable CVSS score (None when no vulnerability of that id
+    applies to the host). ``step`` reads the plan by index or by the
+    action's value, and builds one for an action outside the space (a
+    replayed exploit naming a CVE its host lacks, a connect to a host that
+    is not sensitive); the plans are not episode state.
 
     Each instance owns one observation buffer, rewritten in place by every
     ``reset`` and ``step``. The observation they return is a read-only view
@@ -266,9 +268,17 @@ class C2Env:
     infected status has one copy, the buffer's bits: ``state.discovered``
     and ``state.infected`` are float 0.0/1.0 views of them, valid until the
     next ``reset``. ``dynamic_index`` names every slot an episode writes;
-    the rest keep the values set in ``__init__``. A target's status one-hot
-    is rewritten only when stale, judged from the buffer itself, so it adds
-    no episode state beyond ``state``.
+    the rest keep the values set in ``__init__``.
+
+    ``reset`` writes every target's slots to their start values. A step then
+    does per-target work (counter decay, the settled check, the target
+    slots ``encode_observation`` writes) only for the targets that
+    ``state.infected`` marks, read from the buffer on every step. An
+    uninfected target's slots cannot go stale: a connect or upload needs an
+    infected host, so until its infection a target keeps the status,
+    counters and payload that ``reset`` wrote. A target's status one-hot is
+    rewritten only when stale, judged from the buffer itself, so it adds no
+    episode state beyond ``state``.
     """
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
@@ -426,9 +436,18 @@ class C2Env:
         self.live_slots = np.flatnonzero(live)
         self._discovered_bits = template[status + 1:hosts_end:block]
         self._infected_bits = template[status + 3:hosts_end:block]
-        self._target_slots = [(a, self.host_index[a], hosts_end + 8 * k)
-                              for k, a in enumerate(self._sensitive)]
+        # Per target: address, host row, infected bit and first slot.
+        rows = [self.host_index[a] for a in self._sensitive]
+        self._target_slots = [(a, i, i * block + status + 3, hosts_end + 8 * k)
+                              for k, (a, i) in enumerate(zip(self._sensitive, rows))]
+        # Every target's slots at reset: not connected, full payload.
+        fresh = _STATUS_ONE_HOT[NOT_CONNECTED] + (0.0, 1.0, 0.0, 0.0, 0.0)
+        self._targets_start = hosts_end
+        self._fresh_targets = np.array(fresh * len(self._sensitive))
         self._obs = template
+        # The same buffer, read and written a slot at a time as Python
+        # floats, which costs about half of numpy's scalar indexing.
+        self._cells = memoryview(template)
         self._obs_readonly = template.view()
         self._obs_readonly.flags.writeable = False
 
@@ -443,6 +462,7 @@ class C2Env:
         discovered[:] = infected[:] = 0.0
         foothold = self.host_index[self.scenario.initial_foothold]
         discovered[foothold] = infected[foothold] = 1.0
+        self._obs[self._targets_start:] = self._fresh_targets
         self.state = EnvState(
             discovered=discovered,
             infected=infected,
@@ -470,27 +490,50 @@ class C2Env:
         outside the topology or an upload rate the scenario lacks raises
         ValueError, and anything that is neither an index nor an action (a
         bool included) raises TypeError, before the episode changes.
+
+        The step rewrites the status bits its scan or exploit changes and,
+        through ``encode_observation``, the slots of each infected target;
+        an uninfected target's slots still hold what ``reset`` wrote.
         """
-        if self.state is None or self._done:
+        if self._done:  # also before the first reset
             raise EpisodeDoneError("step() after episode end; call reset()")
-        if isinstance(action, (int, np.integer)) and not isinstance(action, bool):
+        if type(action) is int or (isinstance(action, (int, np.integer))
+                                   and not isinstance(action, bool)):
             if not 0 <= action < self.n_actions:
                 raise ValueError(
                     f"action index {action} outside [0, {self.n_actions})")
             plan = self._plans[action]
         else:
             plan = self._plan_of.get(action) or self._plan(action)
-        action, kind, host, row, reward, elapsed, decay = plan
+        action, kind, host, row, reward, elapsed, decay, cvss = plan
 
         st = self.state
-        valid = self._is_valid(kind, host, row)
+        infected, targets = st.infected, st.targets
+        if kind == "exploit":
+            valid = bool(st.discovered[row])
+        elif kind == "sleep":
+            valid = True
+        elif kind == "subnet_scan":
+            valid = bool(infected[row])
+        else:
+            ts = targets.get(host)
+            if ts is None:
+                valid = False
+            elif kind == "connect":
+                valid = bool(infected[row]) and ts.connection_status != ISOLATED
+            else:
+                valid = ts.connection_status == CONNECTED and ts.payload_remaining > 0
         if not valid:
             elapsed, decay = self._erroneous
         st.clock += elapsed
-        for ts in st.targets.values():
-            ts.cum_connect_attempts *= decay
-            ts.cum_upload_time *= decay
-            ts.cum_upload_volume *= decay
+        # An uninfected target's counters are still reset's zeros.
+        cells = self._cells
+        for addr, _, bit, _ in self._target_slots:
+            if cells[bit]:
+                ts = targets[addr]
+                ts.cum_connect_attempts *= decay
+                ts.cum_upload_time *= decay
+                ts.cum_upload_volume *= decay
         if st.clock >= st.fw_next_due:
             self._scheduled_updates()
 
@@ -506,7 +549,7 @@ class C2Env:
         if kind == "exploit":
             info["cve"] = action.cve_id
             if valid:
-                success, gained = self._do_exploit(host, row, action.cve_id)
+                success, gained = self._do_exploit(host, row, cvss)
                 reward += gained
                 info["outcome"] = "exploited" if success else "exploit_failed"
         elif kind == "upload":
@@ -537,7 +580,11 @@ class C2Env:
 
         st.step_count += 1
         settled = True
-        for ts in st.targets.values():
+        for addr, _, bit, _ in self._target_slots:
+            if not cells[bit]:  # its payload is all there, its channel unused
+                settled = False
+                break
+            ts = targets[addr]
             if ts.payload_remaining > 0 and ts.connection_status != ISOLATED:
                 settled = False
                 break
@@ -558,9 +605,10 @@ class C2Env:
     # -- action semantics ---------------------------------------------------
 
     def _plan(self, action: Action) -> tuple:
-        """(action, kind, host, host row, base reward, elapsed, decay) for a
-        valid step of ``action``: the reward is ``-action_cost``, and the
-        decay is ``apply_decay(1.0, elapsed, decay_factor)``."""
+        """(action, kind, host, host row, base reward, elapsed, decay, cvss)
+        for a valid step of ``action``: the reward is ``-action_cost``, the
+        decay is ``apply_decay(1.0, elapsed, decay_factor)``, and the cvss
+        is an exploit's ``_exploit_cvss`` entry (None for any other kind)."""
         if not isinstance(action, Action):
             raise TypeError(f"not an action or action index: {action!r}")
         kind = action.kind
@@ -573,23 +621,10 @@ class C2Env:
             raise ValueError(f"upload rate {action.rate!r} is not one of "
                              f"{sorted(self.scenario.upload_rates)}")
         elapsed = self.scenario.action_times.of(action)
+        cvss = (self._exploit_cvss.get((host, action.cve_id))
+                if kind == "exploit" else None)
         return (action, kind, host, row, -action_cost(action, self._hosts.get(host)),
-                elapsed, apply_decay(1.0, elapsed, self.scenario.decay_factor))
-
-    def _is_valid(self, kind: str, host: Address | None, row: int) -> bool:
-        st = self.state
-        if kind == "exploit":
-            return bool(st.discovered[row])
-        if kind == "subnet_scan":
-            return bool(st.infected[row])
-        if kind == "sleep":
-            return True
-        ts = st.targets.get(host)
-        if kind == "connect":
-            return (ts is not None and bool(st.infected[row])
-                    and ts.connection_status != ISOLATED)
-        return (ts is not None and ts.connection_status == CONNECTED
-                and ts.payload_remaining > 0)
+                elapsed, apply_decay(1.0, elapsed, self.scenario.decay_factor), cvss)
 
     def _scheduled_updates(self) -> None:
         """Apply every update due by now; called once the clock reaches
@@ -615,9 +650,9 @@ class C2Env:
             gained += value
         return sorted(self._addresses[i] for i in newly.tolist()), gained
 
-    def _do_exploit(self, target: Address, i: int, cve_id: str) -> tuple[bool, float]:
+    def _do_exploit(self, target: Address, i: int,
+                    best: float | None) -> tuple[bool, float]:
         st = self.state
-        best = self._exploit_cvss.get((target, cve_id))
         success = best is not None
         if success and self.scenario.cvss_scaled_exploits:
             success = self._rng.random() < best / 10.0
@@ -735,31 +770,36 @@ class C2Env:
         return "incomplete"
 
     def encode_observation(self) -> np.ndarray:
-        """Write the sensitive hosts' slots into this env's observation
-        buffer; the host status bits are already current, written where
-        the state changes.
+        """Write the infected sensitive hosts' slots into this env's
+        observation buffer; the host status bits are already current,
+        written where the state changes.
 
-        Each target's five per-step slots (time since infection, payload
-        fraction, the three decayed counters) are written every call. Its
-        status one-hot is rewritten only when stale, that is when the
-        buffer's slot for the current ``connection_status`` is not 1.0: the
-        buffer is its own cache, and the env keeps no other state for it.
+        Each target that ``state.infected`` marks gets its five per-step
+        slots (time since infection, payload fraction, the three decayed
+        counters) written every call. Its status one-hot is rewritten only
+        when stale, that is when the buffer's slot for the current
+        ``connection_status`` is not 1.0: the buffer is its own cache, and
+        the env keeps no other state for it. An uninfected target is
+        skipped: its slots hold the start values ``reset`` wrote, which no
+        step can change before the target is infected.
 
         Returns a read-only view of the buffer, valid until this env's next
         ``reset`` or ``step``; copy it to keep it.
         """
         st = self.state
-        obs = self._obs
+        obs, cells = self._obs, self._cells
         payload = self.scenario.payload_size_mb
-        for addr, i, off in self._target_slots:
+        for addr, i, bit, off in self._target_slots:
+            if not cells[bit]:
+                continue
             ts = st.targets[addr]
             status = ts.connection_status
-            if obs[off + _STATUS_SLOT[status]] != 1.0:
+            if cells[off + _STATUS_SLOT[status]] != 1.0:
                 obs[off:off + 3] = _STATUS_ONE_HOT[status]
-            obs[off + 3] = ((st.clock - st.infection_time[i]) * INFECTION_TIME_SCALE
-                            if st.infected[i] else 0.0)
-            obs[off + 4] = ts.payload_remaining / payload
-            obs[off + 5] = ts.cum_connect_attempts
-            obs[off + 6] = ts.cum_upload_time * UPLOAD_TIME_SCALE
-            obs[off + 7] = ts.cum_upload_volume * UPLOAD_VOLUME_SCALE
+            since = st.clock - st.infection_time.item(i)
+            cells[off + 3] = since * INFECTION_TIME_SCALE
+            cells[off + 4] = ts.payload_remaining / payload
+            cells[off + 5] = ts.cum_connect_attempts
+            cells[off + 6] = ts.cum_upload_time * UPLOAD_TIME_SCALE
+            cells[off + 7] = ts.cum_upload_volume * UPLOAD_VOLUME_SCALE
         return self._obs_readonly

@@ -602,6 +602,32 @@ class TestEmergencyWindows:
             outcomes.append(info["emergency"])
         assert outcomes == [False] * 24 + [True]
 
+    def test_counters_decay_between_uploads_and_isolation_ends_the_episode(self):
+        # the target is infected and connected by direct writes, so a step
+        # finds it through ``state.infected`` alone
+        env = self._uploader()
+        ts = env.state.targets[(2, 0)]
+        d = env.scenario.decay_factor
+        times = env.scenario.action_times
+        volume = upload_time = 0.0
+        for k in range(20):
+            _, _, done, info = env.step(Upload((2, 0), "fast"))
+            volume = apply_decay(volume, times.upload, d) + info["mb"]
+            upload_time = apply_decay(upload_time, times.upload, d) + times.upload
+            assert (ts.cum_upload_volume, ts.cum_upload_time) == (volume, upload_time)
+            if info["emergency"]:
+                break
+            assert not done
+            if k < 3:  # spread the first uploads out, then upload back to back
+                env.step(Sleep())
+                volume = apply_decay(volume, times.sleep, d)
+                upload_time = apply_decay(upload_time, times.sleep, d)
+                assert (ts.cum_upload_volume, ts.cum_upload_time) == (
+                    volume, upload_time)
+        assert info["emergency"] and ts.connection_status == ISOLATED
+        assert ts.payload_remaining > 0.0
+        assert done and env.done  # its only target is isolated
+
     def test_emergency_penalty_forfeits_accumulated_rewards(self, chain3):
         topology, scenario = chain3
         env = C2Env(topology,
@@ -840,6 +866,20 @@ class TestObservation:
         obs = env.encode_observation()
         assert np.array_equal(obs, oracles.reference_observation(env))
         assert obs[env.dynamic_index[env.host_index[(3, 0)]]] == 1.0
+
+    def test_direct_infection_mid_episode_shows_in_the_next_step(self, chain3):
+        # a step rewrites the slots of the targets ``state.infected`` marks,
+        # so a target infected by a direct write, after the clock has moved,
+        # shows its hours since infection in the next step's observation
+        env = env_of(chain3)
+        env.reset(seed=0)
+        for _ in range(3):
+            env.step(Sleep())
+        infect(env, (3, 0), at=env.state.clock)
+        obs, _, _, _ = env.step(Sleep())
+        assert np.array_equal(obs, oracles.reference_observation(env))
+        off = env.dynamic_index[2 * len(env.topology.hosts())]  # the one target
+        assert obs[off + 3] == pytest.approx(env.scenario.action_times.sleep / 3600.0)
 
     @pytest.mark.parametrize("network", ["chain3", "tiny"])
     def test_matches_reference_encoder_on_random_walks(self, network, request):
@@ -1136,7 +1176,7 @@ class TestPrecomputedTables:
         for action, plan in zip(env.actions, env._plans):
             target = getattr(action, "host", None)
             host = topology.host(target) if target else None
-            _, kind, plan_host, row, reward, elapsed, decay = plan
+            _, kind, plan_host, row, reward, elapsed, decay, cvss = plan
             assert env._plan_of[action] is plan
             assert (kind, plan_host) == (action.kind, target)
             assert row == env.host_index.get(target, -1)
@@ -1151,6 +1191,10 @@ class TestPrecomputedTables:
                 assert (key in env._exploit_cvss) == bool(applicable), action
                 if applicable:
                     assert env._exploit_cvss[key] == max(applicable), action
+                # the step reads the CVSS from the plan, not the table
+                assert cvss == env._exploit_cvss.get(key), action
+            else:
+                assert cvss is None, action
         assert len(env._exploit_cvss) <= exploits
         elapsed, decay = env._erroneous
         assert elapsed == env.scenario.action_times.erroneous
