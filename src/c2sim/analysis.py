@@ -159,33 +159,39 @@ def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[Attack
     return traces
 
 
-def _check_replayable(env: C2Env, actions: list) -> None:
-    """Raise TraceReplayError if ``env`` cannot take an action: ``C2Env``'s
-    own check (a host outside the topology, an upload rate the scenario
-    lacks) or a CVE no host in the topology has. A known CVE aimed at a
-    host without it is a failed exploit, not an error."""
+def _check_replayable(env: C2Env, actions: list) -> list:
+    """``actions`` (actions or their indices) with each action in
+    ``env.actions`` mapped to its index. Raises TraceReplayError naming the
+    step of an index out of range or of an action ``env`` cannot take:
+    ``C2Env``'s own check (a host outside the topology, an upload rate the
+    scenario lacks) or a CVE no host in the topology has. A known CVE aimed
+    at a host without it is a failed exploit, not an error."""
+    index, n, out = env.action_index, env.n_actions, []
     for idx, action in enumerate(actions):
-        try:
-            env.check_action(action)
-        except ValueError as exc:
-            raise TraceReplayError(f"step {idx}: {exc}") from None
-        if isinstance(action, Exploit) and action.cve_id not in env.cve_ids:
-            raise TraceReplayError(
-                f"step {idx}: exploit names {action.cve_id}, which no host in "
-                f"the topology has")
+        if type(action) is int or isinstance(action, np.integer):
+            if not 0 <= action < n:
+                raise TraceReplayError(f"step {idx}: action index {action} outside [0, {n})")
+        elif action in index:
+            action = index[action]
+        else:
+            try:
+                env.check_action(action)
+            except ValueError as exc:
+                raise TraceReplayError(f"step {idx}: {exc}") from None
+            if isinstance(action, Exploit) and action.cve_id not in env.cve_ids:
+                raise TraceReplayError(
+                    f"step {idx}: exploit names {action.cve_id}, which no host in "
+                    f"the topology has")
+        out.append(action)
+    return out
 
 
-def replay_trace(env: C2Env, seed: int, actions: list, *,
-                 checked: bool = False) -> AttackTrace:
+def replay_trace(env: C2Env, seed: int, actions: list) -> AttackTrace:
     """Re-run a recorded action sequence on a fresh episode; raises
-    TraceReplayError on an action ``env`` cannot take.
-
-    ``checked=True`` skips that check, for actions the caller has already
-    checked: ``prune_trace`` checks a trace once, then replays it ~100
-    times with steps left out.
-    """
-    if not checked:
-        _check_replayable(env, actions)
+    TraceReplayError on an action ``env`` cannot take. ``actions`` holds
+    actions or their indices, as ``C2Env.step`` takes them; an action in
+    the space is stepped by its index."""
+    actions = _check_replayable(env, actions)
     env.reset(seed=seed)
     trace = AttackTrace(seed=seed)
     for idx, action in enumerate(actions):
@@ -221,37 +227,41 @@ def prune_trace(env: C2Env, trace: AttackTrace) -> AttackTrace:
     on already connected hosts, erroneous actions, and sleeps. A candidate is
     removed only if replaying the shortened sequence still reaches the
     original terminal statuses, so sleeps needed for window or attempt
-    compliance survive. Raises PruneDivergenceError if the final pruned
-    sequence fails verification.
+    compliance survive. The actions are mapped to indices once, and each
+    probe replays indices. The last kept probe is the replay of the pruned
+    sequence, so it gives the next pass its outcomes and is the result; a
+    prune that removed nothing replays once more, and raises
+    PruneDivergenceError if that fails verification.
     """
     original_status = dict(trace.terminal_status)
     steps = list(trace.steps)
-    actions = [s.to_action() for s in steps]
-    # checked once up front, so that an error names the trace's own step
-    _check_replayable(env, actions)
+    # mapped once, so that an error names the trace's own step
+    actions = _check_replayable(env, [s.to_action() for s in steps])
+    result = None  # the last kept probe, which is the replay of ``actions``
     changed = True
     while changed:
         changed = False
         for i in range(len(steps) - 1, -1, -1):
             if not _removable(steps, i):
                 continue
-            candidate = actions[:i] + actions[i + 1:]
-            probe = replay_trace(env, trace.seed, candidate, checked=True)
+            probe = replay_trace(env, trace.seed, actions[:i] + actions[i + 1:])
             if probe.terminal_status == original_status:
                 del steps[i]
                 del actions[i]
+                result = probe
                 changed = True
         if changed:
-            # refresh outcomes so later passes judge the shortened sequence
-            steps = replay_trace(env, trace.seed, actions, checked=True).steps
-            actions = [s.to_action() for s in steps]
+            # later passes judge the shortened sequence by its own outcomes
+            steps = list(result.steps)
+            del actions[len(steps):]  # the steps after the episode ended
 
-    result = replay_trace(env, trace.seed, actions, checked=True)
-    if result.terminal_status != original_status:
-        raise PruneDivergenceError(
-            f"pruned trace reaches {result.terminal_status}, "
-            f"original was {original_status}"
-        )
+    if result is None:  # nothing was removed; verify the sequence as it is
+        result = replay_trace(env, trace.seed, actions)
+        if result.terminal_status != original_status:
+            raise PruneDivergenceError(
+                f"pruned trace reaches {result.terminal_status}, "
+                f"original was {original_status}"
+            )
     return result
 
 

@@ -256,10 +256,10 @@ class C2Env:
     costs the same at any network size. So is a plan per action: its kind,
     host row, cost, elapsed time and decay factor, and for an exploit the
     best applicable CVSS score (None when no vulnerability of that id
-    applies to the host). ``step`` reads the plan by index or by the
-    action's value, and builds one for an action outside the space (a
-    replayed exploit naming a CVE its host lacks, a connect to a host that
-    is not sensitive); the plans are not episode state.
+    applies to the host). ``step`` reads the plan by index or, through
+    ``action_index``, by the action's value, and builds one for an action
+    outside the space (a replayed exploit naming a CVE its host lacks, a
+    connect to a host that is not sensitive); the plans are not episode state.
 
     Each instance owns one observation buffer, rewritten in place by every
     ``reset`` and ``step``. The observation they return is a read-only view
@@ -288,6 +288,7 @@ class C2Env:
 
         self.actions = build_action_space(topology, scenario)
         self.n_actions = len(self.actions)
+        self.action_index = {a: i for i, a in enumerate(self.actions)}
         hosts = topology.hosts()
         self._hosts = {h.address: h for h in hosts}
         self._addresses = [h.address for h in hosts]
@@ -298,10 +299,9 @@ class C2Env:
 
         self._build_tables()
         self._build_obs_layout()
-        # What a step needs of each action, looked up by index or by value;
-        # an action outside the space gets its plan from ``_plan`` per step.
+        # What a step needs of each action, by index; an action outside the
+        # space gets its plan from ``_plan`` per step.
         self._plans = [self._plan(a) for a in self.actions]
-        self._plan_of = {plan[0]: plan for plan in self._plans}
         erroneous = scenario.action_times.erroneous
         self._erroneous = (erroneous,
                            apply_decay(1.0, erroneous, scenario.decay_factor))
@@ -504,7 +504,8 @@ class C2Env:
                     f"action index {action} outside [0, {self.n_actions})")
             plan = self._plans[action]
         else:
-            plan = self._plan_of.get(action) or self._plan(action)
+            i = self.action_index.get(action)
+            plan = self._plan(action) if i is None else self._plans[i]
         action, kind, host, row, reward, elapsed, decay, cvss = plan
 
         st = self.state
@@ -599,7 +600,7 @@ class C2Env:
         """Raise as ``step(action)`` would for an action this env cannot
         take: ValueError for a host outside the topology or an upload rate
         the scenario lacks, TypeError for anything that is not an action."""
-        if action not in self._plan_of:
+        if action not in self.action_index:
             self._plan(action)
 
     # -- action semantics ---------------------------------------------------
@@ -627,14 +628,15 @@ class C2Env:
                 elapsed, apply_decay(1.0, elapsed, self.scenario.decay_factor), cvss)
 
     def _scheduled_updates(self) -> None:
-        """Apply every update due by now; called once the clock reaches
-        ``fw_next_due``."""
+        """Apply every update due by now, each firewall jumping all the
+        periods it missed at once, so no clock jump makes a step loop;
+        called once the clock reaches ``fw_next_due``."""
         st = self.state
-        last, nxt = st.fw_last_update, st.fw_next_update
+        clock, last, nxt = st.clock, st.fw_last_update, st.fw_next_update
         for j, period in enumerate(self._fw_periods):
-            while nxt[j] <= st.clock:
-                last[j] = nxt[j]
-                nxt[j] += period
+            if nxt[j] <= clock:
+                last[j] = nxt[j] + (clock - nxt[j]) // period * period
+                nxt[j] = last[j] + period
         st.fw_next_due = min(nxt)
 
     def _do_subnet_scan(self, origin: Address) -> tuple[list[Address], float]:

@@ -16,7 +16,7 @@ import types
 import typing
 from collections import deque
 from dataclasses import (
-    MISSING, asdict, dataclass, field, fields, is_dataclass, replace)
+    MISSING, dataclass, field, fields, is_dataclass, replace)
 from typing import Literal
 
 import yaml
@@ -315,9 +315,9 @@ class ServiceBinding:
     port: int
     service_name: str = field(metadata={"key": "name"})
     cpe: str = ""
+    defense_tier: str = "low"
     vulnerabilities: tuple[Vulnerability, ...] = field(
         default=(), metadata={"key": "cves"})
-    defense_tier: str = "low"
 
     def __post_init__(self) -> None:
         if self.defense_tier not in DEFENSE_TIERS:
@@ -873,9 +873,9 @@ class _HostEntry:
     local_id: int
     os: str
     open_ports: tuple[int, ...] = ()
-    services: tuple[ServiceBinding, ...] = ()
     discovery_value: float = 1000.0
     infection_value: float = 1000.0
+    services: tuple[ServiceBinding, ...] = ()
 
 
 @dataclass(slots=True)
@@ -949,7 +949,8 @@ def load_topology(yaml_text: str) -> NetworkTopology:
 
 
 def save_topology(t: NetworkTopology) -> str:
-    """Serialize a topology to manifest YAML. load_topology round-trips it.
+    """Serialize a topology to manifest YAML, built from the types that
+    load_topology reads (``_manifest_doc``). load_topology round-trips it.
 
     The text is exactly ``yaml.dump(_manifest_doc(t),
     Dumper=_ManifestDumper, sort_keys=False, allow_unicode=True,
@@ -960,24 +961,44 @@ def save_topology(t: NetworkTopology) -> str:
 
 
 def _manifest_doc(t: NetworkTopology) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "subnets": [_dump_subnet(s) for s in sorted(t.subnets, key=lambda s: s.id)],
-        "adjacency": sorted([list(e) for e in (sorted(e) for e in t.adjacency)]),
-        "internet_gateways": sorted(t.internet_gateway_subnets),
-        "firewalls": [_dump_firewall(fw) for fw in sorted(t.firewalls, key=lambda f: f.id)],
-        "allow_rules": [
-            {"subnet": s.id, "peer": r.peer, "port": "all" if r.port is None else r.port}
-            for s in sorted(t.subnets, key=lambda s: s.id)
-            for r in sorted(s.allow_rules, key=lambda r: (r.peer, r.port or -1))
-        ],
-        "sensitive_hosts": sorted(
-            [list(h.address) for h in t.hosts() if h.is_sensitive]
-        ),
-        "security_products": sorted(
-            [list(h.address) for h in t.hosts() if h.is_security_product]
-        ),
-    }
+    """``t`` as the ``_Manifest`` that load_topology reads, made into plain
+    dicts and lists by ``_document``. ``t``'s tuples are in canonical order
+    already; only its sets are sorted here."""
+    hosts = t.hosts()
+    return _document(_Manifest(
+        schema_version=SCHEMA_VERSION,
+        subnets=tuple(_SubnetEntry(s.id, tuple(
+            _HostEntry(h.local_id, h.os, tuple(sorted(h.open_ports)),
+                       h.discovery_value, h.infection_value, h.services)
+            for h in s.hosts)) for s in t.subnets),
+        adjacency=t.adjacency,
+        internet_gateways=tuple(sorted(t.internet_gateway_subnets)),
+        firewalls=t.firewalls,
+        allow_rules=tuple(_RuleEntry(s.id, r.peer, "all" if r.port is None else r.port)
+                          for s in t.subnets for r in s.allow_rules),
+        sensitive_hosts=tuple(h.address for h in hosts if h.is_sensitive),
+        security_products=tuple(h.address for h in hosts if h.is_security_product)))
+
+
+_SCALARS = frozenset({int, float, str, bool, _NONE})
+
+
+@functools.cache
+def _document_keys(cls) -> tuple:
+    """(document key, attribute) per field of a dataclass, in field order."""
+    return tuple((f.metadata.get("key", f.name), f.name) for f in fields(cls))
+
+
+def _document(value):
+    """``value`` as the document ``build_config`` reads back into it: a
+    scalar as it is, a tuple as a list, and a dataclass as a mapping of its
+    fields' document keys in field order."""
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is tuple:
+        return [_document(v) for v in value]
+    return {key: _document(getattr(value, name)) for key, name in _document_keys(kind)}
 
 
 def _manifest_events(doc):
@@ -1034,46 +1055,3 @@ def _manifest_events(doc):
             yield scalars[kind, item]
     yield DocumentEndEvent()
     yield StreamEndEvent()
-
-
-def _dump_subnet(s: Subnet) -> dict:
-    return {
-        "id": s.id,
-        "hosts": [
-            {
-                "local_id": h.local_id,
-                "os": h.os,
-                "open_ports": sorted(h.open_ports),
-                "discovery_value": h.discovery_value,
-                "infection_value": h.infection_value,
-                "services": [
-                    {
-                        "port": b.port,
-                        "name": b.service_name,
-                        "cpe": b.cpe,
-                        "defense_tier": b.defense_tier,
-                        "cves": [
-                            {
-                                "id": v.cve_id,
-                                "cvss_score": v.cvss_score,
-                                "cvss_vector": v.cvss_vector,
-                                "required_service": v.required_service,
-                                "required_os": v.required_os,
-                            }
-                            for v in b.vulnerabilities
-                        ],
-                    }
-                    for b in sorted(h.services, key=lambda b: b.port)
-                ],
-            }
-            for h in sorted(s.hosts, key=lambda h: h.local_id)
-        ],
-    }
-
-
-def _dump_firewall(fw: Firewall) -> dict:
-    return {
-        "id": fw.id,
-        "edge": [fw.edge[0], fw.edge[1]],
-        "params": asdict(fw.params),
-    }

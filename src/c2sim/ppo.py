@@ -578,10 +578,12 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
         out_path.mkdir(parents=True, exist_ok=True)
 
     def checkpoint(name: str) -> str | None:
+        """Write ``work`` back into ``params`` at full width, then save it
+        as ``name`` under ``out_dir``, if set; returns the path."""
+        _expand_policy(work, params, live)
         if out_path is None:
             return None
         path = out_path / name
-        _expand_policy(work, params, live)
         save_policy(path, params, meta={
             "env_steps": total_steps, "episodes": episodes,
             "gradient_updates": updates, "seed": cfg.seed,
@@ -628,7 +630,6 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
             break
 
     checkpoint("checkpoint_final.npz")
-    _expand_policy(work, params, live)
     if out_path is not None:
         (out_path / "metrics.csv").write_text(format_metrics_csv(metrics))
     return TrainResult(

@@ -119,6 +119,25 @@ class TestReplay:
         assert a.total_reward == b.total_reward
         assert a.classification() == "complete"
 
+    def test_replay_by_index_equals_replay_by_value(self, tiny_env):
+        seed = lucky_seed(tiny_env)
+        noise = Exploit((3, 0), "CVE-2020-1259")  # a CVE its host lacks
+        assert noise not in tiny_env.action_index
+        actions = OPTIMAL_PREFIX + [noise, Sleep()] + OPTIMAL_UPLOADS
+        mixed = [a if a == noise else tiny_env.action_index[a] for a in actions]
+        by_value = replay_trace(tiny_env, seed, actions)
+        assert replay_trace(tiny_env, seed, mixed) == by_value
+        assert by_value.steps[7].outcome == "exploit_failed"
+        assert by_value.classification() == "complete"
+
+    @pytest.mark.parametrize("bad", [-1, "n_actions"])
+    def test_index_outside_the_space_names_its_step(self, tiny_env, bad):
+        n = tiny_env.n_actions
+        bad = n if bad == "n_actions" else bad
+        with pytest.raises(analysis.TraceReplayError,
+                           match=rf"^step 2: action index {bad} outside \[0, {n}\)$"):
+            replay_trace(tiny_env, 0, [Sleep(), 0, bad])
+
 
 class TestPrune:
     def test_duplicate_connect_removed(self, tiny_env):

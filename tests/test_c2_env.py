@@ -1177,7 +1177,7 @@ class TestPrecomputedTables:
             target = getattr(action, "host", None)
             host = topology.host(target) if target else None
             _, kind, plan_host, row, reward, elapsed, decay, cvss = plan
-            assert env._plan_of[action] is plan
+            assert env._plans[env.action_index[action]] is plan
             assert (kind, plan_host) == (action.kind, target)
             assert row == env.host_index.get(target, -1)
             assert reward == -action_cost(action, host), action

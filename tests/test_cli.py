@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import signal
 import zipfile
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ seed: 4
 """
 
 DATA = resources.files("c2sim") / "data"
+TRACES_FIXTURE = Path(__file__).parent / "data" / "traces.jsonl"
 
 SCENARIO = "initial_foothold: [1, 0]\nsensitive_hosts: [[1, 0]]\n"
 
@@ -712,3 +715,57 @@ class TestAnalyze:
         rc = run(["analyze", "--traces", str(tmp_path / "missing.jsonl"),
                   "--out-dir", str(tmp_path / "out")])
         assert rc == cli.EXIT_IO
+
+
+class _Overrun(Exception):
+    """A run went past its wall-clock budget."""
+
+
+def run_within(seconds, argv):
+    """``run(argv)``, interrupted with _Overrun if it takes longer than
+    ``seconds`` of wall-clock time."""
+    def overrun(signum, frame):
+        raise _Overrun(f"c2sim {argv[0]} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNoValueHangsAStep:
+    """Values that load-time checks accept cannot hang a step: a firewall
+    jumps all the update periods a step carries it past at once. Pruning
+    the committed traces under these values ends with exit 0, or 3 when
+    the shortened trace no longer verifies."""
+
+    def analyze(self, tmp_path, scenario, topology):
+        (tmp_path / "scenario.yaml").write_text(yaml.safe_dump(scenario))
+        (tmp_path / "net.yaml").write_text(yaml.safe_dump(topology))
+        return run_within(10, [
+            "analyze", "--traces", str(TRACES_FIXTURE), "--prune",
+            "--scenario", str(tmp_path / "scenario.yaml"),
+            "--topology", str(tmp_path / "net.yaml"),
+            "--out-dir", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("kind", ["subnet_scan", "exploit", "connect",
+                                      "upload", "sleep", "erroneous"])
+    def test_huge_action_time(self, tmp_path, kind):
+        scenario = yaml.safe_load((DATA / "scenarios" / "tiny.yaml").read_text())
+        scenario["action_times"][kind] = 1e30
+        topology = yaml.safe_load((DATA / "scenarios" / "tiny_topology.yaml").read_text())
+        rc = self.analyze(tmp_path, scenario, topology)
+        assert rc in (cli.EXIT_OK, cli.EXIT_INVALID)
+
+    def test_tiny_update_period(self, tmp_path):
+        scenario = yaml.safe_load((DATA / "scenarios" / "tiny.yaml").read_text())
+        topology = yaml.safe_load((DATA / "scenarios" / "tiny_topology.yaml").read_text())
+        for fw in topology["firewalls"]:
+            fw["params"]["update_frequency"] = 1.0e-9
+        rc = self.analyze(tmp_path, scenario, topology)
+        assert rc in (cli.EXIT_OK, cli.EXIT_INVALID)
+        # the period passes the manifest's own checks
+        assert run(["validate", "--topology", str(tmp_path / "net.yaml")]) == cli.EXIT_OK
