@@ -38,7 +38,6 @@ ISOLATED = "isolated"
 CONNECTION_STATUSES = (NOT_CONNECTED, CONNECTED, ISOLATED)
 _STATUS_ONE_HOT = {s: tuple(float(s == t) for t in CONNECTION_STATUSES)
                    for s in CONNECTION_STATUSES}
-_STATUS_SLOT = {s: k for k, s in enumerate(CONNECTION_STATUSES)}
 
 # Connect attempt outcomes.
 OUTCOME_CONNECTED = "connected"
@@ -175,29 +174,26 @@ class ScenarioConfig:
 # Runtime state
 
 
-@dataclass(slots=True)
-class TargetState:
-    """Channel, payload and traffic counters of one sensitive host."""
-
-    payload_remaining: float
-    connection_status: str = NOT_CONNECTED
-    cum_connect_attempts: float = 0.0
-    cum_upload_time: float = 0.0
-    cum_upload_volume: float = 0.0
-    uploads: list[tuple[float, float]] = field(default_factory=list)  # (time, mb)
-
-
 @dataclass
 class EnvState:
-    """One episode. Host arrays are indexed by ``C2Env.host_index``; the
-    firewall update times follow ``topology.firewalls``. ``discovered`` and
-    ``infected`` are 0.0/1.0 views of the env's observation buffer."""
+    """One episode. Host arrays are indexed by ``C2Env.host_index``, target
+    state by ``C2Env.target_index``, firewall update times as
+    ``topology.firewalls``. ``discovered``, ``infected``, ``status`` (per
+    target, the not connected/connected/isolated one-hot) and ``attempts``
+    (decayed connect attempts) are views of the env's observation buffer;
+    the other target counters are lists: payload left (MB), decayed upload
+    time (s) and volume (MB), and each target's ``(time, mb)`` uploads."""
 
     discovered: np.ndarray
     infected: np.ndarray
     infection_time: np.ndarray
     accumulated_reward: np.ndarray
-    targets: dict[Address, TargetState]
+    status: np.ndarray
+    attempts: np.ndarray
+    payload: list[float]
+    upload_time: list[float]
+    upload_volume: list[float]
+    uploads: list[list[tuple[float, float]]]
     fw_last_update: list[float]
     fw_next_update: list[float]
     # No scheduled update is due while clock is below this; it never
@@ -265,20 +261,18 @@ class C2Env:
     ``reset`` and ``step``. The observation they return is a read-only view
     of it, valid until that instance's next ``reset`` or ``step``; a caller
     that keeps an observation longer copies it. The hosts' discovered and
-    infected status has one copy, the buffer's bits: ``state.discovered``
-    and ``state.infected`` are float 0.0/1.0 views of them, valid until the
-    next ``reset``. ``dynamic_index`` names every slot an episode writes;
-    the rest keep the values set in ``__init__``.
+    infected bits, and the targets' channel status one-hots and decayed
+    attempt counts, have one copy, the buffer's slots: ``state.discovered``,
+    ``state.infected``, ``state.status`` and ``state.attempts`` are views of
+    them, valid until the next ``reset``. ``dynamic_index`` names every
+    slot an episode writes; the rest keep the values set in ``__init__``.
 
-    ``reset`` writes every target's slots to their start values. A step then
-    does per-target work (counter decay, the settled check, the target
-    slots ``encode_observation`` writes) only for the targets that
-    ``state.infected`` marks, read from the buffer on every step. An
-    uninfected target's slots cannot go stale: a connect or upload needs an
-    infected host, so until its infection a target keeps the status,
-    counters and payload that ``reset`` wrote. A target's status one-hot is
-    rewritten only when stale, judged from the buffer itself, so it adds no
-    episode state beyond ``state``.
+    ``target_index`` maps each sensitive host to its target number, in
+    sorted address order, as ``host_index`` maps hosts to rows. A step does
+    per-target work (counter decay, the settled check, the slots
+    ``encode_observation`` writes) only for the targets that
+    ``state.infected`` marks: a connect or upload needs an infected host,
+    so until its infection a target keeps the slots ``reset`` wrote.
     """
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
@@ -295,7 +289,8 @@ class C2Env:
         self.host_index = {addr: i for i, addr in enumerate(self._addresses)}
         self._discovery_values = np.array(
             [h.discovery_value for h in hosts], dtype=np.float64)
-        self._sensitive = sorted(scenario.sensitive_hosts)
+        self.target_index = {addr: k for k, addr in
+                             enumerate(sorted(scenario.sensitive_hosts))}
 
         self._build_tables()
         self._build_obs_layout()
@@ -363,23 +358,23 @@ class C2Env:
             self._scan_reveals[s.id] = np.array(
                 [self.host_index[a] for a in dict.fromkeys(order)], dtype=np.intp)
 
-        # Per target: path firewall indices, the (attempts, volume, time)
+        # By target number: path firewall indices, (attempts, volume, time)
         # thresholds and the probability of a connect crossing every firewall.
         self._fw_periods = [fw.params.update_period_seconds for fw in t.firewalls]
         fw_index = {fw.id: j for j, fw in enumerate(t.firewalls)}
-        self._target_paths: dict[Address, list[int]] = {}
-        self._thresholds: dict[Address, tuple[float, float, float]] = {}
-        self._connect_p: dict[Address, float] = {}
-        for addr in self._sensitive:
+        self._target_paths: list[list[int]] = []
+        self._thresholds: list[tuple[float, float, float]] = []
+        self._connect_p: list[float] = []
+        for addr in self.target_index:
             path = [fw_index[f] for f in firewall_path(t, addr[0])]
             params = [t.firewalls[j].params for j in path]
-            self._target_paths[addr] = path
-            self._thresholds[addr] = (
+            self._target_paths.append(path)
+            self._thresholds.append((
                 min(p.max_connect_attempts for p in params),
                 min(p.max_upload_volume for p in params),
                 min(p.max_upload_time_seconds for p in params),
-            )
-            self._connect_p[addr] = math.prod(p.connect_probability for p in params)
+            ))
+            self._connect_p.append(math.prod(p.connect_probability for p in params))
 
     def _build_obs_layout(self) -> None:
         subnet_ids = self.topology.subnet_ids
@@ -401,11 +396,12 @@ class C2Env:
         status = n_sub + max_local + 2 + n_svc
         block = status + 4
         hosts_end = len(self._addresses) * block
-        self.obs_len = hosts_end + len(self._sensitive) * 8
+        n_targets = len(self.target_index)
+        self.obs_len = hosts_end + n_targets * 8
 
         # The static slots are written once, here; reset and the steps that
-        # change them write the status bits, encode_observation the target
-        # slots.
+        # change them write the status bits, one-hots and attempt counts,
+        # encode_observation the other target slots.
         template = np.zeros(self.obs_len, dtype=np.float64)
         for i, addr in enumerate(self._addresses):
             h = self._hosts[addr]
@@ -436,14 +432,18 @@ class C2Env:
         self.live_slots = np.flatnonzero(live)
         self._discovered_bits = template[status + 1:hosts_end:block]
         self._infected_bits = template[status + 3:hosts_end:block]
-        # Per target: address, host row, infected bit and first slot.
-        rows = [self.host_index[a] for a in self._sensitive]
-        self._target_slots = [(a, i, i * block + status + 3, hosts_end + 8 * k)
-                              for k, (a, i) in enumerate(zip(self._sensitive, rows))]
+        # Per target: its number, host row, infected bit and first slot.
+        # Its 8 slots are the status one-hot, hours since infection, payload
+        # share left, decayed attempts, upload minutes and upload volume.
+        self._target_slots = [
+            (k, i, i * block + status + 3, hosts_end + 8 * k)
+            for k, i in enumerate(self.host_index[a] for a in self.target_index)]
+        targets = template[hosts_end:].reshape(n_targets, 8)
+        self._status, self._attempts = targets[:, :3], targets[:, 5]
         # Every target's slots at reset: not connected, full payload.
         fresh = _STATUS_ONE_HOT[NOT_CONNECTED] + (0.0, 1.0, 0.0, 0.0, 0.0)
         self._targets_start = hosts_end
-        self._fresh_targets = np.array(fresh * len(self._sensitive))
+        self._fresh_targets = np.array(fresh * n_targets)
         self._obs = template
         # The same buffer, read and written a slot at a time as Python
         # floats, which costs about half of numpy's scalar indexing.
@@ -463,13 +463,18 @@ class C2Env:
         foothold = self.host_index[self.scenario.initial_foothold]
         discovered[foothold] = infected[foothold] = 1.0
         self._obs[self._targets_start:] = self._fresh_targets
+        n_targets = len(self._target_slots)
         self.state = EnvState(
             discovered=discovered,
             infected=infected,
             infection_time=np.zeros(n),
             accumulated_reward=np.zeros(n),
-            targets={addr: TargetState(self.scenario.payload_size_mb)
-                     for addr in self._sensitive},
+            status=self._status,
+            attempts=self._attempts,
+            payload=[self.scenario.payload_size_mb] * n_targets,
+            upload_time=[0.0] * n_targets,
+            upload_volume=[0.0] * n_targets,
+            uploads=[[] for _ in range(n_targets)],
             fw_last_update=[0.0] * len(self._fw_periods),
             fw_next_update=list(self._fw_periods),
             fw_next_due=min(self._fw_periods, default=math.inf),
@@ -491,9 +496,10 @@ class C2Env:
         ValueError, and anything that is neither an index nor an action (a
         bool included) raises TypeError, before the episode changes.
 
-        The step rewrites the status bits its scan or exploit changes and,
-        through ``encode_observation``, the slots of each infected target;
-        an uninfected target's slots still hold what ``reset`` wrote.
+        The step rewrites the status bits its scan or exploit changes, the
+        target one-hot and attempts its connect, emergency or decay changes,
+        and, through ``encode_observation``, the slots of each infected
+        target; an uninfected target's slots still hold what ``reset`` wrote.
         """
         if self._done:  # also before the first reset
             raise EpisodeDoneError("step() after episode end; call reset()")
@@ -509,7 +515,7 @@ class C2Env:
         action, kind, host, row, reward, elapsed, decay, cvss = plan
 
         st = self.state
-        infected, targets = st.infected, st.targets
+        infected, cells = st.infected, self._cells
         if kind == "exploit":
             valid = bool(st.discovered[row])
         elif kind == "sleep":
@@ -517,24 +523,25 @@ class C2Env:
         elif kind == "subnet_scan":
             valid = bool(infected[row])
         else:
-            ts = targets.get(host)
-            if ts is None:
+            k = self.target_index.get(host)
+            if k is None:
                 valid = False
-            elif kind == "connect":
-                valid = bool(infected[row]) and ts.connection_status != ISOLATED
-            else:
-                valid = ts.connection_status == CONNECTED and ts.payload_remaining > 0
+            elif kind == "connect":  # infected and not isolated
+                off = self._targets_start + 8 * k
+                valid = bool(infected[row]) and not cells[off + 2]
+            else:  # connected, with payload left
+                off = self._targets_start + 8 * k
+                valid = cells[off + 1] == 1.0 and st.payload[k] > 0
         if not valid:
             elapsed, decay = self._erroneous
         st.clock += elapsed
         # An uninfected target's counters are still reset's zeros.
-        cells = self._cells
-        for addr, _, bit, _ in self._target_slots:
+        upload_time, upload_volume = st.upload_time, st.upload_volume
+        for j, _, bit, slot in self._target_slots:
             if cells[bit]:
-                ts = targets[addr]
-                ts.cum_connect_attempts *= decay
-                ts.cum_upload_time *= decay
-                ts.cum_upload_volume *= decay
+                cells[slot + 5] *= decay
+                upload_time[j] *= decay
+                upload_volume[j] *= decay
         if st.clock >= st.fw_next_due:
             self._scheduled_updates()
 
@@ -556,7 +563,7 @@ class C2Env:
         elif kind == "upload":
             info["rate"] = action.rate
             if valid:
-                mb, gained, penalty, emergency = self._do_upload(host, row, action.rate)
+                mb, gained, penalty, emergency = self._do_upload(k, row, action.rate)
                 reward += gained - penalty
                 info["outcome"] = "uploaded"
                 info["mb"] = mb
@@ -570,7 +577,7 @@ class C2Env:
             info["outcome"] = "scanned"
             info["newly_discovered"] = newly
         elif kind == "connect":
-            outcome, result, gained, penalty = self._do_connect(host, row)
+            outcome, result, gained, penalty = self._do_connect(k, row)
             reward += gained - penalty
             info["outcome"] = outcome
             info["connect_result"] = result
@@ -581,12 +588,12 @@ class C2Env:
 
         st.step_count += 1
         settled = True
-        for addr, _, bit, _ in self._target_slots:
+        payload = st.payload
+        for j, _, bit, slot in self._target_slots:
             if not cells[bit]:  # its payload is all there, its channel unused
                 settled = False
                 break
-            ts = targets[addr]
-            if ts.payload_remaining > 0 and ts.connection_status != ISOLATED:
+            if payload[j] > 0 and not cells[slot + 2]:  # not isolated
                 settled = False
                 break
         capped = st.step_count >= self.scenario.max_steps
@@ -668,24 +675,25 @@ class C2Env:
         st.accumulated_reward[i] += gained
         return True, gained
 
-    def _do_connect(self, target: Address, i: int) -> tuple[str, str, float, float]:
-        """Returns (outcome, attempt result, reward gained, penalty).
+    def _do_connect(self, k: int, i: int) -> tuple[str, str, float, float]:
+        """Connect target ``k`` (host row ``i``). Returns (outcome, attempt
+        result, reward gained, penalty).
 
         The attempt result records how the attempt itself resolved even when
         the threshold check afterwards escalates the outcome to an emergency.
         """
-        st = self.state
-        ts = st.targets[target]
-        ts.cum_connect_attempts += 1.0
+        st, cells = self.state, self._cells
+        off = self._targets_start + 8 * k
+        cells[off + 5] += 1.0
 
         gained = 0.0
-        if ts.connection_status == CONNECTED:
+        if cells[off + 1] == 1.0:
             result = OUTCOME_ALREADY
         elif any(st.fw_last_update[j] > st.infection_time[i]
-                 for j in self._target_paths[target]):
+                 for j in self._target_paths[k]):
             result = OUTCOME_BLOCKED
-        elif self._rng.random() < self._connect_p[target]:
-            ts.connection_status = CONNECTED
+        elif self._rng.random() < self._connect_p[k]:
+            st.status[k] = _STATUS_ONE_HOT[CONNECTED]
             gained = self.scenario.rewards.connection
             st.accumulated_reward[i] += gained
             result = OUTCOME_CONNECTED
@@ -694,38 +702,39 @@ class C2Env:
 
         penalty = 0.0
         outcome = result
-        if self.check_emergency(target):
-            penalty = self._trigger_emergency(target)
+        if self.check_emergency(k):
+            penalty = self._trigger_emergency(k, i)
             outcome = OUTCOME_EMERGENCY
         return outcome, result, gained, penalty
 
-    def _do_upload(self, target: Address, i: int,
+    def _do_upload(self, k: int, i: int,
                    rate: str) -> tuple[float, float, float, bool]:
-        """Returns (mb uploaded, reward gained, emergency penalty, emergency)."""
+        """Upload from target ``k`` (host row ``i``). Returns (mb uploaded,
+        reward gained, emergency penalty, emergency)."""
         st = self.state
-        ts = st.targets[target]
-        mb = min(self.scenario.upload_rates[rate], ts.payload_remaining)
-        ts.payload_remaining -= mb
-        ts.uploads.append((st.clock, mb))
-        ts.cum_upload_volume += mb
-        ts.cum_upload_time += self.scenario.action_times.upload
+        payload = st.payload
+        mb = min(self.scenario.upload_rates[rate], payload[k])
+        payload[k] -= mb
+        st.uploads[k].append((st.clock, mb))
+        st.upload_volume[k] += mb
+        st.upload_time[k] += self.scenario.action_times.upload
 
         gained = self.scenario.rewards.upload_per_mb * mb
         st.accumulated_reward[i] += gained
-        if ts.payload_remaining <= 0.0:
-            ts.payload_remaining = 0.0
+        if payload[k] <= 0.0:
+            payload[k] = 0.0
             # Completion bonus is never part of the per-host accumulation,
             # so a later detection cannot revoke it.
             gained += self.scenario.rewards.upload_bonus
 
         penalty = 0.0
-        emergency = self.check_emergency(target)
+        emergency = self.check_emergency(k)
         if emergency:
-            penalty = self._trigger_emergency(target)
+            penalty = self._trigger_emergency(k, i)
         return mb, gained, penalty, emergency
 
-    def window_totals(self, target: Address) -> tuple[float, float]:
-        """Upload volume (MB) and time (s) inside the trailing window.
+    def window_totals(self, k: int) -> tuple[float, float]:
+        """Target ``k``'s upload volume (MB) and time (s) in the window.
 
         An upload counts iff its timestamp lies in (clock - 300, clock];
         each one took ``action_times.upload`` seconds.
@@ -733,29 +742,29 @@ class C2Env:
         lo = self.state.clock - WINDOW_SECONDS
         duration = self.scenario.action_times.upload
         vol = tim = 0.0
-        for time, mb in reversed(self.state.targets[target].uploads):
+        for time, mb in reversed(self.state.uploads[k]):
             if time <= lo:
                 break
             vol += mb
             tim += duration
         return vol, tim
 
-    def check_emergency(self, target: Address) -> bool:
-        """True when the host's traffic exceeds a path firewall threshold."""
-        max_attempts, max_volume, max_time = self._thresholds[target]
-        if self.state.targets[target].cum_connect_attempts > max_attempts:
+    def check_emergency(self, k: int) -> bool:
+        """True when target ``k``'s traffic exceeds a path threshold."""
+        max_attempts, max_volume, max_time = self._thresholds[k]
+        if self._cells[self._targets_start + 8 * k + 5] > max_attempts:
             return True
-        vol, tim = self.window_totals(target)
+        vol, tim = self.window_totals(k)
         return vol > max_volume or tim > max_time
 
-    def _trigger_emergency(self, target: Address) -> float:
-        """Update the path firewalls, isolate the host, forfeit its rewards."""
+    def _trigger_emergency(self, k: int, i: int) -> float:
+        """Update the path firewalls, isolate target ``k`` (host row ``i``),
+        forfeit its rewards."""
         st = self.state
-        for j in self._target_paths[target]:
+        for j in self._target_paths[k]:
             st.fw_last_update[j] = st.clock
             st.fw_next_update[j] = st.clock + self._fw_periods[j]
-        st.targets[target].connection_status = ISOLATED
-        i = self.host_index[target]
+        st.status[k] = _STATUS_ONE_HOT[ISOLATED]
         penalty = float(st.accumulated_reward[i])
         st.accumulated_reward[i] = 0.0
         return penalty
@@ -764,44 +773,33 @@ class C2Env:
 
     def terminal_status(self, addr: Address) -> str:
         """completed | isolated | incomplete for a sensitive host."""
-        ts = self.state.targets[addr]
-        if ts.payload_remaining <= 0.0:
+        k = self.target_index[addr]
+        if self.state.payload[k] <= 0.0:
             return "completed"
-        if ts.connection_status == ISOLATED:
+        if self._cells[self._targets_start + 8 * k + 2]:
             return "isolated"
         return "incomplete"
 
     def encode_observation(self) -> np.ndarray:
-        """Write the infected sensitive hosts' slots into this env's
-        observation buffer; the host status bits are already current,
-        written where the state changes.
-
-        Each target that ``state.infected`` marks gets its five per-step
-        slots (time since infection, payload fraction, the three decayed
-        counters) written every call. Its status one-hot is rewritten only
-        when stale, that is when the buffer's slot for the current
-        ``connection_status`` is not 1.0: the buffer is its own cache, and
-        the env keeps no other state for it. An uninfected target is
-        skipped: its slots hold the start values ``reset`` wrote, which no
-        step can change before the target is infected.
+        """Write the slots of the infected targets that no step keeps
+        current: hours since infection, payload share left, upload minutes
+        and volume. The host bits, status one-hots and attempt counts are
+        already current, written where the state changes. An uninfected
+        target is skipped: no step changes its slots before its infection.
 
         Returns a read-only view of the buffer, valid until this env's next
         ``reset`` or ``step``; copy it to keep it.
         """
         st = self.state
-        obs, cells = self._obs, self._cells
-        payload = self.scenario.payload_size_mb
-        for addr, i, bit, off in self._target_slots:
+        cells = self._cells
+        payload, size = st.payload, self.scenario.payload_size_mb
+        upload_time, upload_volume = st.upload_time, st.upload_volume
+        for k, i, bit, off in self._target_slots:
             if not cells[bit]:
                 continue
-            ts = st.targets[addr]
-            status = ts.connection_status
-            if cells[off + _STATUS_SLOT[status]] != 1.0:
-                obs[off:off + 3] = _STATUS_ONE_HOT[status]
             since = st.clock - st.infection_time.item(i)
             cells[off + 3] = since * INFECTION_TIME_SCALE
-            cells[off + 4] = ts.payload_remaining / payload
-            cells[off + 5] = ts.cum_connect_attempts
-            cells[off + 6] = ts.cum_upload_time * UPLOAD_TIME_SCALE
-            cells[off + 7] = ts.cum_upload_volume * UPLOAD_VOLUME_SCALE
+            cells[off + 4] = payload[k] / size
+            cells[off + 6] = upload_time[k] * UPLOAD_TIME_SCALE
+            cells[off + 7] = upload_volume[k] * UPLOAD_VOLUME_SCALE
         return self._obs_readonly

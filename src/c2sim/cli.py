@@ -1,9 +1,9 @@
 """Command-line entry point: generate networks, train, evaluate, analyze.
 
 Every run with an output directory records a run manifest (command, inputs,
-seed, resolved configs, topology hash, version, timestamps) before any work
-starts. All randomness flows from --seed, so reruns with identical inputs
-give identical CSV/JSON outputs.
+seed, resolved configs, topology hash, version, numpy build, timestamps)
+before any work starts. All randomness flows from --seed, so reruns with
+identical inputs give identical CSV/JSON outputs.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, analysis, netgen, ppo, scenarios
 from .c2_env import C2Env, ScenarioConfig, ScenarioError
 from .net_model import TopologyError, load_topology, save_topology
@@ -29,6 +31,20 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
+
+
+def current_build() -> dict:
+    """The numpy version, BLAS and SIMD extensions of this process's numpy.
+    Training rounds through matmul, ``tanh`` and ``exp``, whose last bits
+    depend on them, so they decide whether a recorded digest binds."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "openblas_configuration": blas.get("openblas configuration"),
+        "simd_found": list(config["SIMD Extensions"].get("found", [])),
+    }
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
@@ -51,6 +67,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         "topology_sha256": None if topology is None else hashlib.sha256(
             save_topology(topology).encode("utf-8")).hexdigest(),
         "version": __version__,
+        "build": current_build(),
         "out_dir": str(out_dir),
         "started_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "finished_at": None,

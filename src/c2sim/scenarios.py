@@ -1,7 +1,7 @@
 """Access to the scenarios shipped with the package.
 
 ``tiny`` loads directly from bundled YAML. The full-scale network is stored
-as a generator config and materialized deterministically on first use, which
+as a generator config and generated deterministically on each call, which
 keeps the package small while the manifest stays reproducible byte for byte.
 """
 
@@ -31,9 +31,6 @@ def enterprise_gen_config() -> GenConfig:
     return GenConfig.from_yaml(_scenario_text("enterprise101_gen.yaml"))
 
 
-_ENTERPRISE_CACHE: NetworkTopology | None = None
-
-
 def enterprise101() -> tuple[NetworkTopology, ScenarioConfig]:
     """Full-scale reference network with a paper-style two-target scenario.
 
@@ -41,11 +38,7 @@ def enterprise101() -> tuple[NetworkTopology, ScenarioConfig]:
     and the first linux host past subnet 40 that carry an exploitable
     vulnerability.
     """
-    global _ENTERPRISE_CACHE
-    if _ENTERPRISE_CACHE is None:
-        _ENTERPRISE_CACHE = generate(enterprise_gen_config(),
-                                     load_default_references())
-    topology = _ENTERPRISE_CACHE
+    topology = generate(enterprise_gen_config(), load_default_references())
 
     def exploitable(host) -> bool:
         return any(vuln_applies(host, v) for v in host.vulnerabilities())

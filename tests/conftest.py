@@ -82,3 +82,9 @@ def refs():
 @pytest.fixture(scope="session")
 def tiny_inputs():
     return scenarios.tiny()
+
+
+@pytest.fixture(scope="session")
+def enterprise_inputs():
+    """The full-scale network and scenario, generated once per session."""
+    return scenarios.enterprise101()

@@ -11,8 +11,12 @@ import numpy as np
 
 from c2sim import neural
 from c2sim.c2_env import (
+    CONNECTED,
     CONNECTION_STATUSES,
     INFECTION_TIME_SCALE,
+    ISOLATED,
+    NOT_CONNECTED,
+    OUTCOME_CONNECTED,
     UPLOAD_TIME_SCALE,
     UPLOAD_VOLUME_SCALE,
     VALUE_SCALE,
@@ -65,13 +69,16 @@ def min_compliant_cadence(n_uploads, mb_per_upload, upload_seconds,
 
 def run_checked_episode(env, action_rng, env_seed, max_actions=None):
     """Random-walk an episode, asserting the incremental attempt counters
-    match the closed form and every emergency flag matches the brute-force
-    window oracle. Returns (steps checked, emergencies seen)."""
+    match the closed form, every emergency flag matches the brute-force
+    window oracle, and each target's ``state.status`` one-hot names the
+    status its step outcomes give: connected from a successful connect,
+    isolated from an emergency. Returns (steps checked, emergencies seen)."""
     env.reset(seed=env_seed)
     scenario = env.scenario
     d = scenario.decay_factor
     sensitive = sorted(scenario.sensitive_hosts)
     attempts = {a: [] for a in sensitive}
+    status = {a: NOT_CONNECTED for a in sensitive}
     events = {a: [] for a in sensitive}
     fw_by_id = {fw.id: fw for fw in env.topology.firewalls}
     thresholds = {}
@@ -96,11 +103,18 @@ def run_checked_episode(env, action_rng, env_seed, max_actions=None):
                 attempts[target].append(now)
             elif info["action"] == "upload":
                 events[target].append((now, info["mb"], scenario.action_times.upload))
-        # incremental decayed counters vs closed form
-        for addr in sensitive:
-            got = env.state.targets[addr].cum_connect_attempts
+            if info.get("connect_result") == OUTCOME_CONNECTED:
+                status[target] = CONNECTED
+            if info["emergency"]:
+                status[target] = ISOLATED
+        for k, addr in enumerate(sensitive):
+            # incremental decayed counters vs closed form
+            got = env.state.attempts[k]
             want = closed_form_attempts(attempts[addr], env.state.clock, d)
             assert abs(got - want) <= 1e-9, (addr, got, want)
+            # the status one-hot vs the status the outcomes give
+            one_hot = [float(s == status[addr]) for s in CONNECTION_STATUSES]
+            assert env.state.status[k].tolist() == one_hot, (addr, status[addr])
         # emergency flag vs brute-force window oracle
         if info["valid"] and info["action"] in ("connect", "upload") \
                 and target in attempts:
@@ -124,6 +138,11 @@ def reference_observation(env):
     sensitive host, sorted: connection-status one-hot, hours since
     infection, payload share left, decayed attempts, upload minutes and
     upload volume.
+
+    The status one-hot and the decayed attempts are copied from
+    ``state.status`` and ``state.attempts``, which are views of the env's
+    own observation buffer, so this encoder does not check them;
+    ``run_checked_episode`` checks both against the step outcomes.
     """
     topology, scenario, st = env.topology, env.scenario, env.state
     hosts = topology.hosts()
@@ -149,17 +168,16 @@ def reference_observation(env):
         obs[off:off + 4] = (h.discovery_value * VALUE_SCALE, st.discovered[i],
                             h.infection_value * VALUE_SCALE, st.infected[i])
     off = len(hosts) * block
-    for addr in sensitive:
-        ts = st.targets[addr]
+    for k, addr in enumerate(sensitive):
         i = env.host_index[addr]
         since = st.clock - st.infection_time[i] if st.infected[i] else 0.0
-        obs[off + CONNECTION_STATUSES.index(ts.connection_status)] = 1.0
+        obs[off:off + 3] = st.status[k]
         obs[off + 3:off + 8] = (
             since * INFECTION_TIME_SCALE,
-            ts.payload_remaining / scenario.payload_size_mb,
-            ts.cum_connect_attempts,
-            ts.cum_upload_time * UPLOAD_TIME_SCALE,
-            ts.cum_upload_volume * UPLOAD_VOLUME_SCALE,
+            st.payload[k] / scenario.payload_size_mb,
+            st.attempts[k],
+            st.upload_time[k] * UPLOAD_TIME_SCALE,
+            st.upload_volume[k] * UPLOAD_VOLUME_SCALE,
         )
         off += 8
     return obs

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from c2sim.c2_env import (
+    CONNECTION_STATUSES,
     ActionTimes,
     C2Env,
     Connect,
@@ -74,6 +75,25 @@ def infect(env, addr, at=0.0):
     env.state.infection_time[i] = at
 
 
+def set_status(env, addr, status):
+    """Set a target's connection status by writing its ``state.status``
+    one-hot."""
+    env.state.status[env.target_index[addr]] = [
+        float(s == status) for s in CONNECTION_STATUSES]
+
+
+def status_of(env, addr):
+    """The connection status a target's ``state.status`` one-hot names."""
+    one_hot = env.state.status[env.target_index[addr]].tolist()
+    assert sorted(one_hot) == [0.0, 0.0, 1.0], one_hot
+    return CONNECTION_STATUSES[one_hot.index(1.0)]
+
+
+def target_value(env, field, addr):
+    """A target's entry in one of the per-target state fields."""
+    return getattr(env.state, field)[env.target_index[addr]]
+
+
 def infection_time(env, addr):
     return env.state.infection_time[env.host_index[addr]]
 
@@ -119,10 +139,8 @@ class TestReset:
             assert env.obs_len == expected
             assert env.reset(seed=0).shape == (expected,)
 
-    def test_observation_length_formula_at_full_scale(self):
-        from c2sim import scenarios
-
-        topology, scenario = scenarios.enterprise101()
+    def test_observation_length_formula_at_full_scale(self, enterprise_inputs):
+        topology, scenario = enterprise_inputs
         env = C2Env(topology, scenario)
         n_hosts = len(topology.hosts())
         assert n_hosts == 1444
@@ -251,10 +269,8 @@ class TestActionLookup:
         assert {info["outcome"] for info in infos} >= {
             "erroneous", "scanned", "exploited", "uploaded", OUTCOME_CONNECTED}
 
-    def test_by_value_steps_match_by_index_on_enterprise101(self):
-        from c2sim import scenarios
-
-        topology, scenario = scenarios.enterprise101()
+    def test_by_value_steps_match_by_index_on_enterprise101(self, enterprise_inputs):
+        topology, scenario = enterprise_inputs
         env = C2Env(topology, scenario)
         kinds = np.array([a.kind for a in env.actions])
         hosts = np.array([env.host_index.get(getattr(a, "host", None), 0)
@@ -328,15 +344,14 @@ class TestStepSemantics:
         env.reset(seed=0)
         discovered = env.state.discovered.copy()
         infected = env.state.infected.copy()
-        statuses = {a: t.connection_status for a, t in env.state.targets.items()}
+        statuses = env.state.status.copy()
         _, reward, _, info = env.step(Sleep())
         assert info["outcome"] == "slept"
         assert env.state.clock == 60.0
         assert reward == -1.0
         assert np.array_equal(env.state.discovered, discovered)
         assert np.array_equal(env.state.infected, infected)
-        for addr, status in statuses.items():
-            assert env.state.targets[addr].connection_status == status
+        assert np.array_equal(env.state.status, statuses)
 
     def test_clock_advances_per_action_table(self, chain3):
         env = env_of(chain3)
@@ -476,7 +491,7 @@ class TestConnect:
         prepare_connected(env, connect=False)
         env.step(Connect((3, 0)))
         # one decay-free increment at the attempt instant
-        assert env.state.targets[(3, 0)].cum_connect_attempts == 1.0
+        assert target_value(env, "attempts", (3, 0)) == 1.0
 
     def test_blocked_after_firewall_update(self, chain3):
         env = env_of(chain3)
@@ -489,12 +504,12 @@ class TestConnect:
     def test_connect_on_connected_host_is_valid_noop(self, chain3):
         env = env_of(chain3)
         prepare_connected(env)
-        before = env.state.targets[(3, 0)].cum_connect_attempts
+        before = target_value(env, "attempts", (3, 0))
         clock = env.state.clock
         _, reward, _, info = env.step(Connect((3, 0)))
         assert info["outcome"] == OUTCOME_ALREADY
         assert env.state.clock == clock + 1.0
-        assert env.state.targets[(3, 0)].cum_connect_attempts > before * 0.999
+        assert target_value(env, "attempts", (3, 0)) > before * 0.999
         assert reward == -action_cost(Connect((3, 0)), env.topology.host((3, 0)))
 
     def test_connect_success_probability_composes_over_path(self):
@@ -524,7 +539,7 @@ class TestConnect:
             outcomes.append(info["outcome"])
         assert outcomes[:3] == [OUTCOME_BLOCKED] * 3
         assert outcomes[3] == OUTCOME_EMERGENCY
-        assert env.state.targets[(3, 0)].connection_status == ISOLATED
+        assert status_of(env, (3, 0)) == ISOLATED
 
 
 class TestUpload:
@@ -533,9 +548,8 @@ class TestUpload:
         env = C2Env(topology, dataclasses.replace(scenario, payload_size_mb=10_000.0))
         prepare_connected(env)
         _, reward, _, info = env.step(Upload((3, 0), "fast"))
-        hs = env.state.targets[(3, 0)]
         assert info["mb"] == 1000.0
-        assert hs.payload_remaining == 9000.0
+        assert target_value(env, "payload", (3, 0)) == 9000.0
         assert reward == 100.0 - action_cost(
             Upload((3, 0), "fast"), topology.host((3, 0)))
 
@@ -553,7 +567,7 @@ class TestUpload:
         prepare_connected(env)
         _, reward, done, info = env.step(Upload((3, 0), "fast"))
         assert info["mb"] == 500.0
-        assert env.state.targets[(3, 0)].payload_remaining == 0.0
+        assert target_value(env, "payload", (3, 0)) == 0.0
         assert reward == 50.0 + 10_000.0 - action_cost(
             Upload((3, 0), "fast"), topology.host((3, 0)))
         assert done  # single sensitive host completed
@@ -564,7 +578,7 @@ class TestUpload:
         prepare_connected(env, connect=False)
         _, _, _, info = env.step(Upload((3, 0), "fast"))
         assert info["outcome"] == "erroneous"
-        assert env.state.targets[(3, 0)].payload_remaining == 3000.0
+        assert target_value(env, "payload", (3, 0)) == 3000.0
 
 
 class TestEmergencyWindows:
@@ -574,7 +588,7 @@ class TestEmergencyWindows:
         env = C2Env(t, scenario)
         env.reset(seed=1)
         infect(env, (2, 0))
-        env.state.targets[(2, 0)].connection_status = CONNECTED
+        set_status(env, (2, 0), CONNECTED)
         return env
 
     def test_six_consecutive_fast_uploads_trigger_volume(self):
@@ -584,7 +598,7 @@ class TestEmergencyWindows:
             _, _, _, info = env.step(Upload((2, 0), "fast"))
             outcomes.append(info["emergency"])
         assert outcomes == [False] * 5 + [True]
-        assert env.state.targets[(2, 0)].connection_status == ISOLATED
+        assert status_of(env, (2, 0)) == ISOLATED
 
     def test_five_spread_uploads_stay_quiet(self):
         env = self._uploader()
@@ -606,7 +620,8 @@ class TestEmergencyWindows:
         # the target is infected and connected by direct writes, so a step
         # finds it through ``state.infected`` alone
         env = self._uploader()
-        ts = env.state.targets[(2, 0)]
+        t = env.target_index[(2, 0)]
+        st = env.state
         d = env.scenario.decay_factor
         times = env.scenario.action_times
         volume = upload_time = 0.0
@@ -614,7 +629,7 @@ class TestEmergencyWindows:
             _, _, done, info = env.step(Upload((2, 0), "fast"))
             volume = apply_decay(volume, times.upload, d) + info["mb"]
             upload_time = apply_decay(upload_time, times.upload, d) + times.upload
-            assert (ts.cum_upload_volume, ts.cum_upload_time) == (volume, upload_time)
+            assert (st.upload_volume[t], st.upload_time[t]) == (volume, upload_time)
             if info["emergency"]:
                 break
             assert not done
@@ -622,10 +637,10 @@ class TestEmergencyWindows:
                 env.step(Sleep())
                 volume = apply_decay(volume, times.sleep, d)
                 upload_time = apply_decay(upload_time, times.sleep, d)
-                assert (ts.cum_upload_volume, ts.cum_upload_time) == (
+                assert (st.upload_volume[t], st.upload_time[t]) == (
                     volume, upload_time)
-        assert info["emergency"] and ts.connection_status == ISOLATED
-        assert ts.payload_remaining > 0.0
+        assert info["emergency"] and status_of(env, (2, 0)) == ISOLATED
+        assert st.payload[t] > 0.0
         assert done and env.done  # its only target is isolated
 
     def test_emergency_penalty_forfeits_accumulated_rewards(self, chain3):
@@ -643,7 +658,7 @@ class TestEmergencyWindows:
                 expected_penalty = accumulated + uploaded + expected_gain
                 cost = action_cost(Upload((3, 0), "fast"),
                                    env.topology.host((3, 0)))
-                bonus = 10_000.0 if env.state.targets[(3, 0)].payload_remaining == 0 else 0.0
+                bonus = 10_000.0 if target_value(env, "payload", (3, 0)) == 0 else 0.0
                 assert reward == pytest.approx(
                     expected_gain + bonus - expected_penalty - cost)
                 break
@@ -663,7 +678,7 @@ class TestEmergencyWindows:
             infection_time(env, (3, 0)) + 0.5)
         for _ in range(4):
             env.step(Connect((3, 0)))
-        assert env.state.targets[(3, 0)].connection_status == ISOLATED
+        assert status_of(env, (3, 0)) == ISOLATED
         # neighbor infected before the update is now blocked deterministically
         _, _, _, info = env.step(Connect((3, 1)))
         assert info["outcome"] == OUTCOME_BLOCKED
@@ -849,11 +864,11 @@ class TestObservation:
     def test_isolated_one_hot_position(self, chain3):
         env = env_of(chain3)
         prepare_connected(env, connect=False)
-        env.state.targets[(3, 0)].connection_status = ISOLATED
+        set_status(env, (3, 0), ISOLATED)
         obs = env.encode_observation()
         off = env.dynamic_index[2 * len(env.topology.hosts())]  # the one target
         assert obs[off:off + 3].tolist() == [0.0, 0.0, 1.0]
-        env.state.targets[(3, 0)].connection_status = NOT_CONNECTED
+        set_status(env, (3, 0), NOT_CONNECTED)
         obs = env.encode_observation()
         assert obs[off:off + 3].tolist() == [1.0, 0.0, 0.0]
 
@@ -893,20 +908,19 @@ class TestObservation:
         for ep in range(40):
             obs = env.reset(seed=ep)
             assert np.array_equal(obs, oracles.reference_observation(env))
-            status = {a: ts.connection_status for a, ts in env.state.targets.items()}
+            status = {a: status_of(env, a) for a in env.target_index}
             while not env.done:
                 obs, _, _, _ = env.step(int(rng.integers(env.n_actions)))
                 assert np.array_equal(obs, oracles.reference_observation(env))
-                for addr, ts in env.state.targets.items():
+                for addr in env.target_index:
+                    now = status_of(env, addr)
                     isolations_after_connect += (status[addr] == CONNECTED
-                                                 and ts.connection_status == ISOLATED)
-                    status[addr] = ts.connection_status
+                                                 and now == ISOLATED)
+                    status[addr] = now
         assert isolations_after_connect > 0  # the one-hot moved off "connected"
 
-    def test_matches_reference_encoder_at_full_scale(self):
-        from c2sim import scenarios
-
-        env = C2Env(*scenarios.enterprise101())
+    def test_matches_reference_encoder_at_full_scale(self, enterprise_inputs):
+        env = C2Env(*enterprise_inputs)
         # a seeded walk over the actions whose host precondition holds; a
         # uniform walk would be almost all erroneous steps
         kinds = np.array([a.kind for a in env.actions])
@@ -927,8 +941,7 @@ class TestObservation:
             if steps % 100 == 0:
                 assert np.array_equal(obs, oracles.reference_observation(env)), steps
         assert steps >= 1000 and env.state.infected.sum() > 1
-        assert any(ts.connection_status != NOT_CONNECTED
-                   for ts in env.state.targets.values())
+        assert any(status_of(env, a) != NOT_CONNECTED for a in env.target_index)
 
         # the encoder writes into the env's buffer; it allocates no array
         # of observation size
@@ -956,16 +969,66 @@ class TestObservation:
             env.encode_observation()[-1] = 1.0
 
 
+class TestTargetState:
+    """A target's status one-hot and decayed attempt count have one copy,
+    its observation slots; its other counters are lists indexed, like the
+    two views, by ``target_index``."""
+
+    def test_status_and_attempts_are_views_of_the_observation(self, tiny_inputs):
+        env = C2Env(*tiny_inputs)
+        obs = env.reset(seed=0)
+        st = env.state
+        assert list(env.target_index) == sorted(env.scenario.sensitive_hosts)
+        assert list(env.target_index.values()) == list(range(2))
+        assert st.status.shape == (2, 3) and st.attempts.shape == (2,)
+        assert np.shares_memory(st.status, obs)
+        assert np.shares_memory(st.attempts, obs)
+        slots = env.dynamic_index[2 * len(env.host_index):].reshape(2, 8)
+        assert np.array_equal(st.status, obs[slots[:, :3]])
+        assert np.array_equal(st.attempts, obs[slots[:, 5]])
+
+    def test_direct_connected_write_makes_upload_valid(self, chain3):
+        env = env_of(chain3)
+        prepare_connected(env, connect=False)
+        _, _, _, info = env.step(Upload((3, 0), "fast"))
+        assert not info["valid"]
+        set_status(env, (3, 0), CONNECTED)
+        off = env.dynamic_index[2 * len(env.host_index)]  # the one target
+        assert env.encode_observation()[off:off + 3].tolist() == [0.0, 1.0, 0.0]
+        obs, _, _, info = env.step(Upload((3, 0), "fast"))
+        assert info["valid"] and info["outcome"] == "uploaded"
+        assert obs[off:off + 3].tolist() == [0.0, 1.0, 0.0]
+        assert np.array_equal(obs, oracles.reference_observation(env))
+
+    def test_reset_restores_every_target(self, chain3):
+        topology, scenario = chain3
+        env = C2Env(topology, dataclasses.replace(
+            scenario, sensitive_hosts=((3, 0), (3, 1))))
+        fresh = env.reset(seed=0).copy()
+        prepare_connected(env)
+        env.step(Upload((3, 0), "fast"))
+        set_status(env, (3, 1), ISOLATED)
+        st = env.state
+        assert st.payload[0] < scenario.payload_size_mb
+        assert st.attempts[0] > 0 and st.upload_time[0] > 0 and st.uploads[0]
+        obs = env.reset(seed=1)
+        st = env.state
+        assert [status_of(env, a) for a in env.target_index] == [NOT_CONNECTED] * 2
+        assert st.attempts.tolist() == [0.0, 0.0]
+        assert st.payload == [scenario.payload_size_mb] * 2
+        assert st.upload_time == st.upload_volume == [0.0, 0.0]
+        assert st.uploads == [[], []]
+        assert np.array_equal(obs, fresh)
+        assert np.array_equal(obs, oracles.reference_observation(env))
+
+
 def network_pair(network, request):
     """(topology, scenario) of tiny, chain3, chain4x3 or enterprise101."""
-    from c2sim import scenarios
-
     if network == "chain4x3":
         t = chain_topology(4, hosts_per_subnet=3)
         return t, scenario_for(t)
-    if network == "enterprise101":
-        return scenarios.enterprise101()
-    return request.getfixturevalue("tiny_inputs" if network == "tiny" else network)
+    fixture = {"tiny": "tiny_inputs", "enterprise101": "enterprise_inputs"}
+    return request.getfixturevalue(fixture.get(network, network))
 
 
 class TestLiveSlots:
@@ -1031,12 +1094,10 @@ class TestLiveSlots:
         # asked after the walks, a new env gives the same index
         assert np.array_equal(C2Env(*pair).live_slots, live)
 
-    def test_sizes_at_tiny_and_full_scale(self, tiny_inputs):
-        from c2sim import scenarios
-
+    def test_sizes_at_tiny_and_full_scale(self, tiny_inputs, enterprise_inputs):
         tiny = C2Env(*tiny_inputs)
         assert (len(tiny.live_slots), tiny.obs_len) == (70, 160)
-        full = C2Env(*scenarios.enterprise101())
+        full = C2Env(*enterprise_inputs)
         assert (len(full.live_slots), full.obs_len) == (13_236, 241_164)
         assert np.isin(self.dynamic_slots(full), full.live_slots).all()
 
@@ -1097,14 +1158,14 @@ class TestInvariantsAndOracles:
             infection_time(env, (3, 0)) + 0.5)
         for _ in range(4):
             env.step(Connect((3, 0)))
-        assert env.state.targets[(3, 0)].connection_status == ISOLATED
+        assert status_of(env, (3, 0)) == ISOLATED
         accumulated = env.state.accumulated_reward[env.host_index[(3, 0)]]
         rng = np.random.default_rng(0)
         for _ in range(100):
             if env.done:
                 break
             env.step(int(rng.integers(env.n_actions)))
-            assert env.state.targets[(3, 0)].connection_status == ISOLATED
+            assert status_of(env, (3, 0)) == ISOLATED
             assert env.state.accumulated_reward[env.host_index[(3, 0)]] <= accumulated
 
     def test_done_iff_targets_settled_or_step_cap(self, chain3):

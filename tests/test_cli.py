@@ -254,6 +254,14 @@ class TestTrainEvalPipeline:
         assert scenario["sensitive_hosts"] == [[2, 1], [3, 0]]
         assert scenario["action_times"]["sleep"] == 60.0
 
+    def test_manifest_records_the_numpy_build(self, train_run):
+        out, _ = train_run
+        manifest = json.loads((out / "run1" / "run_manifest.json").read_text())
+        build = manifest["build"]
+        assert build["numpy"] == np.__version__
+        assert build == cli.current_build()
+        assert build["blas"] and isinstance(build["simd_found"], list)
+
     def test_eval_consumes_checkpoint(self, train_run, tiny_inputs):
         out, _ = train_run
         eval_dir = out / "eval1"

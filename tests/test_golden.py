@@ -34,6 +34,7 @@ import pytest
 
 from c2sim import cli, scenarios
 from c2sim.c2_env import C2Env
+from c2sim.cli import current_build
 from c2sim.net_model import load_topology, save_topology
 
 RECORDED_BUILD = {
@@ -88,17 +89,6 @@ TRACES_FIXTURE = Path(__file__).parent / "data" / "traces.jsonl"
 # The benchmark's enterprise-campaign attacker, read from its own file so
 # that the digest below follows the code the benchmark runs.
 ATTACKER_PY = Path(__file__).parents[1] / "perfbench" / "attacker.py"
-
-
-def current_build() -> dict:
-    config = np.show_config(mode="dicts")
-    blas = config["Build Dependencies"]["blas"]
-    return {
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
-        "openblas_configuration": blas.get("openblas configuration"),
-        "simd_found": list(config["SIMD Extensions"].get("found", [])),
-    }
 
 
 def sha256(data: bytes) -> str:

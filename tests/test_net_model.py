@@ -337,8 +337,8 @@ firewalls:
         with pytest.raises(TopologyError, match="cpe count exceeds open ports"):
             load_topology(bad)
 
-    def test_bundled_enterprise_network_has_1444_hosts(self):
-        topology, scenario = scenarios.enterprise101()
+    def test_bundled_enterprise_network_has_1444_hosts(self, enterprise_inputs):
+        topology, scenario = enterprise_inputs
         reloaded = load_topology(save_topology(topology))
         assert reloaded == topology
         assert len(reloaded.subnets) == 101

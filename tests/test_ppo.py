@@ -710,7 +710,9 @@ def _skip_unless_recorded_build(what):
     """Rounding can differ on a numpy/BLAS build unlike the one the golden
     digests were recorded on; there a bit mismatch is a skip, as in
     test_golden."""
-    from test_golden import RECORDED_BUILD, current_build
+    from test_golden import RECORDED_BUILD
+
+    from c2sim.cli import current_build
 
     build = current_build()
     if build != RECORDED_BUILD:
