@@ -17,7 +17,7 @@ from .net_model import build_config
 from .neural import MlpParams
 
 
-class PruneDivergenceError(Exception):
+class PruneDivergenceError(ValueError):
     """A pruned trace no longer reproduces the original terminal statuses."""
 
 

@@ -58,7 +58,7 @@ UPLOAD_TIME_SCALE = 1.0 / 60.0
 UPLOAD_VOLUME_SCALE = 1e-3
 
 
-class ScenarioError(Exception):
+class ScenarioError(ValueError):
     """Scenario config inconsistent with the topology."""
 
 
@@ -177,8 +177,9 @@ class ScenarioConfig:
 @dataclass
 class EnvState:
     """One episode. Host arrays are indexed by ``C2Env.host_index``, target
-    state by ``C2Env.target_index``, firewall update times as
-    ``topology.firewalls``. ``discovered``, ``infected``, ``status`` (per
+    state by ``C2Env.target_index``, firewall last-update times as
+    ``topology.firewalls``; a firewall's next scheduled update is one update
+    period after its last. ``discovered``, ``infected``, ``status`` (per
     target, the not connected/connected/isolated one-hot) and ``attempts``
     (decayed connect attempts) are views of the env's observation buffer;
     the other target counters are lists: payload left (MB), decayed upload
@@ -195,9 +196,9 @@ class EnvState:
     upload_volume: list[float]
     uploads: list[list[tuple[float, float]]]
     fw_last_update: list[float]
-    fw_next_update: list[float]
-    # No scheduled update is due while clock is below this; it never
-    # exceeds min(fw_next_update), since emergencies only push updates later.
+    # No scheduled update is due while clock is below this, the least last
+    # update plus period as of reset or the last scheduled update; an
+    # emergency only pushes its firewalls' updates later.
     fw_next_due: float = math.inf
     clock: float = 0.0
     step_count: int = 0
@@ -476,7 +477,6 @@ class C2Env:
             upload_volume=[0.0] * n_targets,
             uploads=[[] for _ in range(n_targets)],
             fw_last_update=[0.0] * len(self._fw_periods),
-            fw_next_update=list(self._fw_periods),
             fw_next_due=min(self._fw_periods, default=math.inf),
         )
         self._done = False
@@ -635,16 +635,17 @@ class C2Env:
                 elapsed, apply_decay(1.0, elapsed, self.scenario.decay_factor), cvss)
 
     def _scheduled_updates(self) -> None:
-        """Apply every update due by now, each firewall jumping all the
-        periods it missed at once, so no clock jump makes a step loop;
-        called once the clock reaches ``fw_next_due``."""
+        """Apply every update due by now. A firewall is due one period
+        after its last update, and jumps all the periods it missed at once,
+        so no clock jump makes a step loop. Called once the clock reaches
+        ``fw_next_due``."""
         st = self.state
-        clock, last, nxt = st.clock, st.fw_last_update, st.fw_next_update
-        for j, period in enumerate(self._fw_periods):
-            if nxt[j] <= clock:
-                last[j] = nxt[j] + (clock - nxt[j]) // period * period
-                nxt[j] = last[j] + period
-        st.fw_next_due = min(nxt)
+        clock, last, periods = st.clock, st.fw_last_update, self._fw_periods
+        for j, period in enumerate(periods):
+            nxt = last[j] + period
+            if nxt <= clock:
+                last[j] = nxt + (clock - nxt) // period * period
+        st.fw_next_due = min([t + p for t, p in zip(last, periods)])
 
     def _do_subnet_scan(self, origin: Address) -> tuple[list[Address], float]:
         """Discover same-subnet hosts plus allow-rule-visible neighbors."""
@@ -763,7 +764,6 @@ class C2Env:
         st = self.state
         for j in self._target_paths[k]:
             st.fw_last_update[j] = st.clock
-            st.fw_next_update[j] = st.clock + self._fw_periods[j]
         st.status[k] = _STATUS_ONE_HOT[ISOLATED]
         penalty = float(st.accumulated_reward[i])
         st.accumulated_reward[i] = 0.0

@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__, analysis, netgen, ppo, scenarios
 from .c2_env import C2Env, ScenarioConfig, ScenarioError
-from .net_model import TopologyError, load_topology, save_topology
-from .netgen import GenerationError, ReferenceDataError
+from .net_model import load_topology, save_topology
 
 log = logging.getLogger("c2sim")
 
@@ -282,8 +281,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (TopologyError, ScenarioError, GenerationError, ReferenceDataError,
-            ppo.CheckpointError, analysis.PruneDivergenceError, ValueError) as exc:
+    except ValueError as exc:  # every refused input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -116,8 +116,8 @@ def build_config(kind, doc, error: type[Exception], name: str):
     ``error`` naming the document (``name``) and the key path in it, such
     as ``subnets[1].hosts[0].os``. ``field(metadata={"key": ...})`` reads a
     field from another key. Range checks are left to ``__post_init__``; a
-    domain type's TopologyError from one is raised as ``error`` too, after
-    the key path of the entry that failed it.
+    type's own ``ValueError`` from one is raised as ``error`` too, after the
+    key path of the entry that failed it.
     """
     try:
         return _reader(kind).read(doc)
@@ -264,7 +264,7 @@ def _dataclass_reader(cls):
                 k for k in required if k not in doc))
         try:
             return cls(**kwargs)
-        except TopologyError as exc:  # a domain type's range check
+        except ValueError as exc:  # the type's own range check
             raise _Invalid(str(exc)) from None
     return convert
 
@@ -277,7 +277,7 @@ DefenseTier = Literal["high", "medium", "low"]
 DEFENSE_TIERS = typing.get_args(DefenseTier)
 
 
-class TopologyError(Exception):
+class TopologyError(ValueError):
     """A manifest violated a structural invariant."""
 
 
@@ -581,7 +581,8 @@ def validate_topology(t: NetworkTopology) -> None:
                     raise TopologyError(
                         f"host {h.address}: service on closed port {b.port}"
                     )
-            if h.is_sensitive and not h.vulnerabilities():
+            if h.is_sensitive and not any(
+                    vuln_applies(h, v) for v in h.vulnerabilities()):
                 raise TopologyError(
                     f"sensitive host {h.address} has no exploitable vulnerability"
                 )

@@ -40,11 +40,11 @@ BUCKET_RANGES = {
 }
 
 
-class GenerationError(Exception):
+class GenerationError(ValueError):
     """Configuration cannot produce a valid network."""
 
 
-class ReferenceDataError(Exception):
+class ReferenceDataError(ValueError):
     """A reference table violates its schema."""
 
 

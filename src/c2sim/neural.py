@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 
-class ShapeMismatchError(Exception):
+class ShapeMismatchError(ValueError):
     pass
 
 

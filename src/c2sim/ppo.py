@@ -115,7 +115,7 @@ def init_policy(rng: np.random.Generator, obs_dim: int, n_actions: int,
 CHECKPOINT_VERSION = 2
 
 
-class CheckpointError(Exception):
+class CheckpointError(ValueError):
     """A file that ``load_policy`` cannot read as a policy."""
 
 
@@ -215,7 +215,7 @@ def load_policy(path, expect_obs_dim: int,
     try:
         params = _blank_policy(nets, (manifest.opts.actor, manifest.opts.critic),
                                expect_obs_dim)
-    except (neural.ShapeMismatchError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         raise CheckpointError(f"checkpoint manifest: {exc}") from None
     for key, _, tensor in params.tensors():
         if key not in members:

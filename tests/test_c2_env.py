@@ -118,7 +118,8 @@ class TestReset:
         assert env.state.clock == 0.0
         for j, fw in enumerate(env.topology.firewalls):
             assert st.fw_last_update[j] == 0.0
-            assert st.fw_next_update[j] == fw.params.update_period_seconds
+        assert st.fw_next_due == min(
+            fw.params.update_period_seconds for fw in env.topology.firewalls)
 
     def test_reset_deterministic(self, chain3):
         env = env_of(chain3)
@@ -802,7 +803,7 @@ class TestScheduledUpdates:
         env.step(Sleep())  # 86,459 crosses the 86,400 boundary
         for j, fw in enumerate(env.topology.firewalls):
             assert env.state.fw_last_update[j] == 86_400.0
-            assert env.state.fw_next_update[j] == 2 * 86_400.0
+        assert env.state.fw_next_due == 2 * 86_400.0
 
     def test_no_update_just_before_boundary(self, chain3):
         env = env_of(chain3)
@@ -816,9 +817,9 @@ class TestScheduledUpdates:
         env.reset(seed=0)
         env.state.clock = 2 * 86_400.0 + 10.0
         env.step(Sleep())
-        for last, nxt in zip(env.state.fw_last_update, env.state.fw_next_update):
+        for last in env.state.fw_last_update:
             assert last == 2 * 86_400.0
-            assert nxt == 3 * 86_400.0
+        assert env.state.fw_next_due == 3 * 86_400.0
 
     def test_firewalls_with_different_periods(self, chain3):
         # 1 h, 2.5 h and 24 h schedules; with sleeps only, each firewall's
@@ -833,10 +834,12 @@ class TestScheduledUpdates:
         periods = [fw.params.update_period_seconds for fw in topology.firewalls]
         for _ in range(1_500):  # 25 h
             env.step(Sleep())
+            due = []
             for j, period in enumerate(periods):
                 last = (env.state.clock // period) * period
                 assert env.state.fw_last_update[j] == last
-                assert env.state.fw_next_update[j] == last + period
+                due.append(last + period)
+            assert env.state.fw_next_due == min(due)
 
 
 class TestObservation:

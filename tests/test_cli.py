@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import signal
+import tempfile
 import zipfile
 from importlib import resources
 from pathlib import Path
@@ -10,10 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
-from c2sim import analysis, cli, ppo
-from c2sim.c2_env import C2Env
-from c2sim.net_model import load_topology, save_topology
+from c2sim import analysis, cli, netgen, neural, ppo
+from c2sim.c2_env import C2Env, ScenarioError
+from c2sim.net_model import (
+    ManifestParseError, TopologyError, UnreachableSubnetError, load_topology,
+    save_topology)
 
 
 GEN_CONFIG = """
@@ -205,7 +212,8 @@ class TestGenerate:
          ["total_ips", "integer"]),
         (GEN_CONFIG + "graph_shape: 5\n", ["graph_shape", "string"]),
         ("", ["generator config", "mapping"]),
-        (GEN_CONFIG.replace("seed: 4", "seed: -1"), ["seed must be >= 0"]),
+        (GEN_CONFIG.replace("seed: 4", "seed: -1"),
+         ["generator config", "seed must be >= 0"]),
     ], ids=["unknown-key", "not-a-mapping", "missing-key", "string-count",
             "boolean-seed", "malformed-yaml", "fractional-count",
             "integer-shape", "empty-document", "negative-seed"])
@@ -437,13 +445,14 @@ class TestConfigErrors:
          ["malformed YAML at line 8", "cannot read '._e3' as !!float"]),
         # no digit after the dot: a string, as in YAML 1.1, not a float
         (PPO_SMALL + "actor_lr: ._e3\n", ["actor_lr", "number", "'._e3'"]),
-        (PPO_SMALL + "stop_window: 0\n", ["stop_window", "positive"]),
-        (PPO_SMALL.replace("seed: 5", "seed: -1"), ["seed must be >= 0"]),
+        (PPO_SMALL + "stop_window: 0\n", ["PPO config", "stop_window", "positive"]),
+        (PPO_SMALL.replace("seed: 5", "seed: -1"), ["PPO config", "seed must be >= 0"]),
         (PPO_SMALL + "checkpoint_interval: -64\n",
-         ["checkpoint_interval must be >= 0"]),
-        (PPO_SMALL + "entropy_coef: -1.0\n", ["entropy_coef must be >= 0"]),
+         ["PPO config", "checkpoint_interval must be >= 0"]),
+        (PPO_SMALL + "entropy_coef: -1.0\n",
+         ["PPO config", "entropy_coef must be >= 0"]),
         (PPO_SMALL.replace("total_steps: 512", "total_steps: 100"),
-         ["total_steps (100) must be 0 or at least one horizon (128)"]),
+         ["PPO config", "total_steps (100) must be 0 or at least one horizon (128)"]),
         # gradient clipping, unnormalized advantages and a sparser metric
         # cadence are not options: their keys are unknown like any other
         (PPO_SMALL + "grad_clip: 0.5\n", ["unknown key", "grad_clip"]),
@@ -528,6 +537,10 @@ class TestConfigErrors:
         (SCENARIO + "payload_size_mb: .inf\n", ["payload_size_mb", "finite"]),
         (SCENARIO + "max_steps: 50\nmax_steps: 60\n",
          ["malformed YAML at line 4", "duplicate key 'max_steps'"]),
+        (SCENARIO + "decay_factor: 2\n",
+         ["scenario decay_factor must be in (0, 1)"]),
+        (SCENARIO + "action_times: {sleep: -1}\n",
+         ["scenario action_times.sleep must be >= 0"]),
     ], ids=["not-a-mapping", "scalar-foothold", "triple-foothold",
             "scalar-target", "string-local-id", "scalar-targets",
             "scalar-upload-rates", "malformed-yaml", "string-action-time",
@@ -536,7 +549,7 @@ class TestConfigErrors:
             "string-upload-rate", "unknown-upload-rate", "unknown-key",
             "schema-version-2", "integer-topology",
             "nan-payload", "nan-action-time", "infinite-payload",
-            "repeated-key"])
+            "repeated-key", "decay-above-one", "negative-action-time"])
     def test_bad_scenario_document(self, tmp_path, capsys, text, words):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(text)
@@ -777,3 +790,98 @@ class TestNoValueHangsAStep:
         assert rc in (cli.EXIT_OK, cli.EXIT_INVALID)
         # the period passes the manifest's own checks
         assert run(["validate", "--topology", str(tmp_path / "net.yaml")]) == cli.EXIT_OK
+
+
+def test_every_input_error_is_a_value_error():
+    # cli.main maps exit 3 from ValueError alone
+    errors = [TopologyError, ManifestParseError, UnreachableSubnetError,
+              ScenarioError, netgen.GenerationError, netgen.ReferenceDataError,
+              ppo.CheckpointError, analysis.PruneDivergenceError,
+              neural.ShapeMismatchError, analysis.TraceFormatError,
+              analysis.TraceReplayError]
+    assert [e for e in errors if not issubclass(e, ValueError)] == []
+
+
+def document_nodes(doc, path=()):
+    """The key path of every node of a parsed document, the root first."""
+    yield path
+    if type(doc) is dict:
+        items = doc.items()
+    elif type(doc) is list:
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from document_nodes(value, (*path, key))
+
+
+DELETED = "<deleted>"
+
+
+def mutated_text(doc, path, value) -> str:
+    """``doc`` as YAML, with the node at ``path`` replaced by ``value`` or,
+    for DELETED, removed (the root removed is an empty document)."""
+    if not path:
+        return "" if value is DELETED else yaml.safe_dump(value)
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return yaml.safe_dump(doc)
+
+
+class TestRefusalByProperty:
+    """Any one node of an input document replaced by an odd value, or
+    deleted, gives exit 0, 3 or 4, with one stderr line on failure: never a
+    traceback or a hang. PPO configs are only parsed, since an absurd one
+    could ask for more memory than training can have."""
+
+    TOPOLOGY = DATA / "scenarios" / "tiny_topology.yaml"
+    DOCUMENTS = {
+        "scenario": yaml.safe_load((DATA / "scenarios" / "tiny.yaml").read_text()),
+        "topology": yaml.safe_load(TOPOLOGY.read_text()),
+        "generator config": yaml.safe_load(GEN_CONFIG),
+        "PPO config": yaml.safe_load(PPO_SMALL),
+    }
+    VALUES = [None, "x", -1, 0, 1e30, float("nan"), float("inf"), [], {}, True,
+              DELETED]
+
+    def argv(self, name, path, out):
+        """The command that reads document ``name``, written at ``path``."""
+        if name == "scenario":
+            return ["analyze", "--traces", str(TRACES_FIXTURE), "--prune",
+                    "--scenario", path, "--topology", str(self.TOPOLOGY),
+                    "--out-dir", out]
+        if name == "topology":
+            return ["validate", "--topology", path]
+        return ["generate", "--config", path, "--out", f"{out}/net.yaml"]
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(st.sampled_from(sorted(DOCUMENTS)).flatmap(lambda name: st.tuples(
+        st.just(name), st.sampled_from(list(document_nodes(
+            TestRefusalByProperty.DOCUMENTS[name]))),
+        st.sampled_from(TestRefusalByProperty.VALUES))))
+    def test_one_node_mutated(self, mutation):
+        name, path, value = mutation
+        text = mutated_text(self.DOCUMENTS[name], path, value)
+        if name == "PPO config":
+            try:
+                ppo.PpoConfig.from_yaml(text)
+            except ValueError as exc:
+                assert "\n" not in str(exc)
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            doc = f"{tmp}/document.yaml"
+            with open(doc, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = run_within(10, self.argv(name, doc, f"{tmp}/out"))
+        assert rc in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_IO)
+        if rc != cli.EXIT_OK:
+            assert err.getvalue().count("\n") == 1, err.getvalue()

@@ -451,6 +451,17 @@ class TestValidation:
                 internet_gateway_subnets=frozenset({1}),
                 adjacency=(),
             )
+        # tiny's windows host (2, 0), marked sensitive, whose one CVE
+        # requires linux: a vulnerability that cannot apply counts as none
+        doc = yaml.safe_load((resources.files("c2sim") / "data" / "scenarios"
+                              / "tiny_topology.yaml").read_text())
+        host = doc["subnets"][1]["hosts"][0]
+        assert (host["local_id"], host["os"]) == (0, "windows")
+        host["services"][0]["cves"][0]["required_os"] = "linux"
+        doc["sensitive_hosts"].append([2, 0])
+        with pytest.raises(TopologyError, match=r"sensitive host \(2, 0\) has no "
+                                                "exploitable vulnerability"):
+            load_topology(yaml.safe_dump(doc))
 
     def test_allow_rule_to_unknown_subnet(self):
         s = Subnet(id=1, hosts=(make_host(1, 0),),

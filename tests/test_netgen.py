@@ -310,7 +310,7 @@ class TestPortAndCpeTables:
         ("port_probabilities.yaml", "ports: []\n", ["empty"]),
         ("port_probabilities.yaml",
          "ports:\n  - {port: 80, open_frequency: 1.5}\n",
-         ["open_frequency", "[0, 1]", "1.5"]),
+         ["port probabilities: ports[0]", "open_frequency", "[0, 1]", "1.5"]),
         ("cpe_reference.yaml",
          "records:\n  80:\n    - {service_name: http, cpe: 'cpe:/a:x:y:1', "
          "probability: 1.0, is_security_product: 0}\n",
