@@ -183,7 +183,13 @@ class EnvState:
     target, the not connected/connected/isolated one-hot) and ``attempts``
     (decayed connect attempts) are views of the env's observation buffer;
     the other target counters are lists: payload left (MB), decayed upload
-    time (s) and volume (MB), and each target's ``(time, mb)`` uploads."""
+    time (s) and volume (MB), and each target's ``(time, mb)`` uploads.
+
+    ``reset`` makes fresh ``infection_time`` and ``accumulated_reward``
+    arrays each episode, and the env reads and writes them, like the
+    buffer's slots, through memoryviews. Write to any of these arrays in
+    place, and the next step reads the written value; an array assigned
+    in place of one is not seen."""
 
     discovered: np.ndarray
     infected: np.ndarray
@@ -251,12 +257,13 @@ class C2Env:
     a step needs from it (scan reveals, firewall paths, the best applicable
     CVSS per host and CVE) is tabulated once, in ``__init__``, so a step
     costs the same at any network size. So is a plan per action: its kind,
-    host row, cost, elapsed time and decay factor, and for an exploit the
+    host row, cost, elapsed time and decay factor, an exploit's CVE id and
     best applicable CVSS score (None when no vulnerability of that id
-    applies to the host). ``step`` reads the plan by index or, through
-    ``action_index``, by the action's value, and builds one for an action
-    outside the space (a replayed exploit naming a CVE its host lacks, a
-    connect to a host that is not sensitive); the plans are not episode state.
+    applies to the host), and an upload's rate. ``step`` reads the plan by
+    index or, through ``action_index``, by the action's value, and builds
+    one for an action outside the space (a replayed exploit naming a CVE its
+    host lacks, a connect to a host that is not sensitive); the plans are
+    not episode state.
 
     Each instance owns one observation buffer, rewritten in place by every
     ``reset`` and ``step``. The observation they return is a read-only view
@@ -268,12 +275,22 @@ class C2Env:
     them, valid until the next ``reset``. ``dynamic_index`` names every
     slot an episode writes; the rest keep the values set in ``__init__``.
 
+    A step reads and writes that state a slot or a host at a time, as
+    Python floats, through memoryviews: of the buffer (the status bits and
+    the target slots) and of the episode's ``infection_time`` and
+    ``accumulated_reward``. It makes no NumPy scalar access, and its only
+    NumPy calls are the random draws of a connect or a CVSS-scaled exploit.
+    Between steps a caller's own work (a sum over the 241,164-float
+    observation at enterprise101) evicts the CPU caches, and a NumPy scalar
+    access then costs about twice a memoryview read.
+
     ``target_index`` maps each sensitive host to its target number, in
     sorted address order, as ``host_index`` maps hosts to rows. A step does
-    per-target work (counter decay, the settled check, the slots
-    ``encode_observation`` writes) only for the targets that
-    ``state.infected`` marks: a connect or upload needs an infected host,
-    so until its infection a target keeps the slots ``reset`` wrote.
+    per-target work (counter decay, then one pass after the action that
+    writes the slots ``encode_observation`` writes and checks whether every
+    target is settled) only for the targets that ``state.infected`` marks:
+    a connect or upload needs an infected host, so until its infection a
+    target keeps the slots ``reset`` wrote.
     """
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
@@ -288,13 +305,16 @@ class C2Env:
         self._hosts = {h.address: h for h in hosts}
         self._addresses = [h.address for h in hosts]
         self.host_index = {addr: i for i, addr in enumerate(self._addresses)}
-        self._discovery_values = np.array(
-            [h.discovery_value for h in hosts], dtype=np.float64)
+        self._infection_values = [h.infection_value for h in hosts]
         self.target_index = {addr: k for k, addr in
                              enumerate(sorted(scenario.sensitive_hosts))}
+        # By host row, its target number (None: not a sensitive host).
+        self._target_of: list[int | None] = [None] * len(hosts)
+        for addr, k in self.target_index.items():
+            self._target_of[self.host_index[addr]] = k
 
-        self._build_tables()
         self._build_obs_layout()
+        self._build_tables()
         # What a step needs of each action, by index; an action outside the
         # space gets its plan from ``_plan`` per step.
         self._plans = [self._plan(a) for a in self.actions]
@@ -303,7 +323,11 @@ class C2Env:
                            apply_decay(1.0, erroneous, scenario.decay_factor))
         self.state: EnvState | None = None
         self._done = True
+        self._settled = False
         self._rng: np.random.Generator | None = None
+        # Memoryviews of the episode's infection_time and accumulated_reward.
+        self._infection_time: memoryview | None = None
+        self._rewards: memoryview | None = None
 
     # -- setup ------------------------------------------------------------
 
@@ -348,16 +372,19 @@ class C2Env:
 
         # Hosts a scan from each subnet reveals, in discovery order: the
         # subnet's own hosts, then each neighbor's hosts with a service on a
-        # port the allow rules open (any service under an all-ports rule).
-        self._scan_reveals: dict[int, np.ndarray] = {}
+        # port the allow rules open (any service under an all-ports rule);
+        # each as its row, discovered bit and discovery value.
+        self._scan_reveals: dict[int, list[tuple[int, int, float]]] = {}
         for s in t.subnets:
-            order = [h.address for h in s.hosts]
+            order = list(s.hosts)
             for nb in t.neighbors(s.id):
                 allowed = t.allowed_ports(s.id, nb)
-                order += [h.address for h in t.subnet(nb).hosts if h.services and (
+                order += [h for h in t.subnet(nb).hosts if h.services and (
                     allowed is None or any(b.port in allowed for b in h.services))]
-            self._scan_reveals[s.id] = np.array(
-                [self.host_index[a] for a in dict.fromkeys(order)], dtype=np.intp)
+            rows = {self.host_index[h.address]: h for h in order}
+            self._scan_reveals[s.id] = [
+                (i, self._host_slots[i] + 1, float(h.discovery_value))
+                for i, h in rows.items()]
 
         # By target number: path firewall indices, (attempts, volume, time)
         # thresholds and the probability of a connect crossing every firewall.
@@ -433,6 +460,9 @@ class C2Env:
         self.live_slots = np.flatnonzero(live)
         self._discovered_bits = template[status + 1:hosts_end:block]
         self._infected_bits = template[status + 3:hosts_end:block]
+        # By host row, the slot of its discovery value: its discovered bit
+        # is the next slot, its infected bit the third after.
+        self._host_slots = values.tolist()
         # Per target: its number, host row, infected bit and first slot.
         # Its 8 slots are the status one-hot, hours since infection, payload
         # share left, decayed attempts, upload minutes and upload volume.
@@ -479,6 +509,10 @@ class C2Env:
             fw_last_update=[0.0] * len(self._fw_periods),
             fw_next_due=min(self._fw_periods, default=math.inf),
         )
+        # The step reads and writes these two arrays a host at a time, as
+        # Python floats, through memoryviews of this episode's arrays.
+        self._infection_time = memoryview(self.state.infection_time)
+        self._rewards = memoryview(self.state.accumulated_reward)
         self._done = False
         return self.encode_observation()
 
@@ -500,6 +534,11 @@ class C2Env:
         target one-hot and attempts its connect, emergency or decay changes,
         and, through ``encode_observation``, the slots of each infected
         target; an uninfected target's slots still hold what ``reset`` wrote.
+        The step reads and writes episode state as Python floats, a slot or
+        a host at a time, through memoryviews: of the buffer for the status
+        bits and target slots, of this episode's arrays for
+        ``state.infection_time`` and ``state.accumulated_reward``. What a
+        direct in-place write leaves in any of them is what it reads.
         """
         if self._done:  # also before the first reset
             raise EpisodeDoneError("step() after episode end; call reset()")
@@ -512,23 +551,23 @@ class C2Env:
         else:
             i = self.action_index.get(action)
             plan = self._plan(action) if i is None else self._plans[i]
-        action, kind, host, row, reward, elapsed, decay, cvss = plan
+        arg, kind, host, row, reward, elapsed, decay, cvss = plan
 
-        st = self.state
-        infected, cells = st.infected, self._cells
-        if kind == "exploit":
-            valid = bool(st.discovered[row])
+        st, cells = self.state, self._cells
+        if kind == "exploit":  # discovered
+            valid = cells[self._host_slots[row] + 1] != 0.0
         elif kind == "sleep":
             valid = True
-        elif kind == "subnet_scan":
-            valid = bool(infected[row])
+        elif kind == "subnet_scan":  # infected
+            valid = cells[self._host_slots[row] + 3] != 0.0
         else:
-            k = self.target_index.get(host)
+            k = self._target_of[row]
             if k is None:
                 valid = False
             elif kind == "connect":  # infected and not isolated
                 off = self._targets_start + 8 * k
-                valid = bool(infected[row]) and not cells[off + 2]
+                valid = (cells[self._host_slots[row] + 3] != 0.0
+                         and not cells[off + 2])
             else:  # connected, with payload left
                 off = self._targets_start + 8 * k
                 valid = cells[off + 1] == 1.0 and st.payload[k] > 0
@@ -555,15 +594,15 @@ class C2Env:
             "penalty": 0.0,
         }
         if kind == "exploit":
-            info["cve"] = action.cve_id
+            info["cve"] = arg
             if valid:
-                success, gained = self._do_exploit(host, row, cvss)
+                success, gained = self._do_exploit(row, cvss)
                 reward += gained
                 info["outcome"] = "exploited" if success else "exploit_failed"
         elif kind == "upload":
-            info["rate"] = action.rate
+            info["rate"] = arg
             if valid:
-                mb, gained, penalty, emergency = self._do_upload(k, row, action.rate)
+                mb, gained, penalty, emergency = self._do_upload(k, row, arg)
                 reward += gained - penalty
                 info["outcome"] = "uploaded"
                 info["mb"] = mb
@@ -572,7 +611,7 @@ class C2Env:
         elif not valid:
             pass  # an erroneous scan or connect changes nothing more
         elif kind == "subnet_scan":
-            newly, gained = self._do_subnet_scan(host)
+            newly, gained = self._do_subnet_scan(host[0])
             reward += gained
             info["outcome"] = "scanned"
             info["newly_discovered"] = newly
@@ -587,21 +626,13 @@ class C2Env:
             info["outcome"] = "slept"
 
         st.step_count += 1
-        settled = True
-        payload = st.payload
-        for j, _, bit, slot in self._target_slots:
-            if not cells[bit]:  # its payload is all there, its channel unused
-                settled = False
-                break
-            if payload[j] > 0 and not cells[slot + 2]:  # not isolated
-                settled = False
-                break
+        obs = self.encode_observation()
         capped = st.step_count >= self.scenario.max_steps
-        self._done = settled or capped
+        self._done = self._settled or capped
         info["clock"] = st.clock
-        if capped and not settled:
+        if capped and not self._settled:
             info["truncated"] = True
-        return self.encode_observation(), reward, self._done, info
+        return obs, reward, self._done, info
 
     def check_action(self, action: Action) -> None:
         """Raise as ``step(action)`` would for an action this env cannot
@@ -613,10 +644,12 @@ class C2Env:
     # -- action semantics ---------------------------------------------------
 
     def _plan(self, action: Action) -> tuple:
-        """(action, kind, host, host row, base reward, elapsed, decay, cvss)
-        for a valid step of ``action``: the reward is ``-action_cost``, the
-        decay is ``apply_decay(1.0, elapsed, decay_factor)``, and the cvss
-        is an exploit's ``_exploit_cvss`` entry (None for any other kind)."""
+        """(argument, kind, host, host row, base reward, elapsed, decay,
+        cvss) for a valid step of ``action``: the argument is an exploit's
+        CVE id or an upload's rate (None for any other kind), the reward is
+        ``-action_cost``, the decay is ``apply_decay(1.0, elapsed,
+        decay_factor)``, and the cvss is an exploit's ``_exploit_cvss``
+        entry (None for any other kind)."""
         if not isinstance(action, Action):
             raise TypeError(f"not an action or action index: {action!r}")
         kind = action.kind
@@ -628,10 +661,14 @@ class C2Env:
         if kind == "upload" and action.rate not in self.scenario.upload_rates:
             raise ValueError(f"upload rate {action.rate!r} is not one of "
                              f"{sorted(self.scenario.upload_rates)}")
+        arg = cvss = None
+        if kind == "exploit":
+            arg = action.cve_id
+            cvss = self._exploit_cvss.get((host, arg))
+        elif kind == "upload":
+            arg = action.rate
         elapsed = self.scenario.action_times.of(action)
-        cvss = (self._exploit_cvss.get((host, action.cve_id))
-                if kind == "exploit" else None)
-        return (action, kind, host, row, -action_cost(action, self._hosts.get(host)),
+        return (arg, kind, host, row, -action_cost(action, self._hosts.get(host)),
                 elapsed, apply_decay(1.0, elapsed, self.scenario.decay_factor), cvss)
 
     def _scheduled_updates(self) -> None:
@@ -647,34 +684,42 @@ class C2Env:
                 last[j] = nxt + (clock - nxt) // period * period
         st.fw_next_due = min([t + p for t, p in zip(last, periods)])
 
-    def _do_subnet_scan(self, origin: Address) -> tuple[list[Address], float]:
-        """Discover same-subnet hosts plus allow-rule-visible neighbors."""
-        st = self.state
-        reveal = self._scan_reveals[origin[0]]
-        newly = reveal[st.discovered[reveal] == 0.0]
-        st.discovered[newly] = 1.0
-        values = self._discovery_values[newly]
-        st.accumulated_reward[newly] += values
+    def _do_subnet_scan(self, subnet: int) -> tuple[list[Address], float]:
+        """Discover same-subnet hosts plus allow-rule-visible neighbors.
+        Credits each new host's discovery value in discovery order and
+        returns the new hosts' addresses, sorted, and their summed value."""
+        cells, rewards = self._cells, self._rewards
+        newly = []
         gained = 0.0
-        for value in values.tolist():  # in discovery order, not numpy's pairwise sum
-            gained += value
-        return sorted(self._addresses[i] for i in newly.tolist()), gained
+        for i, bit, value in self._scan_reveals[subnet]:
+            if cells[bit] == 0.0:
+                cells[bit] = 1.0
+                rewards[i] += value
+                gained += value
+                newly.append(i)
+        addresses = self._addresses
+        return sorted([addresses[i] for i in newly]), gained
 
-    def _do_exploit(self, target: Address, i: int,
-                    best: float | None) -> tuple[bool, float]:
-        st = self.state
+    def _do_exploit(self, i: int, best: float | None) -> tuple[bool, float]:
         success = best is not None
         if success and self.scenario.cvss_scaled_exploits:
             success = self._rng.random() < best / 10.0
         if not success:
             return False, 0.0
-        if st.infected[i]:
+        cells = self._cells
+        bit = self._host_slots[i] + 3
+        if cells[bit]:
             return True, 0.0
-        st.infected[i] = 1.0
-        st.infection_time[i] = st.clock
-        gained = self._hosts[target].infection_value
-        st.accumulated_reward[i] += gained
+        cells[bit] = 1.0
+        self._infection_time[i] = self.state.clock
+        gained = self._infection_values[i]
+        self._rewards[i] += gained
         return True, gained
+
+    def _set_status(self, k: int, status: str) -> None:
+        off = self._targets_start + 8 * k
+        cells = self._cells
+        cells[off], cells[off + 1], cells[off + 2] = _STATUS_ONE_HOT[status]
 
     def _do_connect(self, k: int, i: int) -> tuple[str, str, float, float]:
         """Connect target ``k`` (host row ``i``). Returns (outcome, attempt
@@ -688,15 +733,15 @@ class C2Env:
         cells[off + 5] += 1.0
 
         gained = 0.0
+        infected_at = self._infection_time[i]
         if cells[off + 1] == 1.0:
             result = OUTCOME_ALREADY
-        elif any(st.fw_last_update[j] > st.infection_time[i]
-                 for j in self._target_paths[k]):
+        elif any(st.fw_last_update[j] > infected_at for j in self._target_paths[k]):
             result = OUTCOME_BLOCKED
         elif self._rng.random() < self._connect_p[k]:
-            st.status[k] = _STATUS_ONE_HOT[CONNECTED]
+            self._set_status(k, CONNECTED)
             gained = self.scenario.rewards.connection
-            st.accumulated_reward[i] += gained
+            self._rewards[i] += gained
             result = OUTCOME_CONNECTED
         else:
             result = OUTCOME_FAILED
@@ -721,7 +766,7 @@ class C2Env:
         st.upload_time[k] += self.scenario.action_times.upload
 
         gained = self.scenario.rewards.upload_per_mb * mb
-        st.accumulated_reward[i] += gained
+        self._rewards[i] += gained
         if payload[k] <= 0.0:
             payload[k] = 0.0
             # Completion bonus is never part of the per-host accumulation,
@@ -764,9 +809,9 @@ class C2Env:
         st = self.state
         for j in self._target_paths[k]:
             st.fw_last_update[j] = st.clock
-        st.status[k] = _STATUS_ONE_HOT[ISOLATED]
-        penalty = float(st.accumulated_reward[i])
-        st.accumulated_reward[i] = 0.0
+        self._set_status(k, ISOLATED)
+        penalty = self._rewards[i]
+        self._rewards[i] = 0.0
         return penalty
 
     # -- termination & encoding ---------------------------------------------
@@ -787,19 +832,28 @@ class C2Env:
         already current, written where the state changes. An uninfected
         target is skipped: no step changes its slots before its infection.
 
+        The same pass notes whether every target is settled (infected, and
+        its payload all sent or its channel isolated), which ``step`` reads
+        to end the episode.
+
         Returns a read-only view of the buffer, valid until this env's next
         ``reset`` or ``step``; copy it to keep it.
         """
         st = self.state
-        cells = self._cells
-        payload, size = st.payload, self.scenario.payload_size_mb
+        cells, infection_time = self._cells, self._infection_time
+        clock, payload, size = st.clock, st.payload, self.scenario.payload_size_mb
         upload_time, upload_volume = st.upload_time, st.upload_volume
+        settled = True
         for k, i, bit, off in self._target_slots:
-            if not cells[bit]:
+            if not cells[bit]:  # its payload is all there, its channel unused
+                settled = False
                 continue
-            since = st.clock - st.infection_time.item(i)
-            cells[off + 3] = since * INFECTION_TIME_SCALE
-            cells[off + 4] = payload[k] / size
+            left = payload[k]
+            cells[off + 3] = (clock - infection_time[i]) * INFECTION_TIME_SCALE
+            cells[off + 4] = left / size
             cells[off + 6] = upload_time[k] * UPLOAD_TIME_SCALE
             cells[off + 7] = upload_volume[k] * UPLOAD_VOLUME_SCALE
+            if left > 0 and not cells[off + 2]:  # not isolated
+                settled = False
+        self._settled = settled
         return self._obs_readonly

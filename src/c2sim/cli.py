@@ -128,13 +128,14 @@ def cmd_train(args) -> int:
         cfg = ppo.PpoConfig.from_yaml(Path(args.config).read_text())
     else:
         cfg = ppo.PpoConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    if args.seed is not None:  # argparse has refused a negative seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.total_steps is not None:
-        overrides["total_steps"] = args.total_steps
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+        try:
+            cfg = dataclasses.replace(cfg, total_steps=args.total_steps)
+        except ValueError as exc:
+            raise ValueError(
+                f"--total-steps {args.total_steps}: PPO config {exc}") from None
 
     out_dir = Path(args.out_dir)
     manifest = _write_manifest(out_dir, "train", args, topology,

@@ -80,16 +80,23 @@ class _Invalid(Exception):
     the keys and list indexes from the value up to the document root as the
     exception propagates, so reading a document that fits formats none."""
 
-    def __init__(self, problem: str):
+    def __init__(self, problem: str, path=()):
         super().__init__(problem)
-        self.problem, self.path = problem, []
+        self.problem, self.path = problem, list(path)
 
     def message(self, name: str) -> str:
-        where = ""
-        for part in reversed(self.path):
-            where += (f"[{part}]" if type(part) is int
-                      else f".{part}" if where else str(part))
+        where = key_path_text(reversed(self.path))
         return f"{name}: {where} {self.problem}" if where else f"{name} {self.problem}"
+
+
+def key_path_text(path) -> str:
+    """A key path, root first, as error messages name it:
+    ``subnets[1].hosts[0].os``."""
+    where = ""
+    for part in path:
+        where += (f"[{part}]" if type(part) is int
+                  else f".{part}" if where else str(part))
+    return where
 
 
 class _Reader(typing.NamedTuple):
@@ -117,7 +124,9 @@ def build_config(kind, doc, error: type[Exception], name: str):
     as ``subnets[1].hosts[0].os``. ``field(metadata={"key": ...})`` reads a
     field from another key. Range checks are left to ``__post_init__``; a
     type's own ``ValueError`` from one is raised as ``error`` too, after the
-    key path of the entry that failed it.
+    key path of the entry that failed it, extended by the error's own
+    ``key_path`` (and read from its ``problem``) when it names one of that
+    entry's parts.
     """
     try:
         return _reader(kind).read(doc)
@@ -265,7 +274,10 @@ def _dataclass_reader(cls):
         try:
             return cls(**kwargs)
         except ValueError as exc:  # the type's own range check
-            raise _Invalid(str(exc)) from None
+            # one that names the entry at fault (a ``key_path`` from the
+            # checked value) reads like a fault of that entry
+            raise _Invalid(getattr(exc, "problem", str(exc)),
+                           reversed(getattr(exc, "key_path", ()))) from None
     return convert
 
 

@@ -25,6 +25,7 @@ from .net_model import (
     Subnet,
     Vulnerability,
     build_config,
+    key_path_text,
     load_yaml,
 )
 
@@ -45,7 +46,14 @@ class GenerationError(ValueError):
 
 
 class ReferenceDataError(ValueError):
-    """A reference table violates its schema."""
+    """A reference table violates its schema. A table-level check names the
+    entry at fault by ``key_path``, its keys from the table, so that
+    ``build_config`` names it in the format of an entry's own fault."""
+
+    def __init__(self, problem: str, key_path: tuple = ()):
+        where = key_path_text(key_path)
+        super().__init__(f"{where} {problem}" if where else problem)
+        self.problem, self.key_path = problem, key_path
 
 
 def bucket_for(score: float) -> str:
@@ -87,7 +95,7 @@ class PortProbabilityTable:
         seen = set()
         for i, e in enumerate(self.ports):
             if e.port in seen:
-                raise ReferenceDataError(f"ports[{i}]: duplicate port {e.port}")
+                raise ReferenceDataError(f"duplicate port {e.port}", ("ports", i))
             seen.add(e.port)
 
     @functools.cached_property
@@ -120,8 +128,7 @@ class CpeReferenceTable:
             total = sum(o.probability for o in options)
             if abs(total - 1.0) > 1e-9:
                 raise ReferenceDataError(
-                    f"records[{port}]: CPE probabilities sum to {total}, not 1"
-                )
+                    f"CPE probabilities sum to {total}, not 1", ("records", port))
 
     @property
     def security_product_labels(self) -> frozenset[str]:

@@ -399,6 +399,39 @@ class TestSubnetScan:
         assert not any(b.port in allowed for b in host.services)
 
 
+    def test_scans_match_the_topology_at_full_scale(self, enterprise_inputs):
+        # one host per subnet infected by a direct write, then scanned from:
+        # each scan reveals what a walk of the hosts and allow rules finds,
+        # less the hosts found before, credits their discovery values in
+        # that order, and returns them sorted
+        env = C2Env(*enterprise_inputs)
+        env.reset(seed=0)
+        topology = env.topology
+        found = {env.scenario.initial_foothold}
+        credited = np.zeros(len(env.host_index))
+        scans = 0
+        for s in topology.subnets:
+            origin = s.hosts[0].address
+            infect(env, origin)
+            found.add(origin)
+            _, reward, done, info = env.step(SubnetScan(origin))
+            newly = [a for a in scan_walk(topology, s.id) if a not in found]
+            gained = 0.0
+            for addr in newly:
+                value = topology.host(addr).discovery_value
+                gained += value
+                credited[env.host_index[addr]] += value
+            found.update(newly)
+            assert info["valid"] and not done
+            assert info["newly_discovered"] == sorted(newly), s.id
+            assert reward == gained - action_cost(SubnetScan(origin),
+                                                  topology.host(origin)), s.id
+            assert np.array_equal(env.state.accumulated_reward, credited), s.id
+            scans += bool(newly)
+        assert scans > len(topology.subnets) // 2
+        assert env.state.discovered.sum() == len(found)
+
+
 class TestExploit:
     def _exhibit(self):
         """Windows host (24, 3) running https, plus a linux twin (44, 5)."""
@@ -1025,6 +1058,64 @@ class TestTargetState:
         assert np.array_equal(obs, oracles.reference_observation(env))
 
 
+class TestDirectHostWrites:
+    """A step reads the episode's host arrays in place, through memoryviews
+    of ``state.infection_time`` and ``state.accumulated_reward`` and of the
+    buffer that ``state.discovered`` views: what a direct write leaves in
+    them is what the next step reads."""
+
+    def test_discovered_write_makes_an_exploit_valid(self, chain3):
+        env = env_of(chain3)
+        env.reset(seed=0)
+        i = env.host_index[(3, 0)]
+        _, _, _, info = env.step(Exploit((3, 0), "CVE-2000-0001"))
+        assert not info["valid"]
+        env.state.discovered[i] = 1.0
+        _, reward, _, info = env.step(Exploit((3, 0), "CVE-2000-0001"))
+        assert info["valid"] and info["outcome"] == "exploited"
+        assert env.state.infected[i] == 1.0
+        assert env.state.infection_time[i] == env.state.clock
+        assert env.state.accumulated_reward[i] == 1000.0  # infection only
+        assert reward == 1000.0 - action_cost(Exploit((3, 0), "CVE-2000-0001"),
+                                              env.topology.host((3, 0)))
+
+    def test_infection_time_write_moves_since_slot_and_block(self, chain3):
+        env = env_of(chain3)
+        prepare_connected(env, connect=False)
+        i = env.host_index[(3, 0)]
+        off = env.dynamic_index[2 * len(env.host_index)]  # the one target
+        update = env.state.clock
+        env.state.fw_last_update[fw_slot(env, "fw-1-2")] = update
+        # infected before the path's last update: blocked
+        env.state.infection_time[i] = update - 7200.0
+        obs, _, _, info = env.step(Connect((3, 0)))
+        assert info["connect_result"] == OUTCOME_BLOCKED
+        assert obs[off + 3] == pytest.approx(
+            (env.state.clock - update + 7200.0) / 3600.0)
+        # infected after it: the attempt goes through to the dice
+        env.state.infection_time[i] = env.state.clock
+        obs, _, _, info = env.step(Connect((3, 0)))
+        assert info["connect_result"] != OUTCOME_BLOCKED
+        assert obs[off + 3] == pytest.approx(
+            env.scenario.action_times.connect / 3600.0)
+        assert np.array_equal(obs, oracles.reference_observation(env))
+
+    def test_accumulated_reward_write_is_what_an_emergency_forfeits(self, chain3):
+        env = env_of(chain3)
+        prepare_connected(env, connect=False)
+        i = env.host_index[(3, 0)]
+        env.state.fw_last_update[fw_slot(env, "fw-internet-1")] = (
+            env.state.infection_time[i] + 0.5)
+        env.state.accumulated_reward[i] = 12345.0
+        for _ in range(4):  # blocked attempts, the fourth over the limit
+            _, reward, done, info = env.step(Connect((3, 0)))
+        assert info["emergency"] and info["penalty"] == 12345.0
+        assert reward == -12345.0 - action_cost(Connect((3, 0)),
+                                                env.topology.host((3, 0)))
+        assert env.state.accumulated_reward[i] == 0.0
+        assert done  # its only target is isolated
+
+
 def network_pair(network, request):
     """(topology, scenario) of tiny, chain3, chain4x3 or enterprise101."""
     if network == "chain4x3":
@@ -1228,8 +1319,12 @@ class TestPrecomputedTables:
         env = C2Env(*network_pair(network, request))
         topology = env.topology
         for s in topology.subnets:
-            reveals = [env._addresses[i] for i in env._scan_reveals[s.id]]
-            assert reveals == scan_walk(topology, s.id), s.id
+            reveals = env._scan_reveals[s.id]
+            assert [env._addresses[i] for i, _, _ in reveals] == scan_walk(
+                topology, s.id), s.id
+            # each with its discovered bit and discovery value
+            assert all(bit == env.dynamic_index[i] and value == topology.host(
+                env._addresses[i]).discovery_value for i, bit, value in reveals)
 
     @pytest.mark.parametrize("network", ["tiny", "enterprise101"])
     def test_costs_and_exploit_odds_match_their_definitions(self, network, request):

@@ -476,6 +476,19 @@ class TestConfigErrors:
         assert_invalid(rc, capsys, *words)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("steps, words", [
+        ("100", ["--total-steps 100: PPO config total_steps (100) must be 0 or "
+                 "at least one horizon (4096)"]),
+        ("-5", ["--total-steps -5: PPO config total_steps must be >= 0"]),
+    ], ids=["below-horizon", "negative"])
+    def test_bad_total_steps_flag(self, tmp_path, capsys, steps, words):
+        # the flag overrides the PPO config after it is read, and its
+        # refusal names both
+        rc = run(["train", "--scenario", "tiny", "--total-steps", steps,
+                  "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, *words)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, seed", [
         ("generate", "-3"), ("train", "-1"), ("eval", "-2")])
     def test_negative_seed_flag_is_usage_error(self, tmp_path, capsys, command, seed):
@@ -818,11 +831,11 @@ def document_nodes(doc, path=()):
 DELETED = "<deleted>"
 
 
-def mutated_text(doc, path, value) -> str:
-    """``doc`` as YAML, with the node at ``path`` replaced by ``value`` or,
-    for DELETED, removed (the root removed is an empty document)."""
+def mutated(doc, path, value):
+    """A copy of ``doc`` with the node at ``path`` replaced by ``value`` or,
+    for DELETED, removed (DELETED for the root removed)."""
     if not path:
-        return "" if value is DELETED else yaml.safe_dump(value)
+        return value
     doc = copy.deepcopy(doc)
     parent = doc
     for key in path[:-1]:
@@ -831,7 +844,14 @@ def mutated_text(doc, path, value) -> str:
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    return yaml.safe_dump(doc)
+    return doc
+
+
+def mutated_text(doc, path, value) -> str:
+    """``mutated(doc, path, value)`` as YAML (the root removed is an empty
+    document)."""
+    doc = mutated(doc, path, value)
+    return "" if doc is DELETED else yaml.safe_dump(doc)
 
 
 class TestRefusalByProperty:
@@ -883,5 +903,43 @@ class TestRefusalByProperty:
                     contextlib.redirect_stderr(err):
                 rc = run_within(10, self.argv(name, doc, f"{tmp}/out"))
         assert rc in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_IO)
+        if rc != cli.EXIT_OK:
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+
+    TRACE_ROWS = [json.loads(line) for line in TRACES_FIXTURE.read_text().splitlines()]
+    # the step lines of trace 0, the complete trace that --prune replays
+    STEP_LINES = [i for i, row in enumerate(TRACE_ROWS)
+                  if row["record"] == "step" and row["trace"] == 0]
+    # besides the odd values, ones that fit a step's fields: another action
+    # kind, rate, CVE id (of the network, or of none) or target (on the
+    # network, or off it), so that replays step actions outside the space
+    STEP_VALUES = VALUES + ["exploit", "upload", "connect", "sleep", "fast",
+                            "slow", "medium", "CVE-2019-15920", "CVE-2020-1259",
+                            "CVE-1999-0001", [3, 0], [2, 1], [1, 0], [9, 9]]
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.sampled_from(STEP_LINES).flatmap(lambda line: st.tuples(
+        st.just(line), st.sampled_from(list(document_nodes(
+            TestRefusalByProperty.TRACE_ROWS[line]))),
+        st.sampled_from(TestRefusalByProperty.STEP_VALUES))))
+    def test_one_node_of_a_trace_step_mutated(self, mutation):
+        # the committed traces, one node of one step line replaced or
+        # deleted (the whole line, for the root), then pruned
+        line, path, value = mutation
+        row = mutated(self.TRACE_ROWS[line], path, value)
+        rows = [*self.TRACE_ROWS[:line], *([] if row is DELETED else [row]),
+                *self.TRACE_ROWS[line + 1:]]
+        with tempfile.TemporaryDirectory() as tmp:
+            traces = f"{tmp}/traces.jsonl"
+            with open(traces, "w") as fh:
+                fh.writelines(json.dumps(r) + "\n" for r in rows)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = run_within(10, [
+                    "analyze", "--traces", traces, "--prune", "--scenario",
+                    str(DATA / "scenarios" / "tiny.yaml"), "--topology",
+                    str(self.TOPOLOGY), "--out-dir", f"{tmp}/out"])
+        assert rc in (cli.EXIT_OK, cli.EXIT_INVALID)
         if rc != cli.EXIT_OK:
             assert err.getvalue().count("\n") == 1, err.getvalue()

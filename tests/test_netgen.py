@@ -306,7 +306,7 @@ class TestPortAndCpeTables:
          "ports:\n  - {port: 80, open_frequency: 0.5}\n"
          "  - {port: 22, open_frequency: 0.2}\n"
          "  - {port: 80, open_frequency: 0.1}\n",
-         ["ports[2]", "duplicate port 80"]),
+         ["port probabilities: ports[2] duplicate port 80"]),
         ("port_probabilities.yaml", "ports: []\n", ["empty"]),
         ("port_probabilities.yaml",
          "ports:\n  - {port: 80, open_frequency: 1.5}\n",
@@ -319,7 +319,7 @@ class TestPortAndCpeTables:
          "records:\n  80:\n    - {service_name: http, cpe: 'cpe:/a:x:y:1', "
          "probability: 0.5}\n    - {service_name: http, cpe: 'cpe:/a:x:z:1', "
          "probability: 0.25}\n",
-         ["records[80]", "sum to 0.75, not 1"]),
+         ["CPE reference: records[80] CPE probabilities sum to 0.75, not 1"]),
         ("cpe_reference.yaml",
          "records:\n  80:\n    - {service: http, cpe: 'cpe:/a:x:y:1', "
          "probability: 1.0}\n",
