@@ -31,6 +31,8 @@ class TraceReplayError(ValueError):
 
 
 _ACTION_KINDS = {cls.kind for cls in (SubnetScan, Exploit, Connect, Upload, Sleep)}
+# the field each of these actions must name, as ``to_action`` reads it
+_NAMED_BY = {"exploit": "vulnerability", "upload": "rate"}
 
 
 @dataclass
@@ -111,10 +113,10 @@ def _record_step(trace: AttackTrace, idx: int, reward: float, info: dict) -> Non
         trace.emergencies += 1
 
 
-def _finish_trace(env: C2Env, trace: AttackTrace) -> AttackTrace:
-    for addr in sorted(env.scenario.sensitive_hosts):
-        trace.terminal_status[addr] = env.terminal_status(addr)
-    return trace
+def _terminal_status(env: C2Env) -> dict[tuple[int, int], str]:
+    """Each sensitive host's status, in address order."""
+    return {addr: env.terminal_status(addr)
+            for addr in sorted(env.scenario.sensitive_hosts)}
 
 
 def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[AttackTrace]:
@@ -155,7 +157,8 @@ def sample_paths(env: C2Env, actor: MlpParams, n: int, seed: int) -> list[Attack
             obs, reward, _, info = env.step(a_idx)
             _record_step(trace, idx, reward, info)
             idx += 1
-        traces.append(_finish_trace(env, trace))
+        trace.terminal_status = _terminal_status(env)
+        traces.append(trace)
     return traces
 
 
@@ -199,70 +202,69 @@ def replay_trace(env: C2Env, seed: int, actions: list) -> AttackTrace:
             break
         _, reward, _, info = env.step(action)
         _record_step(trace, idx, reward, info)
-    return _finish_trace(env, trace)
+    trace.terminal_status = _terminal_status(env)
+    return trace
 
 
 _REMOVABLE_OUTCOMES = ("exploit_failed", "already_connected", "erroneous")
 
 
-def _removable(steps: list[TraceStep], i: int) -> bool:
-    step = steps[i]
-    if step.outcome in _REMOVABLE_OUTCOMES:
-        return True
-    if step.action == "subnet_scan" and step.n_discovered == 0:
-        return True
-    if step.action == "sleep":
-        return True
-    if step.action == "exploit" and step.outcome == "exploited":
-        # re-exploiting a host compromised earlier changes nothing
-        return any(s.action == "exploit" and s.outcome == "exploited"
-                   and s.target == step.target for s in steps[:i])
-    return False
+def _candidates(steps: list[TraceStep]) -> list[int]:
+    """Indices of the steps a prune pass tries to delete, found in one walk;
+    an exploit is one if an earlier step exploited its host already."""
+    out, exploited = [], set()
+    for i, step in enumerate(steps):
+        if step.action == "exploit" and step.outcome == "exploited":
+            if step.target in exploited:
+                out.append(i)
+            exploited.add(step.target)
+        elif (step.outcome in _REMOVABLE_OUTCOMES or step.action == "sleep"
+              or step.action == "subnet_scan" and step.n_discovered == 0):
+            out.append(i)
+    return out
+
+
+def _probe(env: C2Env, seed: int, actions: list) -> dict[tuple[int, int], str]:
+    """The terminal statuses of a replay of checked actions; records nothing."""
+    env.reset(seed=seed)
+    for action in actions:
+        if env.step(action)[2]:
+            break
+    return _terminal_status(env)
 
 
 def prune_trace(env: C2Env, trace: AttackTrace) -> AttackTrace:
     """Drop steps with no effect on the outcome, verified by replay.
 
     Candidates are failed and repeated exploits, rediscovery scans, connects
-    on already connected hosts, erroneous actions, and sleeps. A candidate is
-    removed only if replaying the shortened sequence still reaches the
-    original terminal statuses, so sleeps needed for window or attempt
-    compliance survive. The actions are mapped to indices once, and each
-    probe replays indices. The last kept probe is the replay of the pruned
-    sequence, so it gives the next pass its outcomes and is the result; a
-    prune that removed nothing replays once more, and raises
-    PruneDivergenceError if that fails verification.
+    on already connected hosts, erroneous actions, and sleeps. Each pass
+    probes them from the last to the first, and removes one only if the
+    sequence without it still reaches the original terminal statuses, so
+    sleeps needed for window or attempt compliance survive. A pass ends with
+    one recorded replay of the kept actions: it gives the next pass its
+    outcomes, and after a pass that removed nothing it is the result, or
+    PruneDivergenceError if it misses the original statuses.
     """
     original_status = dict(trace.terminal_status)
-    steps = list(trace.steps)
+    steps = trace.steps
     # mapped once, so that an error names the trace's own step
     actions = _check_replayable(env, [s.to_action() for s in steps])
-    result = None  # the last kept probe, which is the replay of ``actions``
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(steps) - 1, -1, -1):
-            if not _removable(steps, i):
-                continue
-            probe = replay_trace(env, trace.seed, actions[:i] + actions[i + 1:])
-            if probe.terminal_status == original_status:
-                del steps[i]
+    while True:
+        n_before = len(actions)
+        # a deletion moves only later steps, so no earlier candidate changes
+        for i in reversed(_candidates(steps)):
+            if _probe(env, trace.seed, actions[:i] + actions[i + 1:]) == original_status:
                 del actions[i]
-                result = probe
-                changed = True
-        if changed:
-            # later passes judge the shortened sequence by its own outcomes
-            steps = list(result.steps)
-            del actions[len(steps):]  # the steps after the episode ended
-
-    if result is None:  # nothing was removed; verify the sequence as it is
-        result = replay_trace(env, trace.seed, actions)
-        if result.terminal_status != original_status:
-            raise PruneDivergenceError(
-                f"pruned trace reaches {result.terminal_status}, "
-                f"original was {original_status}"
-            )
-    return result
+        replay = replay_trace(env, trace.seed, actions)
+        if len(actions) == n_before:
+            break
+        steps = replay.steps
+        del actions[len(steps):]  # the steps after the episode ended
+    if replay.terminal_status != original_status:
+        raise PruneDivergenceError(
+            f"pruned trace reaches {replay.terminal_status}, "
+            f"original was {original_status}")
+    return replay
 
 
 def summarize(traces: list[AttackTrace]) -> "PathSummary":
@@ -473,7 +475,8 @@ def read_traces_jsonl(fh) -> list[AttackTrace]:
     """Parse traces written by ``write_traces_jsonl``; raises
     TraceFormatError naming the first line that is not a valid record,
     such as one with a negative trace index, seed, emergencies, step or
-    n_discovered."""
+    n_discovered, or an exploit or upload step without its vulnerability
+    or rate."""
     traces: dict[int, AttackTrace] = {}
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
@@ -515,5 +518,8 @@ def read_traces_jsonl(fh) -> list[AttackTrace]:
         if step.action != "sleep" and step.target is None:
             raise TraceFormatError(f"{where}: {step.action} target must be a pair "
                                    f"of integers, got None")
+        named = _NAMED_BY.get(step.action)
+        if named and getattr(step, named) is None:
+            raise TraceFormatError(f"{where}: {step.action} step has no {named}")
         traces[index].steps.append(step)
     return [traces[k] for k in sorted(traces)]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from c2sim import neural
+from c2sim.analysis import PruneDivergenceError, _check_replayable, replay_trace
 from c2sim.c2_env import (
     CONNECTED,
     CONNECTION_STATUSES,
@@ -202,6 +203,61 @@ def reference_sample_paths(env, actor, n, seed):
             taken.append(a_idx)
         paths.append((ep_seed, taken))
     return paths
+
+
+_REMOVABLE_OUTCOMES = ("exploit_failed", "already_connected", "erroneous")
+
+
+def _removable(steps, i):
+    step = steps[i]
+    if step.outcome in _REMOVABLE_OUTCOMES:
+        return True
+    if step.action == "subnet_scan" and step.n_discovered == 0:
+        return True
+    if step.action == "sleep":
+        return True
+    if step.action == "exploit" and step.outcome == "exploited":
+        # re-exploiting a host compromised earlier changes nothing
+        return any(s.action == "exploit" and s.outcome == "exploited"
+                   and s.target == step.target for s in steps[:i])
+    return False
+
+
+def reference_prune_trace(env, trace):
+    """``analysis.prune_trace`` as a recording ``replay_trace`` per probe and
+    a rescan of the earlier steps per exploit candidate: candidates judged
+    one at a time, the last kept probe as the result, and one more replay
+    to verify a trace from which nothing was removed."""
+    original_status = dict(trace.terminal_status)
+    steps = list(trace.steps)
+    # mapped once, so that an error names the trace's own step
+    actions = _check_replayable(env, [s.to_action() for s in steps])
+    result = None  # the last kept probe, which is the replay of ``actions``
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(steps) - 1, -1, -1):
+            if not _removable(steps, i):
+                continue
+            probe = replay_trace(env, trace.seed, actions[:i] + actions[i + 1:])
+            if probe.terminal_status == original_status:
+                del steps[i]
+                del actions[i]
+                result = probe
+                changed = True
+        if changed:
+            # later passes judge the shortened sequence by its own outcomes
+            steps = list(result.steps)
+            del actions[len(steps):]  # the steps after the episode ended
+
+    if result is None:  # nothing was removed; verify the sequence as it is
+        result = replay_trace(env, trace.seed, actions)
+        if result.terminal_status != original_status:
+            raise PruneDivergenceError(
+                f"pruned trace reaches {result.terminal_status}, "
+                f"original was {original_status}"
+            )
+    return result
 
 
 def mc_returns(rewards, dones, gamma):

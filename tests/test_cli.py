@@ -65,6 +65,10 @@ def assert_invalid(rc, capsys, *words):
         assert word in err
 
 
+# a value that stands for a deleted node or key
+DELETED = "<deleted>"
+
+
 class TestValidate:
     def test_valid_manifest(self, tmp_path, tiny_inputs):
         path = tmp_path / "net.yaml"
@@ -726,24 +730,50 @@ class TestAnalyze:
         (1, "emergencies", -1, ("line 1: emergencies must be >= 0, got -1",)),
         (3, "step", -1, ("line 3: step must be >= 0, got -1",)),
         (2, "n_discovered", -2, ("line 2: n_discovered must be >= 0, got -2",)),
+        (3, "vulnerability", DELETED, ("line 3: exploit step has no vulnerability",)),
+        (10, "rate", DELETED, ("line 10: upload step has no rate",)),
     ], ids=["unknown-action", "scalar-target", "unknown-host", "unknown-rate",
             "unknown-cve", "unknown-cve-step-3", "string-reward", "null-clock",
             "fractional-step", "string-seed", "nan-clock", "string-emergencies",
             "integer-status", "misspelt-record", "repeated-trace", "negative-seed",
-            "negative-emergencies", "negative-step", "negative-n-discovered"])
+            "negative-emergencies", "negative-step", "negative-n-discovered",
+            "exploit-without-cve", "upload-without-rate"])
     def test_corrupt_line_in_pruned_trace(self, tmp_path, capsys, tiny_inputs,
                                           line, field, value, words):
         with open(tmp_path / "good.jsonl", "w") as fh:
             analysis.write_traces_jsonl([complete_trace(C2Env(*tiny_inputs))], fh)
         lines = (tmp_path / "good.jsonl").read_text().splitlines()
         row = json.loads(lines[line - 1])
-        row[field] = value
+        if value is DELETED:
+            del row[field]
+        else:
+            row[field] = value
         lines[line - 1] = json.dumps(row)
         traces_path = tmp_path / "traces.jsonl"
         traces_path.write_text("\n".join(lines) + "\n")
         rc = run(["analyze", "--traces", str(traces_path), "--prune",
                   "--scenario", "tiny", "--out-dir", str(tmp_path / "out")])
         assert_invalid(rc, capsys, *words)
+
+    def test_prune_that_misses_the_recorded_statuses(self, tmp_path, capsys,
+                                                     tiny_inputs):
+        # one upload to each target, recorded as complete: deleting steps
+        # cannot finish either payload
+        from test_analysis import OPTIMAL_PREFIX, OPTIMAL_UPLOADS, lucky_seed
+
+        env = C2Env(*tiny_inputs)
+        trace = analysis.replay_trace(env, lucky_seed(env),
+                                      OPTIMAL_PREFIX + OPTIMAL_UPLOADS[:2])
+        assert trace.classification() == "none"
+        trace.terminal_status = dict.fromkeys(trace.terminal_status, "completed")
+        traces_path = tmp_path / "traces.jsonl"
+        with open(traces_path, "w") as fh:
+            analysis.write_traces_jsonl([trace], fh)
+        rc = run(["analyze", "--traces", str(traces_path), "--prune",
+                  "--scenario", "tiny", "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, "pruned trace reaches", "'incomplete'",
+                       "original was")
+        assert not (tmp_path / "out" / "pruned_best.jsonl").exists()
 
     def test_analyze_without_traces_file(self, tmp_path):
         rc = run(["analyze", "--traces", str(tmp_path / "missing.jsonl"),
@@ -827,8 +857,6 @@ def document_nodes(doc, path=()):
     for key, value in items:
         yield from document_nodes(value, (*path, key))
 
-
-DELETED = "<deleted>"
 
 
 def mutated(doc, path, value):

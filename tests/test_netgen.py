@@ -86,7 +86,7 @@ class TestGenerate:
         assert sum(sizes) == 1400
         assert min(sizes) >= 3 and max(sizes) <= 50
 
-    @settings(max_examples=30, deadline=None)
+    @settings(derandomize=True, max_examples=30, deadline=None)
     @given(st.data())
     def test_random_configs_validate(self, refs, data):
         n = data.draw(st.integers(1, 7))
