@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import neural
-from .c2_env import C2Env, Connect, Exploit, Sleep, SubnetScan, Upload
+from .c2_env import C2Env, Connect, Exploit, Sleep, SubnetScan, TerminalStatus, Upload
 from .net_model import build_config
 from .neural import MlpParams
 
@@ -460,7 +460,7 @@ class _TraceRecord:
     """A trace record once its ``record`` and ``trace`` keys are taken off."""
 
     seed: int
-    terminal_status: dict[str, str]
+    terminal_status: dict[str, TerminalStatus]
     emergencies: int = 0
 
 

@@ -36,6 +36,7 @@ NOT_CONNECTED = "not_connected"
 CONNECTED = "connected"
 ISOLATED = "isolated"
 CONNECTION_STATUSES = (NOT_CONNECTED, CONNECTED, ISOLATED)
+TerminalStatus = Literal["completed", "isolated", "incomplete"]
 _STATUS_ONE_HOT = {s: tuple(float(s == t) for t in CONNECTION_STATUSES)
                    for s in CONNECTION_STATUSES}
 
@@ -176,20 +177,19 @@ class ScenarioConfig:
 
 @dataclass
 class EnvState:
-    """One episode. Host arrays are indexed by ``C2Env.host_index``, target
-    state by ``C2Env.target_index``, firewall last-update times as
+    """An env's episode. Host arrays are indexed by ``C2Env.host_index``,
+    target arrays by ``C2Env.target_index``, firewall last-update times as
     ``topology.firewalls``; a firewall's next scheduled update is one update
     period after its last. ``discovered``, ``infected``, ``status`` (per
     target, the not connected/connected/isolated one-hot) and ``attempts``
-    (decayed connect attempts) are views of the env's observation buffer;
-    the other target counters are lists: payload left (MB), decayed upload
-    time (s) and volume (MB), and each target's ``(time, mb)`` uploads.
-
-    ``reset`` makes fresh ``infection_time`` and ``accumulated_reward``
-    arrays each episode, and the env reads and writes them, like the
-    buffer's slots, through memoryviews. Write to any of these arrays in
-    place, and the next step reads the written value; an array assigned
-    in place of one is not seen."""
+    (decayed connect attempts) are views of the env's observation buffer,
+    the other arrays (infection time and accumulated reward; payload left
+    in MB, decayed upload time in s and volume in MB; last update) views of
+    its episode vector; ``uploads`` holds each target's ``(time, mb)``
+    uploads. Each array is a view fixed for the env's life, into which
+    ``reset`` writes its start values, and the env reads it through a
+    memoryview: what an in-place write leaves in one is what the next step
+    reads, and an array assigned in its place is not."""
 
     discovered: np.ndarray
     infected: np.ndarray
@@ -197,11 +197,11 @@ class EnvState:
     accumulated_reward: np.ndarray
     status: np.ndarray
     attempts: np.ndarray
-    payload: list[float]
-    upload_time: list[float]
-    upload_volume: list[float]
+    payload: np.ndarray
+    upload_time: np.ndarray
+    upload_volume: np.ndarray
     uploads: list[list[tuple[float, float]]]
-    fw_last_update: list[float]
+    fw_last_update: np.ndarray
     # No scheduled update is due while clock is below this, the least last
     # update plus period as of reset or the last scheduled update; an
     # emergency only pushes its firewalls' updates later.
@@ -272,13 +272,14 @@ class C2Env:
     infected bits, and the targets' channel status one-hots and decayed
     attempt counts, have one copy, the buffer's slots: ``state.discovered``,
     ``state.infected``, ``state.status`` and ``state.attempts`` are views of
-    them, valid until the next ``reset``. ``dynamic_index`` names every
-    slot an episode writes; the rest keep the values set in ``__init__``.
+    them. ``dynamic_index`` names every slot an episode writes; the rest
+    keep the values set in ``__init__``. The other arrays of ``state``
+    are views of one float64 episode vector. ``state`` is built once, in
+    ``__init__``, and ``reset`` copies start templates into both.
 
     A step reads and writes that state a slot or a host at a time, as
-    Python floats, through memoryviews: of the buffer (the status bits and
-    the target slots) and of the episode's ``infection_time`` and
-    ``accumulated_reward``. It makes no NumPy scalar access, and its only
+    Python floats, through memoryviews of the buffer and of each of the
+    episode vector's arrays. It makes no NumPy scalar access, and its only
     NumPy calls are the random draws of a connect or a CVSS-scaled exploit.
     Between steps a caller's own work (a sum over the 241,164-float
     observation at enterprise101) evicts the CPU caches, and a NumPy scalar
@@ -292,6 +293,8 @@ class C2Env:
     a connect or upload needs an infected host, so until its infection a
     target keeps the slots ``reset`` wrote.
     """
+
+    _rng: np.random.Generator  # made by each reset from its seed
 
     def __init__(self, topology: NetworkTopology, scenario: ScenarioConfig):
         self.topology = topology
@@ -313,7 +316,7 @@ class C2Env:
         for addr, k in self.target_index.items():
             self._target_of[self.host_index[addr]] = k
 
-        self._build_obs_layout()
+        discovered, infected, targets = self._build_obs_layout()
         self._build_tables()
         # What a step needs of each action, by index; an action outside the
         # space gets its plan from ``_plan`` per step.
@@ -321,13 +324,24 @@ class C2Env:
         erroneous = scenario.action_times.erroneous
         self._erroneous = (erroneous,
                            apply_decay(1.0, erroneous, scenario.decay_factor))
-        self.state: EnvState | None = None
-        self._done = True
-        self._settled = False
-        self._rng: np.random.Generator | None = None
-        # Memoryviews of the episode's infection_time and accumulated_reward.
-        self._infection_time: memoryview | None = None
-        self._rewards: memoryview | None = None
+
+        # The episode vector: by host row the infection time and reward, by
+        # target the payload and upload time and volume, by firewall the
+        # last update; the step reads each through a memoryview.
+        n_targets = len(self.target_index)
+        ends = np.cumsum((len(hosts), len(hosts), n_targets, n_targets, n_targets))
+        self._episode_start = np.zeros(ends[-1] + len(self._fw_periods))
+        self._episode_start[ends[1]:ends[2]] = scenario.payload_size_mb
+        self._episode = self._episode_start.copy()
+        (infection_time, rewards, payload, upload_time, upload_volume,
+         fw_last_update) = arrays = np.split(self._episode, ends)
+        self.state = EnvState(
+            discovered, infected, infection_time, rewards, targets[:, :3],
+            targets[:, 5], payload, upload_time, upload_volume,
+            [[] for _ in range(n_targets)], fw_last_update)
+        (self._infection_time, self._rewards, self._payload, self._upload_time,
+         self._upload_volume, self._fw_last_update) = map(memoryview, arrays)
+        self._done, self._settled = True, False
 
     # -- setup ------------------------------------------------------------
 
@@ -346,9 +360,7 @@ class C2Env:
                 host = self.topology.host(addr)
             except KeyError as exc:
                 raise ScenarioError(f"sensitive host not in topology: {exc}") from exc
-            if addr == self.scenario.initial_foothold:
-                continue
-            if not any(vuln_applies(host, v) for v in host.vulnerabilities()):
+            if addr != self.scenario.initial_foothold and not host.exploitable():
                 raise ScenarioError(
                     f"sensitive host {addr} has no vulnerability exploitable "
                     f"on its own os/services"
@@ -404,7 +416,9 @@ class C2Env:
             ))
             self._connect_p.append(math.prod(p.connect_probability for p in params))
 
-    def _build_obs_layout(self) -> None:
+    def _build_obs_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Build the observation buffer and its start template; returns its
+        views of the discovered and infected bits and of the target slots."""
         subnet_ids = self.topology.subnet_ids
         subnet_index = {sid: i for i, sid in enumerate(subnet_ids)}
         local_index = {}
@@ -431,6 +445,9 @@ class C2Env:
         # change them write the status bits, one-hots and attempt counts,
         # encode_observation the other target slots.
         template = np.zeros(self.obs_len, dtype=np.float64)
+        # Every target's slots at reset: not connected, full payload.
+        targets = template[hosts_end:].reshape(n_targets, 8)
+        targets[:] = _STATUS_ONE_HOT[NOT_CONNECTED] + (0.0, 1.0, 0.0, 0.0, 0.0)
         for i, addr in enumerate(self._addresses):
             h = self._hosts[addr]
             off = i * block
@@ -458,8 +475,12 @@ class C2Env:
         live = template != 0.0
         live[self.dynamic_index] = True
         self.live_slots = np.flatnonzero(live)
-        self._discovered_bits = template[status + 1:hosts_end:block]
-        self._infected_bits = template[status + 3:hosts_end:block]
+        discovered = template[status + 1:hosts_end:block]
+        infected = template[status + 3:hosts_end:block]
+        foothold = self.host_index[self.scenario.initial_foothold]
+        discovered[foothold] = infected[foothold] = 1.0
+        # What reset writes to the slots an episode writes.
+        self._obs_start = template[self.dynamic_index]
         # By host row, the slot of its discovery value: its discovered bit
         # is the next slot, its infected bit the third after.
         self._host_slots = values.tolist()
@@ -469,50 +490,30 @@ class C2Env:
         self._target_slots = [
             (k, i, i * block + status + 3, hosts_end + 8 * k)
             for k, i in enumerate(self.host_index[a] for a in self.target_index)]
-        targets = template[hosts_end:].reshape(n_targets, 8)
-        self._status, self._attempts = targets[:, :3], targets[:, 5]
-        # Every target's slots at reset: not connected, full payload.
-        fresh = _STATUS_ONE_HOT[NOT_CONNECTED] + (0.0, 1.0, 0.0, 0.0, 0.0)
         self._targets_start = hosts_end
-        self._fresh_targets = np.array(fresh * n_targets)
         self._obs = template
         # The same buffer, read and written a slot at a time as Python
         # floats, which costs about half of numpy's scalar indexing.
         self._cells = memoryview(template)
         self._obs_readonly = template.view()
         self._obs_readonly.flags.writeable = False
+        return discovered, infected, targets
 
     # -- episode control ---------------------------------------------------
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         """Start an episode. Returns the initial observation, a read-only
-        view valid until this env's next ``reset`` or ``step``."""
+        view valid until this env's next ``reset`` or ``step``. ``state``
+        and its arrays stay the same objects: reset writes their start
+        values in place, two template copies and emptied upload logs."""
         self._rng = np.random.default_rng(seed)
-        n = len(self._addresses)
-        discovered, infected = self._discovered_bits, self._infected_bits
-        discovered[:] = infected[:] = 0.0
-        foothold = self.host_index[self.scenario.initial_foothold]
-        discovered[foothold] = infected[foothold] = 1.0
-        self._obs[self._targets_start:] = self._fresh_targets
-        n_targets = len(self._target_slots)
-        self.state = EnvState(
-            discovered=discovered,
-            infected=infected,
-            infection_time=np.zeros(n),
-            accumulated_reward=np.zeros(n),
-            status=self._status,
-            attempts=self._attempts,
-            payload=[self.scenario.payload_size_mb] * n_targets,
-            upload_time=[0.0] * n_targets,
-            upload_volume=[0.0] * n_targets,
-            uploads=[[] for _ in range(n_targets)],
-            fw_last_update=[0.0] * len(self._fw_periods),
-            fw_next_due=min(self._fw_periods, default=math.inf),
-        )
-        # The step reads and writes these two arrays a host at a time, as
-        # Python floats, through memoryviews of this episode's arrays.
-        self._infection_time = memoryview(self.state.infection_time)
-        self._rewards = memoryview(self.state.accumulated_reward)
+        self._obs[self.dynamic_index] = self._obs_start
+        self._episode[:] = self._episode_start
+        st = self.state
+        for uploads in st.uploads:
+            uploads.clear()
+        st.clock, st.step_count = 0.0, 0
+        st.fw_next_due = min(self._fw_periods, default=math.inf)
         self._done = False
         return self.encode_observation()
 
@@ -534,11 +535,9 @@ class C2Env:
         target one-hot and attempts its connect, emergency or decay changes,
         and, through ``encode_observation``, the slots of each infected
         target; an uninfected target's slots still hold what ``reset`` wrote.
-        The step reads and writes episode state as Python floats, a slot or
-        a host at a time, through memoryviews: of the buffer for the status
-        bits and target slots, of this episode's arrays for
-        ``state.infection_time`` and ``state.accumulated_reward``. What a
-        direct in-place write leaves in any of them is what it reads.
+        The step reads and writes ``state``'s arrays as Python floats, a
+        slot or a host at a time, through memoryviews: what a direct
+        in-place write leaves in any of them is what it reads.
         """
         if self._done:  # also before the first reset
             raise EpisodeDoneError("step() after episode end; call reset()")
@@ -570,12 +569,12 @@ class C2Env:
                          and not cells[off + 2])
             else:  # connected, with payload left
                 off = self._targets_start + 8 * k
-                valid = cells[off + 1] == 1.0 and st.payload[k] > 0
+                valid = cells[off + 1] == 1.0 and self._payload[k] > 0
         if not valid:
             elapsed, decay = self._erroneous
         st.clock += elapsed
         # An uninfected target's counters are still reset's zeros.
-        upload_time, upload_volume = st.upload_time, st.upload_volume
+        upload_time, upload_volume = self._upload_time, self._upload_volume
         for j, _, bit, slot in self._target_slots:
             if cells[bit]:
                 cells[slot + 5] *= decay
@@ -677,7 +676,7 @@ class C2Env:
         so no clock jump makes a step loop. Called once the clock reaches
         ``fw_next_due``."""
         st = self.state
-        clock, last, periods = st.clock, st.fw_last_update, self._fw_periods
+        clock, last, periods = st.clock, self._fw_last_update, self._fw_periods
         for j, period in enumerate(periods):
             nxt = last[j] + period
             if nxt <= clock:
@@ -736,7 +735,7 @@ class C2Env:
         infected_at = self._infection_time[i]
         if cells[off + 1] == 1.0:
             result = OUTCOME_ALREADY
-        elif any(st.fw_last_update[j] > infected_at for j in self._target_paths[k]):
+        elif any(self._fw_last_update[j] > infected_at for j in self._target_paths[k]):
             result = OUTCOME_BLOCKED
         elif self._rng.random() < self._connect_p[k]:
             self._set_status(k, CONNECTED)
@@ -757,13 +756,12 @@ class C2Env:
                    rate: str) -> tuple[float, float, float, bool]:
         """Upload from target ``k`` (host row ``i``). Returns (mb uploaded,
         reward gained, emergency penalty, emergency)."""
-        st = self.state
-        payload = st.payload
+        st, payload = self.state, self._payload
         mb = min(self.scenario.upload_rates[rate], payload[k])
         payload[k] -= mb
         st.uploads[k].append((st.clock, mb))
-        st.upload_volume[k] += mb
-        st.upload_time[k] += self.scenario.action_times.upload
+        self._upload_volume[k] += mb
+        self._upload_time[k] += self.scenario.action_times.upload
 
         gained = self.scenario.rewards.upload_per_mb * mb
         self._rewards[i] += gained
@@ -806,9 +804,9 @@ class C2Env:
     def _trigger_emergency(self, k: int, i: int) -> float:
         """Update the path firewalls, isolate target ``k`` (host row ``i``),
         forfeit its rewards."""
-        st = self.state
+        clock = self.state.clock
         for j in self._target_paths[k]:
-            st.fw_last_update[j] = st.clock
+            self._fw_last_update[j] = clock
         self._set_status(k, ISOLATED)
         penalty = self._rewards[i]
         self._rewards[i] = 0.0
@@ -816,10 +814,10 @@ class C2Env:
 
     # -- termination & encoding ---------------------------------------------
 
-    def terminal_status(self, addr: Address) -> str:
+    def terminal_status(self, addr: Address) -> TerminalStatus:
         """completed | isolated | incomplete for a sensitive host."""
         k = self.target_index[addr]
-        if self.state.payload[k] <= 0.0:
+        if self._payload[k] <= 0.0:
             return "completed"
         if self._cells[self._targets_start + 8 * k + 2]:
             return "isolated"
@@ -839,10 +837,10 @@ class C2Env:
         Returns a read-only view of the buffer, valid until this env's next
         ``reset`` or ``step``; copy it to keep it.
         """
-        st = self.state
         cells, infection_time = self._cells, self._infection_time
-        clock, payload, size = st.clock, st.payload, self.scenario.payload_size_mb
-        upload_time, upload_volume = st.upload_time, st.upload_volume
+        clock, payload = self.state.clock, self._payload
+        size = self.scenario.payload_size_mb
+        upload_time, upload_volume = self._upload_time, self._upload_volume
         settled = True
         for k, i, bit, off in self._target_slots:
             if not cells[bit]:  # its payload is all there, its channel unused

@@ -58,6 +58,13 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
     manifest = {
         "command": command,
         "config_files": config_files,
+        # the bytes each named file held when the run read it; the bundled
+        # tiny scenario is not a file
+        "input_sha256": {
+            key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            for key, path in config_files.items()
+            if not (key == "scenario" and path == "tiny")
+        },
         "seed": getattr(args, "seed", None),
         "configs": {name: dataclasses.asdict(cfg)
                     for name, cfg in configs.items() if cfg is not None},

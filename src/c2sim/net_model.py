@@ -379,6 +379,10 @@ class Host:
     def vulnerabilities(self) -> list[Vulnerability]:
         return [v for b in self.services for v in b.vulnerabilities]
 
+    def exploitable(self) -> bool:
+        """Whether any of the host's vulnerabilities ``vuln_applies`` to it."""
+        return any(vuln_applies(self, v) for v in self.vulnerabilities())
+
 
 def vuln_applies(host: Host, vuln: Vulnerability) -> bool:
     """Whether ``vuln`` is exploitable on ``host``: the host runs the
@@ -593,8 +597,7 @@ def validate_topology(t: NetworkTopology) -> None:
                     raise TopologyError(
                         f"host {h.address}: service on closed port {b.port}"
                     )
-            if h.is_sensitive and not any(
-                    vuln_applies(h, v) for v in h.vulnerabilities()):
+            if h.is_sensitive and not h.exploitable():
                 raise TopologyError(
                     f"sensitive host {h.address} has no exploitable vulnerability"
                 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -538,6 +539,24 @@ def format_metrics_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def memory_needed(cfg: PpoConfig, env: C2Env) -> int:
+    """Bytes that training ``env`` under ``cfg`` needs for both nets'
+    parameter, moment and Adam scratch vectors, at full and at live width,
+    for its rollout buffers and for its envs' observation buffers."""
+    widths = (env.obs_len, len(env.live_slots))
+    floats = 5 * sum(neural.param_count((w, *cfg.hidden, out))
+                     for w in widths for out in (env.n_actions, 1))
+    # per transition: the live observation, then the action, log-prob,
+    # reward, value, done flag, advantage and return
+    floats += cfg.horizon * (widths[1] + 7) + cfg.num_envs * env.obs_len
+    return 8 * floats
+
+
+def physical_memory() -> int:
+    """Bytes of this machine's physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
           out_dir=None, log=None) -> TrainResult:
     """Run the full collect/estimate/update loop.
@@ -548,18 +567,26 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
     initial values and zero moments, as full-width training leaves them.
     With ``out_dir`` set, periodic checkpoints and a final checkpoint land
     there; on divergence the last good checkpoint is preserved and
-    TrainingDiverged carries its path.
+    TrainingDiverged carries its path. A config that needs more than the
+    machine's physical memory (``memory_needed``) raises ValueError before
+    any net, buffer or further env is allocated.
     """
+    probe = C2Env(topology, scenario)
+    need, have = memory_needed(cfg, probe), physical_memory()
+    if need > have:
+        raise ValueError(
+            f"PPO config hidden {list(cfg.hidden)}, horizon {cfg.horizon} and "
+            f"num_envs {cfg.num_envs} need {need / 2**30:.1f} GiB for nets and "
+            f"buffers, more than this machine's {have / 2**30:.1f} GiB of memory")
     master = np.random.SeedSequence(cfg.seed)
     init_seq, sample_seq, shuffle_seq, env_seq = master.spawn(4)
     init_rng = np.random.default_rng(init_seq)
     sample_rng = np.random.default_rng(sample_seq)
     shuffle_rng = np.random.default_rng(shuffle_seq)
 
-    runners = []
-    for env_child in env_seq.spawn(cfg.num_envs):
-        runners.append(_EnvRunner(C2Env(topology, scenario), env_child))
-    probe = runners[0].env
+    envs = [probe] + [C2Env(topology, scenario) for _ in range(cfg.num_envs - 1)]
+    runners = [_EnvRunner(env, child)
+               for env, child in zip(envs, env_seq.spawn(cfg.num_envs))]
     params = init_policy(init_rng, probe.obs_len, probe.n_actions, cfg)
     live = probe.live_slots
     work = _compact_policy(params, live)

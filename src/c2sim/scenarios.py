@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .c2_env import ScenarioConfig
-from .net_model import NetworkTopology, load_topology, vuln_applies
+from .net_model import NetworkTopology, load_topology
 from .netgen import GenConfig, generate, load_default_references
 
 
@@ -40,16 +40,13 @@ def enterprise101() -> tuple[NetworkTopology, ScenarioConfig]:
     """
     topology = generate(enterprise_gen_config(), load_default_references())
 
-    def exploitable(host) -> bool:
-        return any(vuln_applies(host, v) for v in host.vulnerabilities())
-
     windows_target = next(
         h.address for h in topology.hosts()
-        if h.subnet_id >= 20 and h.os == "windows" and exploitable(h)
+        if h.subnet_id >= 20 and h.os == "windows" and h.exploitable()
     )
     linux_target = next(
         h.address for h in topology.hosts()
-        if h.subnet_id >= 40 and h.os == "linux" and exploitable(h)
+        if h.subnet_id >= 40 and h.os == "linux" and h.exploitable()
     )
     scenario = ScenarioConfig(
         initial_foothold=(1, 0),

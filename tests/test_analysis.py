@@ -405,7 +405,7 @@ _TRACES = st.lists(st.builds(
 # traces the reader accepts: finite float clocks and rewards, counters of
 # at least 0, an integer-pair target on every step but a sleep, and a
 # vulnerability on every exploit and a rate on every upload (the writer
-# leaves out an empty one)
+# leaves out an empty one); each terminal status one that the env reports
 _READABLE_STEPS = st.builds(
     TraceStep, step=st.integers(0, 2**70),
     clock=st.floats(allow_nan=False, allow_infinity=False),
@@ -422,7 +422,8 @@ _READABLE_STEPS = st.builds(
 _READABLE_TRACES = st.lists(st.builds(
     AttackTrace, seed=st.integers(0, 2**70), emergencies=st.integers(0, 2**70),
     steps=st.lists(_READABLE_STEPS, max_size=6),
-    terminal_status=st.dictionaries(_ADDRESSES, _TEXT, max_size=3)), max_size=3)
+    terminal_status=st.dictionaries(_ADDRESSES, st.sampled_from(
+        ["completed", "isolated", "incomplete"]), max_size=3)), max_size=3)
 
 _EDGE_CASES = [AttackTrace(seed=2**64, emergencies=1, terminal_status={
     (10, 0): 'say "hi"', (2, 1): "ü"}, steps=[

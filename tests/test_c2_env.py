@@ -7,12 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from c2sim.c2_env import (
     CONNECTION_STATUSES,
     ActionTimes,
     C2Env,
     Connect,
+    EnvState,
     EpisodeDoneError,
     Exploit,
     RewardTable,
@@ -43,6 +45,7 @@ from c2sim.net_model import (
 )
 
 from conftest import chain_topology, make_host, vuln
+from test_golden import _scripted_attacker_class
 import oracles
 
 
@@ -126,6 +129,81 @@ class TestReset:
         a = env.reset(seed=7).copy()
         b = env.reset(seed=7)
         assert np.array_equal(a, b)
+
+    def test_reset_builds_no_episode_state(self, chain3):
+        env = env_of(chain3)
+        st = env.state
+        held = {f.name: getattr(st, f.name) for f in dataclasses.fields(st)
+                if isinstance(getattr(st, f.name), (np.ndarray, list))}
+        logs = list(st.uploads)
+        for seed in range(2):
+            prepare_connected(env, seed=seed)
+            env.step(Upload((3, 0), "fast"))
+            assert st.uploads[0]
+        env.reset(seed=2)
+        assert env.state is st
+        for name, value in held.items():
+            assert getattr(env.state, name) is value, name
+        assert all(a is b for a, b in zip(env.state.uploads, logs, strict=True))
+        assert not any(env.state.uploads)
+
+    @pytest.mark.parametrize("name", ["tiny", "chain3", "enterprise101"])
+    def test_reset_after_any_prefix_equals_a_fresh_reset(
+            self, name, chain3, tiny_inputs, enterprise_inputs):
+        """A seeded walk of the benchmark's scripted attacker, mixed with
+        uniform actions on the small networks, then ``reset(seed)``: the
+        observation, every ``EnvState`` field and the next 50 steps equal a
+        fresh env's."""
+        pair = {"tiny": tiny_inputs, "chain3": chain3,
+                "enterprise101": enterprise_inputs}[name]
+        scenario = pair[1]
+        attacker = _scripted_attacker_class()
+        # the enterprise attacker needs ~1,000 steps to its first upload and
+        # ~1,900 to its first emergency; a uniform action there is erroneous
+        longest, explore, examples = ((2_000, 0.0, 10) if name == "enterprise101"
+                                      else (80, 0.5, 40))
+        used = C2Env(*pair)
+        seen = set()
+
+        def walk(env, rng, steps):
+            """Step ``env`` up to ``steps`` times; yield each step's output."""
+            actor = attacker(env.actions, scenario.initial_foothold,
+                             scenario.payload_size_mb, rng)
+            for _ in range(steps):
+                if env.done:
+                    return
+                idx = (int(rng.integers(env.n_actions)) if rng.random() < explore
+                       else actor.act())
+                out = env.step(idx)
+                actor.observe(out[3])
+                yield out
+
+        @settings(derandomize=True, deadline=None, max_examples=examples)
+        @given(st.integers(0, 2**32 - 1), st.integers(1, longest),
+               st.integers(0, 2**63 - 1))
+        def check(walk_seed, steps, seed):
+            used.reset(seed=walk_seed)
+            for _, _, _, info in walk(used, np.random.default_rng(walk_seed), steps):
+                seen.add(info["outcome"])
+                seen.add("emergency" if info["emergency"] else "no emergency")
+            fresh = C2Env(*pair)
+            assert used.reset(seed=seed).tobytes() == fresh.reset(seed=seed).tobytes()
+            for f in dataclasses.fields(EnvState):
+                a, b = getattr(used.state, f.name), getattr(fresh.state, f.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), f.name
+                else:
+                    assert a == b, f.name
+            n = 0
+            for (obs, reward, done, info), (obs_f, reward_f, done_f, info_f) in zip(
+                    walk(used, np.random.default_rng(seed), 50),
+                    walk(fresh, np.random.default_rng(seed), 50), strict=True):
+                assert obs.tobytes() == obs_f.tobytes(), n
+                assert (reward, done, info) == (reward_f, done_f, info_f), n
+                n += 1
+
+        check()
+        assert {"uploaded", "emergency"} <= seen, seen
 
     def test_observation_length_formula(self, chain3, tiny_inputs):
         for topology, scenario in (chain3, tiny_inputs):
@@ -240,7 +318,7 @@ class TestActionLookup:
         for action in (*env.actions, *map(fresh, env.actions),
                        Exploit((2, 0), "CVE-0000-0000")):
             assert env.check_action(action) is None
-        assert env.state is None  # checking needs no episode
+        assert env.done  # checking needs no episode
 
     @staticmethod
     def walk_in_lockstep(pair, choose, episodes):
@@ -1007,7 +1085,7 @@ class TestObservation:
 
 class TestTargetState:
     """A target's status one-hot and decayed attempt count have one copy,
-    its observation slots; its other counters are lists indexed, like the
+    its observation slots; its other counters are arrays indexed, like the
     two views, by ``target_index``."""
 
     def test_status_and_attempts_are_views_of_the_observation(self, tiny_inputs):
@@ -1051,8 +1129,8 @@ class TestTargetState:
         st = env.state
         assert [status_of(env, a) for a in env.target_index] == [NOT_CONNECTED] * 2
         assert st.attempts.tolist() == [0.0, 0.0]
-        assert st.payload == [scenario.payload_size_mb] * 2
-        assert st.upload_time == st.upload_volume == [0.0, 0.0]
+        assert st.payload.tolist() == [scenario.payload_size_mb] * 2
+        assert st.upload_time.tolist() == st.upload_volume.tolist() == [0.0, 0.0]
         assert st.uploads == [[], []]
         assert np.array_equal(obs, fresh)
         assert np.array_equal(obs, oracles.reference_observation(env))

@@ -277,7 +277,8 @@ class TestTrainEvalPipeline:
     def test_eval_consumes_checkpoint(self, train_run, tiny_inputs):
         out, _ = train_run
         eval_dir = out / "eval1"
-        rc = run(["eval", "--checkpoint", str(out / "run1" / "checkpoint_final.npz"),
+        checkpoint = out / "run1" / "checkpoint_final.npz"
+        rc = run(["eval", "--checkpoint", str(checkpoint),
                   "--scenario", "tiny", "--n", "3",
                   "--out-dir", str(eval_dir), "--seed", "1"])
         assert rc == cli.EXIT_OK
@@ -287,6 +288,9 @@ class TestTrainEvalPipeline:
         manifest = json.loads((eval_dir / "run_manifest.json").read_text())
         assert manifest["configs"]["scenario"]["payload_size_mb"] == 3000.0
         assert manifest["topology_sha256"] == topology_sha256(tiny_inputs[0])
+        # the bundled tiny scenario is not a file, so only the checkpoint
+        assert manifest["input_sha256"] == {
+            "checkpoint": hashlib.sha256(checkpoint.read_bytes()).hexdigest()}
         assert (eval_dir / "summary.csv").exists()
         assert (eval_dir / "upload_times.csv").exists()
         assert (eval_dir / "upload_gaps.csv").exists()
@@ -479,6 +483,36 @@ class TestConfigErrors:
                   "--out-dir", str(tmp_path / "out")])
         assert_invalid(rc, capsys, *words)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, words", [
+        ("hidden: [100000000]\n", ["hidden [100000000]"]),
+        ("horizon: 1099511627776\ntotal_steps: 1099511627776\n",
+         ["horizon 1099511627776"]),
+        ("num_envs: 137438953472\nhorizon: 137438953472\n"
+         "total_steps: 137438953472\n", ["num_envs 137438953472"]),
+    ], ids=["hidden", "horizon", "num-envs"])
+    def test_config_larger_than_memory_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                  tiny_inputs, text, words):
+        # the estimate is checked here before the run, which may then build
+        # its one probe env, but no other env and no net
+        cfg = ppo.PpoConfig.from_yaml(text)
+        assert ppo.memory_needed(cfg, C2Env(*tiny_inputs)) > ppo.physical_memory()
+        built = []
+
+        def one_env(*inputs):
+            assert not built, "train built a second env"
+            built.append(C2Env(*inputs))
+            return built[0]
+
+        monkeypatch.setattr(ppo, "C2Env", one_env)
+        monkeypatch.setattr(ppo, "init_policy",
+                            lambda *args: pytest.fail("train allocated a net"))
+        path = tmp_path / "ppo.yaml"
+        path.write_text(text)
+        rc = run(["train", "--scenario", "tiny", "--config", str(path),
+                  "--out-dir", str(tmp_path / "out")])
+        assert_invalid(rc, capsys, "PPO config", *words, "GiB of memory")
+        assert len(built) == 1
 
     @pytest.mark.parametrize("steps, words", [
         ("100", ["--total-steps 100: PPO config total_steps (100) must be 0 or "
@@ -699,6 +733,10 @@ class TestAnalyze:
          ("line 1: seed must be >= 0, got -5",)),
         ('{"record": "trace", "trace": -7, "seed": 1, "terminal_status": {}}',
          ("line 1: trace must be >= 0, got -7",)),
+        ('{"record": "trace", "trace": 0, "seed": 1, '
+         '"terminal_status": {"2,1": "compleet"}}',
+         ("line 1", "terminal_status", "'compleet'",
+          "'completed' or 'isolated' or 'incomplete'")),
     ])
     def test_malformed_traces_file(self, tmp_path, capsys, line, words):
         traces_path = tmp_path / "traces.jsonl"
@@ -723,7 +761,8 @@ class TestAnalyze:
         (3, "clock", float("nan"), ("line 3", "clock", "finite")),
         (1, "emergencies", "many", ("line 1", "emergencies", "integer")),
         (1, "terminal_status", {"2,1": 5, "3,0": "completed"},
-         ("line 1", "terminal_status", "string")),
+         ("line 1", "terminal_status", "'completed' or 'isolated' or 'incomplete'",
+          "got 5")),
         (3, "record", "stpe", ("line 3", "unknown record", "'stpe'")),
         (3, "record", "trace", ("line 3", "trace 0", "twice")),
         (1, "seed", -5, ("line 1: seed must be >= 0, got -5",)),
@@ -953,7 +992,27 @@ class TestRefusalByProperty:
     def test_one_node_of_a_trace_step_mutated(self, mutation):
         # the committed traces, one node of one step line replaced or
         # deleted (the whole line, for the root), then pruned
-        line, path, value = mutation
+        self.prune_with_one_line_mutated(*mutation)
+
+    RECORD_LINES = [i for i, row in enumerate(TRACE_ROWS) if row["record"] == "trace"]
+    # besides the odd values, ones that fit a trace record's fields: each
+    # terminal status, a misspelt one, an address key and a seed past 64 bits
+    RECORD_VALUES = VALUES + ["completed", "isolated", "incomplete", "compleet",
+                              "2,1", 2**64]
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.sampled_from(RECORD_LINES).flatmap(lambda line: st.tuples(
+        st.just(line), st.sampled_from(list(document_nodes(
+            TestRefusalByProperty.TRACE_ROWS[line]))),
+        st.sampled_from(TestRefusalByProperty.RECORD_VALUES))))
+    def test_one_node_of_a_trace_record_mutated(self, mutation):
+        # the same, for one node of one trace record line
+        self.prune_with_one_line_mutated(*mutation)
+
+    def prune_with_one_line_mutated(self, line, path, value):
+        """Prune the committed traces with the node at ``path`` of line
+        ``line`` replaced by ``value`` or deleted (the whole line, for the
+        root): exit 0, or 3 with one stderr line."""
         row = mutated(self.TRACE_ROWS[line], path, value)
         rows = [*self.TRACE_ROWS[:line], *([] if row is DELETED else [row]),
                 *self.TRACE_ROWS[line + 1:]]
