@@ -47,7 +47,10 @@ def current_build() -> dict:
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
-                    topology=None, **configs) -> Path:
+                    topology=None, topology_path=None, **configs) -> Path:
+    """Write ``run_manifest.json``; ``topology_path`` is the topology file
+    the run read, named by --topology or by the scenario's ``topology:``
+    key, or None for the bundled tiny scenario."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "run_manifest.json"
     config_files = {
@@ -55,15 +58,18 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace,
         for key in ("topology", "scenario", "config", "checkpoint", "traces")
         if getattr(args, key, None)
     }
+    # the files the run read; the bundled tiny scenario is not a file
+    inputs = {key: file for key, file in config_files.items()
+              if not (key == "scenario" and file == "tiny")}
+    if topology_path is not None:
+        inputs["topology"] = topology_path
     manifest = {
         "command": command,
         "config_files": config_files,
-        # the bytes each named file held when the run read it; the bundled
-        # tiny scenario is not a file
+        # the bytes each file held when the run read it
         "input_sha256": {
-            key: hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            for key, path in config_files.items()
-            if not (key == "scenario" and path == "tiny")
+            key: hashlib.sha256(Path(file).read_bytes()).hexdigest()
+            for key, file in inputs.items()
         },
         "seed": getattr(args, "seed", None),
         "configs": {name: dataclasses.asdict(cfg)
@@ -90,9 +96,12 @@ def _finish_manifest(path: Path) -> None:
 
 
 def _load_env_inputs(args) -> tuple:
-    """Resolve --topology/--scenario, honoring the bundled 'tiny' shortcut."""
+    """Resolve --topology/--scenario, honoring the bundled 'tiny' shortcut.
+
+    Returns (topology, scenario, the topology file's path), the path None
+    for the shortcut."""
     if args.scenario == "tiny":
-        return scenarios.tiny()
+        return (*scenarios.tiny(), None)
     scenario_path = Path(args.scenario)
     scenario = ScenarioConfig.from_yaml(scenario_path.read_text())
     if args.topology:
@@ -104,7 +113,7 @@ def _load_env_inputs(args) -> tuple:
             "no topology: pass --topology or set 'topology' in the scenario"
         )
     topology = load_topology(topology_path.read_text())
-    return topology, scenario
+    return topology, scenario, topology_path
 
 
 def cmd_generate(args) -> int:
@@ -130,7 +139,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    topology, scenario = _load_env_inputs(args)
+    topology, scenario, topology_path = _load_env_inputs(args)
     if args.config:
         cfg = ppo.PpoConfig.from_yaml(Path(args.config).read_text())
     else:
@@ -145,7 +154,7 @@ def cmd_train(args) -> int:
                 f"--total-steps {args.total_steps}: PPO config {exc}") from None
 
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "train", args, topology,
+    manifest = _write_manifest(out_dir, "train", args, topology, topology_path,
                                ppo=cfg, scenario=scenario)
     result = ppo.train(
         topology, scenario, cfg, out_dir=out_dir,
@@ -161,12 +170,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    topology, scenario = _load_env_inputs(args)
+    topology, scenario, topology_path = _load_env_inputs(args)
     env = C2Env(topology, scenario)
     params, _ = ppo.load_policy(
         args.checkpoint, expect_obs_dim=env.obs_len, expect_actions=env.n_actions)
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "eval", args, topology, scenario=scenario)
+    manifest = _write_manifest(out_dir, "eval", args, topology, topology_path,
+                               scenario=scenario)
     traces = analysis.sample_paths(env, params.actor, args.n, args.seed)
     with open(out_dir / "traces.jsonl", "w") as fh:
         analysis.write_traces_jsonl(traces, fh)
@@ -189,9 +199,10 @@ def cmd_analyze(args) -> int:
         traces = analysis.read_traces_jsonl(fh)
     if not traces:
         raise ValueError(f"no traces in {args.traces}")
-    topology, scenario = _load_env_inputs(args) if args.scenario else (None, None)
+    topology, scenario, topology_path = (
+        _load_env_inputs(args) if args.scenario else (None, None, None))
     out_dir = Path(args.out_dir)
-    manifest = _write_manifest(out_dir, "analyze", args, topology,
+    manifest = _write_manifest(out_dir, "analyze", args, topology, topology_path,
                                scenario=scenario)
     summary = analysis.summarize(traces)
     (out_dir / "summary.csv").write_text(summary.to_csv())

@@ -23,6 +23,22 @@ def param_count(dims: tuple[int, ...]) -> int:
     return sum(a * b + b for a, b in zip(dims, dims[1:]))
 
 
+def aligned(n: int, alloc=np.empty) -> np.ndarray:
+    """A float64 vector of length ``n`` that starts on a 64-byte boundary.
+
+    ``alloc`` (``np.empty`` or ``np.zeros``) makes ``n + 8`` floats, and
+    the vector is the slice of them that starts on a cache line. The
+    allocator's own blocks start 16 to 48 bytes past one, and OpenBLAS's
+    small-matrix kernels read a weight block at such an offset about a
+    third slower, with the same bits. With layer widths that are multiples
+    of 8, every weight block of a vector laid out like ``theta`` then
+    starts on a cache line too.
+    """
+    buf = alloc(n + 8)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + n]
+
+
 def layer_views(flat: np.ndarray, dims: tuple[int, ...]):
     """Per-layer (weights, biases) views into a flat parameter-layout vector.
 
@@ -87,7 +103,7 @@ def init_mlp(rng: np.random.Generator, in_dim: int, hidden: tuple[int, ...],
     """Orthogonal initialization: gain sqrt(2) for hidden layers, a caller
     supplied gain for the output head (small for actors, 1 for critics)."""
     dims = (in_dim, *hidden, out_dim)
-    p = MlpParams(dims, np.zeros(param_count(dims)))
+    p = MlpParams(dims, aligned(param_count(dims), np.zeros))
     last = len(p.weights) - 1
     for i, w in enumerate(p.weights):
         w[...] = orthogonal(rng, w.shape, out_gain if i == last else np.sqrt(2.0))
@@ -148,11 +164,11 @@ def backward(p: MlpParams, x: np.ndarray, upstream) -> np.ndarray:
         raise ShapeMismatchError(
             f"upstream shape {g.shape} does not match output {out.shape}"
         )
-    grad = np.empty_like(p.theta)
+    grad = aligned(p.theta.size)
     w_grads, b_grads = layer_views(grad, p.dims)
     for i in range(len(p.weights) - 1, -1, -1):
         np.matmul(acts[i].T, g, out=w_grads[i])
-        np.sum(g, axis=0, out=b_grads[i])
+        np.add.reduce(g, axis=0, out=b_grads[i])
         if i > 0:
             g = g @ p.weights[i].T
             d = np.square(acts[i])
@@ -184,11 +200,12 @@ class OptimizerState:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        self.scratch = (aligned(self.m.size), aligned(self.m.size))
 
 
 def adam_init(p: MlpParams, lr: float) -> OptimizerState:
-    return OptimizerState(lr=lr, m=np.zeros_like(p.theta), v=np.zeros_like(p.theta))
+    n = p.theta.size
+    return OptimizerState(lr=lr, m=aligned(n, np.zeros), v=aligned(n, np.zeros))
 
 
 def adam_step(state: OptimizerState, p: MlpParams, grad: np.ndarray):
@@ -229,16 +246,15 @@ def adam_step(state: OptimizerState, p: MlpParams, grad: np.ndarray):
 def log_softmax(scores: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax, stabilized by max subtraction.
 
-    A single row takes plain ufunc reductions, which skip the keepdims
-    bookkeeping and the ndarray method wrappers and round the same, so a
-    row gives the bits of its row in a batch.
+    Plain ufunc reductions skip the ndarray method wrappers and round
+    the same, and a row gives the bits of its row in a batch.
     """
     if scores.ndim == 1:
         z = scores - np.maximum.reduce(scores)
         z -= np.log(np.add.reduce(np.exp(z)))
         return z
-    z = scores - scores.max(axis=-1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
     return z
 
 
@@ -281,12 +297,12 @@ def categorical_sample(scores, rng: np.random.Generator):
         else:
             logp = log_softmax(scores)
             last = logp.shape[-1] - 1
-            cum = np.exp(logp).cumsum(axis=-1)
+            cum = np.add.accumulate(np.exp(logp), axis=-1)
             u = rng.random(len(cum))
             u *= cum[:, -1]
             # cum is non-decreasing, so counting entries <= u is
             # searchsorted(side="right")
-            idx = (cum <= u[:, None]).sum(axis=1)
+            idx = np.add.reduce(cum <= u[:, None], axis=1)
             np.minimum(idx, last, out=idx)
             return idx, logp[np.arange(len(idx)), idx]
     logp, cum = scores

@@ -162,11 +162,11 @@ def _blank_policy(nets, opts, obs_dim: int) -> PolicyParams:
     but a first layer ``obs_dim`` wide, and whose optimizers have the
     settings and step of ``opts``: ``MlpParams`` and ``OptimizerState``
     pairs, or the manifest's entries. ``tensors`` fills in its tensors."""
-    actor, critic = (MlpParams(dims, np.empty(neural.param_count(dims)))
+    actor, critic = (MlpParams(dims, neural.aligned(neural.param_count(dims)))
                      for dims in ((obs_dim, *net.dims[1:]) for net in nets))
     return PolicyParams(actor, critic, *(
-        OptimizerState(s.lr, np.empty_like(p.theta), np.empty_like(p.theta),
-                       s.beta1, s.beta2, s.eps, s.step)
+        OptimizerState(s.lr, neural.aligned(p.theta.size),
+                       neural.aligned(p.theta.size), s.beta1, s.beta2, s.eps, s.step)
         for p, s in zip((actor, critic), opts)))
 
 
@@ -374,8 +374,10 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
     ep_lengths: list[int] = []
 
     def observe(out):
+        # the slots are in range, so "clip" moves none; it spares the
+        # buffered copy that "raise" makes of a take into ``out``
         for i, r in enumerate(runners):
-            out[i] = r.obs[slots]
+            r.obs.take(slots, out=out[i], mode="clip")
         return out
 
     for r in runners:
@@ -387,10 +389,11 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
         logits = neural.forward(actor, obs_mat)
         val_buf[t] = neural.forward(critic, obs_mat)[:, 0]
         act_buf[t], logp_buf[t] = neural.categorical_sample(logits, sample_rng)
-        for i, (runner, a_idx) in enumerate(zip(runners, act_buf[t].tolist())):
+        rewards, dones = [], []
+        for runner, a_idx in zip(runners, act_buf[t].tolist()):
             next_obs, reward, done, _ = runner.env.step(a_idx)
-            rew_buf[t, i] = reward
-            done_buf[t, i] = done
+            rewards.append(reward)
+            dones.append(done)
             runner.ep_return += reward
             runner.ep_length += 1
             if done:
@@ -399,6 +402,8 @@ def collect_rollout(runners: list[_EnvRunner], actor: MlpParams,
                 runner.reset()
             else:
                 runner.obs = next_obs
+        rew_buf[t] = rewards
+        done_buf[t] = dones
 
     val_buf[steps_per_env] = neural.forward(
         critic, observe(np.empty((n, actor.in_dim))))[:, 0]
@@ -442,11 +447,12 @@ def ppo_loss(actor: MlpParams, critic: MlpParams, obs: np.ndarray,
         logp = logp_all[rows, actions]
         ratio = np.exp(logp - logp_old)
         surr1 = ratio * advantages
-        surr2 = ratio.clip(1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
+        surr2 = np.maximum(ratio, 1.0 - cfg.clip_epsilon)
+        np.minimum(surr2, 1.0 + cfg.clip_epsilon, out=surr2)
         surr2 *= advantages
-        pieces.append(-np.minimum(surr1, surr2).mean())
-        row_entropy = -(probs * logp_all).sum(axis=1)
-        pieces.append(row_entropy.mean())
+        pieces.append(-(np.add.reduce(np.minimum(surr1, surr2)) / n))
+        row_entropy = -np.add.reduce(probs * logp_all, axis=1)
+        pieces.append(np.add.reduce(row_entropy) / n)
 
         # d(-objective)/dlogits: gradient flows only where the unclipped
         # branch is active (ties included, where both branches coincide).
@@ -461,7 +467,7 @@ def ppo_loss(actor: MlpParams, critic: MlpParams, obs: np.ndarray,
 
     def value_head(values):
         err = values[:, 0] - returns
-        pieces.append((err ** 2).mean())
+        pieces.append(np.add.reduce(np.square(err)) / len(returns))
         return (2.0 * err / len(returns))[:, None]
 
     a_grads = neural.backward(actor, obs, policy_head)
@@ -641,6 +647,9 @@ def train(topology: NetworkTopology, scenario: ScenarioConfig, cfg: PpoConfig,
                             if batch.episode_lengths else float("nan")),
             **stats,
         }
+        # freed before the next collect_rollout fills a new batch, so one
+        # rollout batch is alive at a time, as memory_needed counts
+        del batch
         metrics.append(row)
         if log is not None:
             log(row)

@@ -295,6 +295,24 @@ class TestTrainEvalPipeline:
         assert (eval_dir / "upload_times.csv").exists()
         assert (eval_dir / "upload_gaps.csv").exists()
 
+    def test_eval_hashes_the_topology_its_scenario_names(self, train_run):
+        # tiny.yaml names tiny_topology.yaml through its topology: key, so
+        # no flag names the topology file the run reads
+        out, _ = train_run
+        checkpoint = out / "run1" / "checkpoint_final.npz"
+        scenario = DATA / "scenarios" / "tiny.yaml"
+        eval_dir = out / "eval_scenario_file"
+        rc = run(["eval", "--checkpoint", str(checkpoint),
+                  "--scenario", str(scenario), "--n", "1",
+                  "--out-dir", str(eval_dir)])
+        assert rc == cli.EXIT_OK
+        manifest = json.loads((eval_dir / "run_manifest.json").read_text())
+        assert manifest["input_sha256"] == {
+            key: hashlib.sha256(path.read_bytes()).hexdigest()
+            for key, path in (
+                ("checkpoint", checkpoint), ("scenario", scenario),
+                ("topology", DATA / "scenarios" / "tiny_topology.yaml"))}
+
     def test_train_rerun_byte_identical_metrics(self, train_run):
         out, cfg = train_run
         rc = run(["train", "--scenario", "tiny", "--config", str(cfg),

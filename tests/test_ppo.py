@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import weakref
 import zipfile
 from pathlib import Path
 
@@ -452,6 +453,22 @@ class TestTrain:
         for a, b in zip(r1.params.actor.weights, r2.params.actor.weights):
             assert np.array_equal(a, b)
 
+    def test_one_rollout_batch_alive_at_a_time(self, tiny_inputs, monkeypatch):
+        """The previous batch's observation buffer is freed by the time
+        collect_rollout is entered to fill the next one."""
+        obs_refs, alive_on_entry = [], []
+        collect = ppo.collect_rollout
+
+        def watched(*args, **kwargs):
+            alive_on_entry.append([ref() is not None for ref in obs_refs])
+            batch = collect(*args, **kwargs)
+            obs_refs.append(weakref.ref(batch.obs))
+            return batch
+
+        monkeypatch.setattr(ppo, "collect_rollout", watched)
+        train(*tiny_inputs, small_cfg(total_steps=192))
+        assert alive_on_entry == [[], [False], [False, False]]
+
     def test_checkpoints_and_metrics_written(self, tiny_inputs, tmp_path):
         topology, scenario = tiny_inputs
         cfg = small_cfg(horizon=128, num_envs=2, minibatch=32, epochs=1,
@@ -719,6 +736,29 @@ def _skip_unless_recorded_build(what):
         pytest.skip(f"{what} differ on a build unlike the recorded one "
                     f"({build}; recorded {RECORDED_BUILD})")
     pytest.fail(f"{what} differ on the recorded build")
+
+
+class TestAlignedStorage:
+    def test_every_policy_vector_starts_on_a_cache_line(self, tiny_inputs,
+                                                         tmp_path):
+        """Both nets' theta, moments and Adam scratch, and with the
+        default widths every weight block, start on a 64-byte boundary,
+        whether the policy is initialized, cut to the live slots or
+        loaded."""
+        from c2sim.c2_env import C2Env
+
+        env = C2Env(*tiny_inputs)
+        full = init_policy(np.random.default_rng(0), env.obs_len,
+                           env.n_actions, PpoConfig())
+        save_policy(tmp_path / "policy.npz", full)
+        loaded, _ = load_policy(tmp_path / "policy.npz", env.obs_len, env.n_actions)
+        for params in (full, ppo._compact_policy(full, env.live_slots), loaded):
+            vectors = [tensor for _, _, tensor in params.tensors()]
+            for opt in (params.actor_opt, params.critic_opt):
+                vectors.extend(opt.scratch)
+            for net in (params.actor, params.critic):
+                vectors.extend(net.weights)
+            assert [v.ctypes.data % 64 for v in vectors] == [0] * len(vectors)
 
 
 class TestLiveSlotTraining:
